@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -142,11 +142,6 @@ class GpsNormalization:
     lon_ref: float
     scale: float = 1e4
 
-    def normalize(self, gps: GpsLabel) -> np.ndarray:
-        return np.array(
-            [(gps.latitude - self.lat_ref) * self.scale, (gps.longitude - self.lon_ref) * self.scale]
-        )
-
     def normalize_array(self, lat_lon: np.ndarray) -> np.ndarray:
         arr = np.asarray(lat_lon, dtype=np.float64)
         return (arr - np.array([self.lat_ref, self.lon_ref])) * self.scale
@@ -213,7 +208,7 @@ class Dataset:
         gps = np.asarray(self.gps, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError("dataset x must be two-dimensional")
-        if not np.isin(x, (0, 1)).all():
+        if not (x <= 1).all():  # x is uint8 here, so this is the binary check
             raise ValueError("dataset x must be binary")
         if gps.shape != (x.shape[0], 2):
             raise ValueError(f"gps shape {gps.shape} does not match {x.shape[0]} samples")
@@ -231,10 +226,6 @@ class Dataset:
             xs.append(flatten(g))
             gs.append((gps.latitude, gps.longitude))
         return cls(np.array(xs, dtype=np.uint8), np.array(gs, dtype=np.float64))
-
-    def subset(self, idx: Sequence[int] | np.ndarray) -> "Dataset":
-        idx = np.asarray(idx)
-        return Dataset(self.x[idx], self.gps[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -626,19 +617,29 @@ class Checkpoint:
             self._param_set = ps
         return self._param_set
 
-    def reconstruct(self, x: GridTensor | np.ndarray, gps: GpsLabel | None = None) -> np.ndarray:
-        """Posterior-mean reconstruction probabilities for one scene, flattened."""
-        if isinstance(x, GridTensor):
-            x = flatten(x)
-        xv = np.asarray(x, dtype=np.float64).reshape(-1)
+    def reconstruct(self, x: np.ndarray, gps_deg: np.ndarray | None = None) -> np.ndarray:
+        """Posterior-mean reconstruction probabilities, shape (n, D).
+
+        ``x`` holds n flattened binary scenes as rows and ``gps_deg`` their
+        (n, 2) latitude/longitude in degrees, which only the GPS variants
+        read. Rows run through ``forward`` in chunks of 512.
+        """
+        x = np.asarray(x)
+        if x.ndim != 2:
+            raise ValueError(f"expected a batch of flattened scenes, got shape {x.shape}")
+        g = None
         if self.config.use_gps:
-            if gps is None:
-                raise ValueError(f"variant {self.config.variant!r} requires a gps label")
-            g = self.gps_normalization.normalize(gps)
-        else:
-            g = None
-        x_hat, _, _ = forward(self.config, self.param_set(), xv, g, None)
-        return x_hat
+            if gps_deg is None:
+                raise ValueError(f"variant {self.config.variant!r} requires gps inputs")
+            g = self.gps_normalization.normalize_array(gps_deg)
+        params = self.param_set()
+        chunk = 512
+        out = np.empty((x.shape[0], self.config.hidden3))
+        for lo in range(0, x.shape[0], chunk):
+            gb = g[lo : lo + chunk] if g is not None else None
+            xb = x[lo : lo + chunk].astype(np.float64)
+            out[lo : lo + chunk], _, _ = forward(self.config, params, xb, gb, None)
+        return out
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:

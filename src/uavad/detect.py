@@ -10,7 +10,7 @@ cells — diagnostics, not detections.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +18,18 @@ import numpy as np
 from .adnet import Checkpoint
 from .grid import CATEGORIES, GpsLabel, GridTensor, N_CATEGORIES, read_jsonl, record_to_scene
 
-__all__ = ["AnomalyCell", "AnomalyReport", "detect", "detect_batch", "write_reports"]
+__all__ = [
+    "AnomalyCell",
+    "AnomalyReport",
+    "detection_masks",
+    "detect",
+    "detect_batch",
+    "write_reports",
+]
+
+# Category ids in name order: np.nonzero over a mask whose last axis is
+# permuted this way yields cells in (row, col, category name) order.
+_BY_NAME = np.argsort(CATEGORIES)
 
 
 @dataclass(frozen=True)
@@ -41,6 +52,35 @@ class AnomalyReport:
         return {(a.category, a.row, a.col) for a in self.anomalies}
 
 
+def detection_masks(
+    x: np.ndarray, probs: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The detection rule over binary cells and their reconstruction probabilities.
+
+    Returns the *missing* mask (occupied cells with ``prob < threshold``:
+    the anomalies) and the *added* mask (empty cells with
+    ``prob >= threshold``: the hallucinations). Raises ValueError for a
+    threshold that is NaN or outside [0, 1].
+    """
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold {threshold} is not a number in [0, 1]")
+    kept = probs >= threshold
+    occupied = x != 0
+    return occupied & ~kept, ~occupied & kept
+
+
+def _cells(mask: np.ndarray, probs: np.ndarray) -> tuple[AnomalyCell, ...]:
+    """The cells set in a (rows, cols, categories) mask, in (row, col, name) order."""
+    rows, cols, k = np.nonzero(mask[..., _BY_NAME])
+    cats = _BY_NAME[k]
+    return tuple(
+        AnomalyCell(CATEGORIES[cat], row, col, prob)
+        for cat, row, col, prob in zip(
+            cats.tolist(), rows.tolist(), cols.tolist(), probs[rows, cols, cats].tolist()
+        )
+    )
+
+
 def detect(
     checkpoint: Checkpoint,
     x: GridTensor,
@@ -59,26 +99,12 @@ def detect(
     if not config.use_gps and gps is not None:
         raise ValueError(f"variant {config.variant!r} takes no gps label")
 
-    probs = checkpoint.reconstruct(x, gps).reshape(x.data.shape)
-    recon_bin = probs >= threshold
-
-    anomalies = []
-    hallucinated = []
-    for row, col, cat in zip(*np.nonzero(x.data)):
-        if not recon_bin[row, col, cat]:
-            anomalies.append(
-                AnomalyCell(CATEGORIES[cat], int(row), int(col), float(probs[row, col, cat]))
-            )
-    for row, col, cat in zip(*np.nonzero(recon_bin & (x.data == 0))):
-        hallucinated.append(
-            AnomalyCell(CATEGORIES[cat], int(row), int(col), float(probs[row, col, cat]))
-        )
-    def order(a: AnomalyCell) -> tuple[int, int, str]:
-        return (a.row, a.col, a.category)
-
+    gps_deg = np.array([[gps.latitude, gps.longitude]]) if gps is not None else None
+    probs = checkpoint.reconstruct(x.data.reshape(1, -1), gps_deg).reshape(x.data.shape)
+    missing, added = detection_masks(x.data, probs, threshold)
     return AnomalyReport(
-        anomalies=tuple(sorted(anomalies, key=order)),
-        hallucinated=tuple(sorted(hallucinated, key=order)),
+        anomalies=_cells(missing, probs),
+        hallucinated=_cells(added, probs),
         threshold=threshold,
         model_variant=config.variant,
         gps=(gps.latitude, gps.longitude) if gps is not None else None,
@@ -97,10 +123,21 @@ def detect_batch(checkpoint: Checkpoint, path: str, threshold: float = 0.5) -> l
         for lineno, record in read_jsonl(f):
             try:
                 g, gps = record_to_scene(record, checkpoint.config.grid)
-            except (KeyError, TypeError, ValueError, IndexError) as e:
+            except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{path}: line {lineno}: invalid scene record: {e}") from e
             reports.append(detect(checkpoint, g, gps if use_gps else None, threshold))
     return reports
+
+
+def _cell_doc(a: AnomalyCell) -> dict:
+    # A new dict per cell: vars(a) would keep a materialized __dict__ on
+    # every cell the caller still holds, and dataclasses.asdict deep-copies.
+    return {
+        "category": a.category,
+        "row": a.row,
+        "col": a.col,
+        "reconstruction_prob": a.reconstruction_prob,
+    }
 
 
 def write_reports(reports: Sequence[AnomalyReport], path: str) -> None:
@@ -110,7 +147,7 @@ def write_reports(reports: Sequence[AnomalyReport], path: str) -> None:
                 "model_variant": report.model_variant,
                 "threshold": report.threshold,
                 "gps": list(report.gps) if report.gps is not None else None,
-                "anomalies": [asdict(a) for a in report.anomalies],
-                "hallucinated": [asdict(a) for a in report.hallucinated],
+                "anomalies": [_cell_doc(a) for a in report.anomalies],
+                "hallucinated": [_cell_doc(a) for a in report.hallucinated],
             }
             f.write(json.dumps(doc) + "\n")

@@ -10,16 +10,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .adnet import VARIANTS, Checkpoint, forward
-from .detect import AnomalyReport
-from .grid import CATEGORY_IDS, GpsLabel, GridTensor, flatten
+from .adnet import VARIANTS, Checkpoint, Dataset
+from .adnet import forward  # noqa: F401  (perfbench/spans.py traces evaluate.forward)
+from .detect import detection_masks
+from .grid import CATEGORY_IDS, GpsLabel, GridTensor
 from .world import AnomalyCase, WorldSpec, load_scenes, read_benchmark
 
 __all__ = [
     "MetricCounts",
-    "reconstruction_counts",
     "prf1",
-    "anomaly_accuracy",
     "mse",
     "reconstruction_metrics",
     "task_accuracy",
@@ -46,25 +45,6 @@ class MetricCounts:
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
-    def __add__(self, other: "MetricCounts") -> "MetricCounts":
-        return MetricCounts(
-            self.tp + other.tp, self.fp + other.fp, self.fn + other.fn, self.tn + other.tn
-        )
-
-
-def reconstruction_counts(x: GridTensor, x_hat_bin: GridTensor) -> MetricCounts:
-    """Per-cell confusion counts between an input grid and a binarized reconstruction."""
-    if x.spec != x_hat_bin.spec:
-        raise ValueError("grids have different specifications")
-    a = x.data.astype(bool)
-    b = x_hat_bin.data.astype(bool)
-    return MetricCounts(
-        tp=int(np.sum(a & b)),
-        fp=int(np.sum(~a & b)),
-        fn=int(np.sum(a & ~b)),
-        tn=int(np.sum(~a & ~b)),
-    )
-
 
 def prf1(c: MetricCounts) -> tuple[float, float, float]:
     """Precision, recall, F1 with all-empty denominators counting as perfect."""
@@ -72,18 +52,6 @@ def prf1(c: MetricCounts) -> tuple[float, float, float]:
     recall = 1.0 if c.tp + c.fn == 0 else c.tp / (c.tp + c.fn)
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return precision, recall, f1
-
-
-def anomaly_accuracy(reports: Sequence[AnomalyReport], cases: Sequence[AnomalyCase]) -> float:
-    """Fraction of cases whose injected cell appears in the paired report."""
-    if len(reports) != len(cases):
-        raise ValueError(f"{len(reports)} reports for {len(cases)} cases")
-    if not cases:
-        raise ValueError("no anomaly cases to score")
-    correct = sum(
-        1 for report, case in zip(reports, cases) if case.injected in report.flagged()
-    )
-    return correct / len(cases)
 
 
 def mse(x: np.ndarray, x_hat: np.ndarray) -> float:
@@ -100,33 +68,6 @@ def mse(x: np.ndarray, x_hat: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _scene_arrays(
-    scenes: Sequence[tuple[GridTensor, GpsLabel]]
-) -> tuple[np.ndarray, np.ndarray]:
-    x = np.array([flatten(g) for g, _ in scenes], dtype=np.uint8)
-    gps = np.array([[gps.latitude, gps.longitude] for _, gps in scenes], dtype=np.float64)
-    return x, gps
-
-
-def _forward_probs(
-    checkpoint: Checkpoint, x: np.ndarray, gps_deg: np.ndarray | None, chunk: int = 512
-) -> np.ndarray:
-    """Zero-noise reconstruction probabilities for rows of flattened scenes."""
-    config = checkpoint.config
-    params = checkpoint.param_set()
-    g = None
-    if config.use_gps:
-        if gps_deg is None:
-            raise ValueError(f"variant {config.variant!r} requires gps inputs")
-        g = checkpoint.gps_normalization.normalize_array(gps_deg)
-    out = np.empty((x.shape[0], config.hidden3))
-    for lo in range(0, x.shape[0], chunk):
-        xb = x[lo : lo + chunk].astype(np.float64)
-        gb = g[lo : lo + chunk] if g is not None else None
-        out[lo : lo + xb.shape[0]], _, _ = forward(config, params, xb, gb, None)
-    return out
-
-
 def reconstruction_metrics(
     checkpoint: Checkpoint,
     scenes: Sequence[tuple[GridTensor, GpsLabel]],
@@ -135,23 +76,21 @@ def reconstruction_metrics(
 ) -> tuple[MetricCounts, tuple[float, float, float]]:
     """Confusion counts and (precision, recall, f1) over a scene set.
 
+    A missing cell is a false negative and an added cell a false positive.
     ``gps_labels`` substitutes the scenes' own labels when given — used to
     measure how much reconstruction relies on correct GPS conditioning.
     """
-    x, gps = _scene_arrays(scenes)
+    data = Dataset.from_scenes(scenes)
+    gps = data.gps
     if gps_labels is not None:
         if len(gps_labels) != len(scenes):
             raise ValueError("gps override length does not match scenes")
         gps = np.array([[g.latitude, g.longitude] for g in gps_labels], dtype=np.float64)
-    probs = _forward_probs(checkpoint, x, gps if checkpoint.config.use_gps else None)
-    recon = probs >= threshold
-    truth = x.astype(bool)
-    counts = MetricCounts(
-        tp=int(np.sum(truth & recon)),
-        fp=int(np.sum(~truth & recon)),
-        fn=int(np.sum(truth & ~recon)),
-        tn=int(np.sum(~truth & ~recon)),
-    )
+    missing, added = detection_masks(data.x, checkpoint.reconstruct(data.x, gps), threshold)
+    fn = int(missing.sum())
+    fp = int(added.sum())
+    occupied = int(data.x.sum())
+    counts = MetricCounts(tp=occupied - fn, fp=fp, fn=fn, tn=data.x.size - occupied - fp)
     return counts, prf1(counts)
 
 
@@ -160,23 +99,20 @@ def task_accuracy(
     records: Sequence[tuple[GridTensor, GpsLabel, AnomalyCase]],
     threshold: float = 0.5,
 ) -> float:
-    """Fraction of injected cells whose reconstruction falls below threshold.
+    """Fraction of injected cells that detection flags as missing.
 
-    Matches scoring a full detection report per scene: an injected cell is
-    occupied by construction, so it is flagged exactly when its probability
-    is below the threshold.
+    Matches scoring a full detection report per scene, without building
+    the reports.
     """
     if not records:
         raise ValueError("no benchmark records to score")
-    scenes = [(g, gps) for g, gps, _ in records]
-    x, gps = _scene_arrays(scenes)
-    probs = _forward_probs(checkpoint, x, gps if checkpoint.config.use_gps else None)
+    data = Dataset.from_scenes((g, gps) for g, gps, _ in records)
+    missing, _ = detection_masks(data.x, checkpoint.reconstruct(data.x, data.gps), threshold)
     rows, cols, cats = checkpoint.config.grid.cells_y, checkpoint.config.grid.cells_x, checkpoint.config.n_o
-    probs = probs.reshape(-1, rows, cols, cats)
+    missing = missing.reshape(-1, rows, cols, cats)
     correct = 0
     for i, (_, _, case) in enumerate(records):
-        p = probs[i, case.row, case.col, CATEGORY_IDS[case.category]]
-        if p < threshold:
+        if missing[i, case.row, case.col, CATEGORY_IDS[case.category]]:
             correct += 1
     return correct / len(records)
 
@@ -184,9 +120,8 @@ def task_accuracy(
 def mse_on_scenes(
     checkpoint: Checkpoint, scenes: Sequence[tuple[GridTensor, GpsLabel]]
 ) -> float:
-    x, gps = _scene_arrays(scenes)
-    probs = _forward_probs(checkpoint, x, gps if checkpoint.config.use_gps else None)
-    return mse(x.astype(np.float64), probs)
+    data = Dataset.from_scenes(scenes)
+    return mse(data.x, checkpoint.reconstruct(data.x, data.gps))
 
 
 # ---------------------------------------------------------------------------

@@ -222,31 +222,6 @@ def flatten(g: GridTensor) -> np.ndarray:
     return g.data.reshape(-1).copy()
 
 
-def unflatten(v: np.ndarray, spec: GridSpec) -> GridTensor:
-    v = np.asarray(v)
-    if v.shape != (spec.vector_length,):
-        raise ValueError(f"vector length {v.shape} != ({spec.vector_length},)")
-    return GridTensor(spec, v.reshape(spec.cells_y, spec.cells_x, N_CATEGORIES))
-
-
-def diff_cells(a: GridTensor, b: GridTensor) -> list[tuple[int, int, int, str]]:
-    """Cells that differ between two grids.
-
-    Returns (row, col, category, direction) tuples sorted lexicographically,
-    with direction "removed" where a=1,b=0 and "added" where a=0,b=1.
-    """
-    if a.spec != b.spec:
-        raise ValueError("grid specs differ")
-    out: list[tuple[int, int, int, str]] = []
-    removed = (a.data == 1) & (b.data == 0)
-    added = (a.data == 0) & (b.data == 1)
-    for mask, direction in ((removed, "removed"), (added, "added")):
-        rows, cols, cats = np.nonzero(mask)
-        out.extend((int(r), int(c), int(k), direction) for r, c, k in zip(rows, cols, cats))
-    out.sort()
-    return out
-
-
 def render_text(g: GridTensor) -> str:
     """Text rendering: '.' empty, category glyph, '*' for multi-category cells."""
     lines = []
@@ -290,6 +265,8 @@ def record_to_scene(record: dict, spec: GridSpec) -> tuple[GridTensor, GpsLabel]
     data = np.zeros((spec.cells_y, spec.cells_x, N_CATEGORIES), dtype=np.uint8)
     for name, row, col in record["cells"]:
         cat = category_id(name)
+        if type(row) is not int or type(col) is not int:
+            raise ValueError(f"cell ({row!r}, {col!r}): row and col must be integers")
         if not (0 <= row < spec.cells_y and 0 <= col < spec.cells_x):
             raise ValueError(f"cell ({row}, {col}) outside grid")
         data[row, col, cat] = 1

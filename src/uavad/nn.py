@@ -24,11 +24,9 @@ __all__ = [
     "relu_forward",
     "relu_backward",
     "sigmoid_forward",
-    "sigmoid_backward",
     "conv1x1_forward",
     "conv1x1_backward",
     "concat_forward",
-    "concat_backward",
     "reparameterize_forward",
     "reparameterize_backward",
     "adam_step",
@@ -120,20 +118,12 @@ class Rng:
             perm[i], perm[j] = perm[j], perm[i]
         return perm
 
-    def choice(self, seq):
-        return seq[self.randint(len(seq))]
-
     def sample_without_replacement(self, seq, k: int) -> list:
         """First k entries of a Fisher-Yates shuffle of seq."""
         if k > len(seq):
             raise ValueError(f"cannot sample {k} from {len(seq)} items")
         idx = self.permutation(len(seq))[:k]
         return [seq[i] for i in idx]
-
-    def spawn(self, salt: int) -> "Rng":
-        """Independent child stream derived from the current state and a salt."""
-        mixed = self._mix(np.uint64((self._state ^ (salt * _GAMMA)) & _MASK64))
-        return Rng(int(mixed))
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +182,6 @@ class ParamSet:
     def copy_values(self) -> dict[str, np.ndarray]:
         return {name: p.value.copy() for name, p in self._params.items()}
 
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for name, arr in values.items():
-            p = self._params[name]
-            if p.value.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name}: {arr.shape} != {p.value.shape}")
-            p.value = np.asarray(arr, dtype=np.float64).copy()
-
 
 # ---------------------------------------------------------------------------
 # Layers
@@ -241,10 +224,6 @@ def sigmoid_forward(x: np.ndarray) -> np.ndarray:
     return np.clip(out, _SIGMOID_LO, _SIGMOID_HI)
 
 
-def sigmoid_backward(dy: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return dy * y * (1.0 - y)
-
-
 def conv1x1_forward(x: np.ndarray, k: Param, b: Param) -> np.ndarray:
     """Per-pixel linear map across channels: y[..., o] = sum_c k[o, c] x[..., c] + b[o]."""
     c_out, c_in = k.value.shape
@@ -259,11 +238,6 @@ def conv1x1_backward(dy: np.ndarray, x: np.ndarray, k: Param, b: Param) -> np.nd
 
 def concat_forward(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.concatenate([a, b], axis=axis)
-
-
-def concat_backward(dy: np.ndarray, a_size: int, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    da, db = np.split(dy, [a_size], axis=axis)
-    return da, db
 
 
 def reparameterize_forward(mu: np.ndarray, log_var: np.ndarray, eps: np.ndarray) -> np.ndarray:

@@ -90,13 +90,13 @@ class TestModelConfig:
 class TestGpsNormalization:
     def test_reference_point_maps_to_origin(self):
         gn = GpsNormalization(lat_ref=41.1, lon_ref=29.0)
-        assert np.allclose(gn.normalize(GpsLabel(41.1, 29.0)), [0.0, 0.0])
+        assert np.allclose(gn.normalize_array([[41.1, 29.0]]), [[0.0, 0.0]])
 
     def test_degree_offsets_are_scaled_to_order_one(self):
         """A 1e-4 degree offset (about 10 m) becomes a unit-sized input."""
         gn = GpsNormalization(lat_ref=41.1, lon_ref=29.0)
-        out = gn.normalize(GpsLabel(41.1 + 1e-4, 29.0 - 2e-4))
-        assert np.allclose(out, [1.0, -2.0])
+        out = gn.normalize_array([[41.1 + 1e-4, 29.0 - 2e-4]])
+        assert np.allclose(out, [[1.0, -2.0]])
 
     def test_fit_centers_on_the_mean(self):
         pts = np.array([[41.10, 29.00], [41.12, 29.04]])
@@ -113,8 +113,8 @@ class TestGpsNormalization:
         )
         batch = gn.normalize_array(pts)
         for i in range(20):
-            single = gn.normalize(GpsLabel(pts[i, 0], pts[i, 1]))
-            assert np.allclose(batch[i], single, atol=1e-12)
+            lat, lon = float(pts[i, 0]), float(pts[i, 1])
+            assert batch[i].tolist() == [(lat - 41.1) * 1e4, (lon - 29.0) * 1e4]
 
     def test_dict_round_trip(self):
         gn = GpsNormalization(lat_ref=41.1, lon_ref=29.0, scale=1e4)
@@ -361,12 +361,6 @@ class TestDataset:
         with pytest.raises(ValueError, match="gps"):
             Dataset(np.zeros((3, 4), dtype=np.uint8), np.zeros((2, 2)))
 
-    def test_subset_picks_rows(self):
-        ds = _binary_dataset(10, 8, 1)
-        sub = ds.subset([7, 2])
-        assert np.array_equal(sub.x[0], ds.x[7])
-        assert np.array_equal(sub.gps[1], ds.gps[2])
-
 
 class TestTraining:
     def test_loss_decreases_on_a_learnable_dataset(self):
@@ -500,22 +494,33 @@ class TestCheckpointPersistence:
                 b = forward(config, loaded.param_set(), x, gps, eps)[0]
                 assert np.array_equal(a, b), (variant, i)
 
-    def test_reconstruct_accepts_grids_and_vectors(self):
-        config = ModelConfig("uav_adnet")
-        ck = Checkpoint(
-            config, GpsNormalization(41.1, 29.0), init_params(config, 0).copy_values()
-        )
-        grid = GridTensor(config.grid).with_cell(3, 4, 2)
-        gps = GpsLabel(41.1001, 29.0002)
-        from_grid = ck.reconstruct(grid, gps)
-        from_vector = ck.reconstruct(grid.data.reshape(-1).astype(np.float64), gps)
-        assert from_grid.shape == (config.hidden3,)
-        assert np.array_equal(from_grid, from_vector)
+    def test_reconstruct_runs_batches_in_chunks(self):
+        """Rows go through forward 512 at a time, with GPS normalized only
+        for the GPS variants; a batch equals its chunks run separately."""
+        rng = Rng(12)
+        for variant in VARIANTS:
+            ck = tiny_checkpoint(variant, seed=2)
+            config = ck.config
+            x = (rng.uniform((1030, config.hidden3)) < 0.3).astype(np.uint8)
+            gps = np.column_stack(
+                [41.1 + rng.gaussian(1030) * 1e-4, 29.0 + rng.gaussian(1030) * 1e-4]
+            )
+            probs = ck.reconstruct(x, gps)
+            assert probs.shape == (1030, config.hidden3)
+            chunks = [
+                ck.reconstruct(x[lo : lo + 512], gps[lo : lo + 512]) for lo in (0, 512, 1024)
+            ]
+            assert np.array_equal(probs, np.concatenate(chunks))
+            g = ck.gps_normalization.normalize_array(gps[:512]) if config.use_gps else None
+            want, _, _ = forward(config, ck.param_set(), x[:512].astype(np.float64), g)
+            assert np.array_equal(probs[:512], want)
+            if not config.use_gps:
+                assert np.array_equal(ck.reconstruct(x, None), probs)
 
     def test_reconstruct_requires_gps_for_gps_variants(self):
         ck = tiny_checkpoint("uav_adnet")
         with pytest.raises(ValueError, match="gps"):
-            ck.reconstruct(np.zeros(ck.config.hidden3))
+            ck.reconstruct(np.zeros((1, ck.config.hidden3)))
 
     def test_constructor_rejects_wrong_shapes(self):
         config = tiny_config("vae")

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface via its main() entry point."""
 
 import json
+import logging
 
 import pytest
 
@@ -155,6 +156,15 @@ class TestDetect:
         )
         assert code == EXIT_OK
 
+    def test_threshold_outside_the_unit_interval_is_a_config_error(self, pipeline, tmp_path):
+        for threshold in ("nan", "1.5"):
+            code = main(
+                ["detect", "--ckpt", pipeline["ckpts"]["vae"],
+                 "--in", str(pipeline["data"] / "test.jsonl"), "--out", str(tmp_path / "o"),
+                 "--threshold", threshold]
+            )
+            assert code == EXIT_CONFIG
+
     def test_missing_checkpoint_is_a_config_error(self, pipeline, tmp_path):
         code = main(
             ["detect", "--ckpt", str(tmp_path / "absent.json"),
@@ -212,6 +222,13 @@ class TestRender:
     def test_out_of_range_index_is_a_config_error(self, pipeline):
         code = main(["render", "--in", str(pipeline["data"] / "test.jsonl"), "--index", "99"])
         assert code == EXIT_CONFIG
+
+    def test_fractional_cell_index_is_a_config_error_naming_the_line(self, tmp_path, caplog):
+        path = tmp_path / "scenes.jsonl"
+        path.write_text(json.dumps({"gps": [41.1, 29.0], "cells": [["car", 1.5, 2]]}) + "\n")
+        with caplog.at_level(logging.ERROR):
+            assert main(["render", "--in", str(path)]) == EXIT_CONFIG
+        assert "line 1" in caplog.text
 
 
 class TestGradcheck:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from uavad.adnet import (
+    VARIANTS,
     Checkpoint,
     GpsNormalization,
     ModelConfig,
@@ -14,7 +15,8 @@ from uavad.adnet import (
     init_params,
 )
 from uavad.detect import AnomalyCell, AnomalyReport, detect, detect_batch, write_reports
-from uavad.grid import CATEGORIES, CATEGORY_IDS, GpsLabel, GridSpec, GridTensor
+from uavad.evaluate import reconstruction_metrics
+from uavad.grid import CATEGORIES, CATEGORY_IDS, N_CATEGORIES, GpsLabel, GridSpec, GridTensor
 from uavad.nn import Rng
 from uavad.world import build_benchmark, default_world, sample_dataset, write_benchmark
 
@@ -82,6 +84,13 @@ class TestDetect:
         report = detect(ck, scene, threshold=1.0)
         assert report.flagged() == {("car", 0, 0), ("trailer", 9, 9)}
         assert report.hallucinated == ()
+
+    @pytest.mark.parametrize("threshold", [math.nan, 1.5, -0.25, math.inf])
+    def test_threshold_outside_the_unit_interval_is_rejected(self, threshold):
+        ck = constant_checkpoint({})
+        scene = GridTensor(ck.config.grid).with_cell(0, 0, 0)
+        with pytest.raises(ValueError, match="threshold"):
+            detect(ck, scene, threshold=threshold)
 
     def test_anomalies_are_a_subset_of_occupied_cells(self):
         world = default_world()
@@ -168,10 +177,60 @@ class TestDetectBatch:
     def test_bad_records_carry_line_numbers(self, tmp_path):
         path = tmp_path / "scenes.jsonl"
         good = json.dumps({"gps": [41.1, 29.0], "cells": []})
-        bad = json.dumps({"gps": [41.1, 29.0], "cells": [["car", 99, 0]]})
-        path.write_text(good + "\n" + bad + "\n")
-        with pytest.raises(ValueError, match="line 2"):
-            detect_batch(random_checkpoint("vae"), str(path))
+        for cell in (["car", 99, 0], ["car", 1.5, 2]):
+            bad = json.dumps({"gps": [41.1, 29.0], "cells": [cell]})
+            path.write_text(good + "\n" + bad + "\n")
+            with pytest.raises(ValueError, match="line 2"):
+                detect_batch(random_checkpoint("vae"), str(path))
+
+
+def reference_cells(grid: GridTensor, probs: np.ndarray, threshold: float):
+    """The detection rule as a plain loop over every cell of one flattened
+    reconstruction: (anomalies, hallucinated) sorted by (row, col, category)."""
+    anomalies, hallucinated = [], []
+    for i, prob in enumerate(probs.tolist()):
+        row, rest = divmod(i, grid.spec.cells_x * N_CATEGORIES)
+        col, cat = divmod(rest, N_CATEGORIES)
+        cell = AnomalyCell(CATEGORIES[cat], row, col, prob)
+        if grid.data[row, col, cat] and prob < threshold:
+            anomalies.append(cell)
+        elif not grid.data[row, col, cat] and prob >= threshold:
+            hallucinated.append(cell)
+
+    def order(c: AnomalyCell) -> tuple[int, int, str]:
+        return (c.row, c.col, c.category)
+
+    return tuple(sorted(anomalies, key=order)), tuple(sorted(hallucinated, key=order))
+
+
+class TestReference:
+    """detect and reconstruction_metrics against a loop over all cells of
+    Checkpoint.reconstruct's output; no pinned floats."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("threshold", [0.5, 0.3])
+    def test_detect_and_counts_match_a_loop_over_every_cell(self, variant, threshold):
+        ck = random_checkpoint(variant, seed=3)
+        scenes = sample_dataset(default_world(), 3, seed=11)
+        for grid, gps in scenes:
+            probs = ck.reconstruct(grid.data.reshape(1, -1), [[gps.latitude, gps.longitude]])
+            report = detect(ck, grid, gps if ck.config.use_gps else None, threshold)
+            assert (report.anomalies, report.hallucinated) == reference_cells(
+                grid, probs[0], threshold
+            )
+
+        x = np.array([grid.data.reshape(-1) for grid, _ in scenes])
+        probs = ck.reconstruct(x, [[gps.latitude, gps.longitude] for _, gps in scenes])
+        fn = fp = 0
+        for (grid, _), row in zip(scenes, probs):
+            anomalies, hallucinated = reference_cells(grid, row, threshold)
+            fn += len(anomalies)
+            fp += len(hallucinated)
+        occupied = int(x.sum())
+        counts, _ = reconstruction_metrics(ck, scenes, threshold)
+        assert (counts.tp, counts.fp, counts.fn, counts.tn) == (
+            occupied - fn, fp, fn, x.size - occupied - fp
+        )
 
 
 class TestReportSerialization:

@@ -14,20 +14,18 @@ from uavad.adnet import (
     expected_param_shapes,
     init_params,
 )
-from uavad.detect import AnomalyCell, AnomalyReport, detect_batch
+from uavad.detect import detect_batch
 from uavad.evaluate import (
     MetricCounts,
-    anomaly_accuracy,
     format_table,
     mse,
     mse_on_scenes,
     prf1,
-    reconstruction_counts,
     reconstruction_metrics,
     run_benchmark,
     task_accuracy,
 )
-from uavad.grid import CATEGORIES, GpsLabel, GridSpec, GridTensor
+from uavad.grid import CATEGORY_IDS, N_CATEGORIES, GpsLabel, GridSpec, GridTensor
 from uavad.nn import Rng
 from uavad.world import (
     AnomalyCase,
@@ -39,11 +37,13 @@ from uavad.world import (
 )
 
 WORLD = default_world()
+GPS = GpsLabel(41.1, 29.0)
 
 
-def constant_checkpoint(bias: float, variant: str = "vae") -> Checkpoint:
-    """All-zero weights with one shared output bias: every reconstruction
-    probability equals sigmoid(bias), giving closed-form metric oracles."""
+def constant_checkpoint(bias: float | np.ndarray, variant: str = "vae") -> Checkpoint:
+    """All-zero weights with an output bias shared by every cell: each
+    reconstruction probability is sigmoid(bias) of its category, giving
+    closed-form metric oracles."""
     config = ModelConfig(variant)
     values = {name: np.zeros(shape) for name, shape in expected_param_shapes(config).items()}
     values["out.b"][:] = bias
@@ -57,17 +57,23 @@ def case(category: str, row: int, col: int) -> AnomalyCase:
     )
 
 
-def report(*flagged: tuple[str, int, int]) -> AnomalyReport:
-    cells = tuple(AnomalyCell(cat, r, c, 0.01) for cat, r, c in flagged)
-    return AnomalyReport(cells, (), 0.5, "uav_adnet", None)
+def car_suppressing_checkpoint() -> Checkpoint:
+    """Cars are reconstructed nowhere and every other category everywhere."""
+    bias = np.full(len(CATEGORY_IDS), 2.0)
+    bias[CATEGORY_IDS["car"]] = -2.0
+    return constant_checkpoint(bias)
+
+
+def scene(*cells: tuple[str, int, int]) -> GridTensor:
+    g = GridTensor(GridSpec())
+    for category, row, col in cells:
+        g = g.with_cell(row, col, CATEGORY_IDS[category])
+    return g
 
 
 class TestMetricCounts:
-    def test_total_and_addition(self):
-        a = MetricCounts(1, 2, 3, 4)
-        b = MetricCounts(10, 20, 30, 40)
-        assert a.total == 10
-        assert a + b == MetricCounts(11, 22, 33, 44)
+    def test_total(self):
+        assert MetricCounts(1, 2, 3, 4).total == 10
 
     def test_negative_counts_are_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -77,18 +83,17 @@ class TestMetricCounts:
 class TestReconstructionCounts:
     def test_hand_checked_confusion(self):
         spec = GridSpec()
-        x = GridTensor(spec).with_cell(0, 0, 0).with_cell(1, 1, 1)
-        recon = GridTensor(spec).with_cell(0, 0, 0).with_cell(2, 2, 2)
-        counts = reconstruction_counts(x, recon)
-        assert (counts.tp, counts.fp, counts.fn) == (1, 1, 1)
-        assert counts.tn == spec.vector_length - 3
+        x = scene(("car", 0, 0), ("bus", 1, 1))
+        counts, _ = reconstruction_metrics(car_suppressing_checkpoint(), [(x, GPS)])
+        kept = (N_CATEGORIES - 1) * spec.n_cells  # every non-car cell is reconstructed
+        assert (counts.tp, counts.fp, counts.fn) == (1, kept - 1, 1)
+        assert counts.tn == spec.vector_length - kept - 1
         assert counts.total == spec.vector_length
 
     def test_spec_mismatch_is_rejected(self):
-        with pytest.raises(ValueError, match="specifications"):
-            reconstruction_counts(
-                GridTensor(GridSpec()), GridTensor(GridSpec(cells_x=4, cells_y=4))
-            )
+        small = GridTensor(GridSpec(cells_x=4, cells_y=4))
+        with pytest.raises(ValueError, match="components"):
+            reconstruction_metrics(constant_checkpoint(0.0), [(small, GPS)])
 
 
 class TestPrf1:
@@ -116,24 +121,17 @@ class TestPrf1:
 
 class TestAnomalyAccuracy:
     def test_counts_exact_matches(self):
-        reports = [
-            report(("car", 1, 2)),
-            report(("bus", 3, 4), ("car", 0, 0)),
-            report(),
+        records = [
+            (scene(("car", 1, 2)), GPS, case("car", 1, 2)),
+            (scene(("bus", 3, 4), ("car", 0, 0)), GPS, case("bus", 3, 4)),
+            (scene(("van", 5, 5)), GPS, case("van", 5, 5)),
         ]
-        cases = [case("car", 1, 2), case("bus", 3, 4), case("van", 5, 5)]
-        assert anomaly_accuracy(reports, cases) == pytest.approx(2 / 3)
+        assert task_accuracy(car_suppressing_checkpoint(), records) == pytest.approx(1 / 3)
 
     def test_category_must_match_not_just_the_cell(self):
-        assert anomaly_accuracy([report(("car", 1, 2))], [case("bus", 1, 2)]) == 0.0
-
-    def test_length_mismatch_is_rejected(self):
-        with pytest.raises(ValueError, match="reports for"):
-            anomaly_accuracy([report()], [])
-
-    def test_empty_benchmark_is_rejected(self):
-        with pytest.raises(ValueError, match="no anomaly cases"):
-            anomaly_accuracy([], [])
+        """The car at the injected cell is missing, the injected bus is not."""
+        records = [(scene(("car", 1, 2), ("bus", 1, 2)), GPS, case("bus", 1, 2))]
+        assert task_accuracy(car_suppressing_checkpoint(), records) == 0.0
 
 
 class TestMse:
@@ -213,8 +211,10 @@ class TestTaskAccuracy:
             config, GpsNormalization(41.1, 29.0), init_params(config, 8).copy_values()
         )
         reports = detect_batch(ck, str(path))
-        cases = [c for _, _, c in records]
-        assert task_accuracy(ck, records) == anomaly_accuracy(reports, cases)
+        hits = sum(
+            case.injected in report.flagged() for report, (_, _, case) in zip(reports, records)
+        )
+        assert task_accuracy(ck, records) == hits / len(records)
 
     def test_empty_benchmark_is_rejected(self):
         with pytest.raises(ValueError, match="no benchmark records"):

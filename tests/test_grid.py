@@ -19,7 +19,6 @@ from uavad.grid import (
     category_id,
     cell_of_center,
     cell_of_point,
-    diff_cells,
     flatten,
     rasterize,
     read_annotations,
@@ -27,7 +26,6 @@ from uavad.grid import (
     record_to_scene,
     render_text,
     scene_to_record,
-    unflatten,
 )
 
 SPEC = GridSpec()
@@ -193,39 +191,7 @@ class TestFlatten:
         for _ in range(20):
             data = (rng.random((16, 16, 8)) < 0.05).astype(np.uint8)
             g = GridTensor(SPEC, data)
-            assert unflatten(flatten(g), SPEC) == g
-
-    def test_unflatten_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            unflatten(np.zeros(100, np.uint8), SPEC)
-
-
-class TestDiffCells:
-    def test_directions(self):
-        a = GridTensor(SPEC).with_cell(0, 0, 0)
-        b = GridTensor(SPEC).with_cell(1, 1, 1)
-        assert diff_cells(a, b) == [(0, 0, 0, "removed"), (1, 1, 1, "added")]
-
-    def test_antisymmetry(self):
-        """Swapping arguments swaps added/removed on the same cells."""
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            a = GridTensor(SPEC, (rng.random((16, 16, 8)) < 0.03).astype(np.uint8))
-            b = GridTensor(SPEC, (rng.random((16, 16, 8)) < 0.03).astype(np.uint8))
-            fwd = {(r, c, k): d for r, c, k, d in diff_cells(a, b)}
-            rev = {(r, c, k): d for r, c, k, d in diff_cells(b, a)}
-            assert set(fwd) == set(rev)
-            flip = {"added": "removed", "removed": "added"}
-            assert all(rev[key] == flip[d] for key, d in fwd.items())
-
-    def test_identical_grids_have_no_diff(self):
-        g = GridTensor(SPEC).with_cell(7, 7, 7)
-        assert diff_cells(g, g) == []
-
-    def test_spec_mismatch_rejected(self):
-        small = GridSpec(image_width=64, image_height=64, cells_x=4, cells_y=4)
-        with pytest.raises(ValueError):
-            diff_cells(GridTensor(SPEC), GridTensor(small))
+            assert GridTensor(SPEC, flatten(g).reshape(16, 16, 8)) == g
 
 
 class TestRenderText:
@@ -260,6 +226,12 @@ class TestSceneRecords:
     def test_record_with_out_of_range_cell_rejected(self):
         record = {"gps": [0, 0], "cells": [["car", 16, 0]]}
         with pytest.raises(ValueError, match="outside grid"):
+            record_to_scene(record, SPEC)
+
+    @pytest.mark.parametrize("row, col", [(1.5, 2), (1, 2.0), (True, 2), (1, "2")])
+    def test_record_with_non_integer_cell_rejected(self, row, col):
+        record = {"gps": [0, 0], "cells": [["car", row, col]]}
+        with pytest.raises(ValueError, match="must be integers"):
             record_to_scene(record, SPEC)
 
 

@@ -7,7 +7,6 @@ from uavad.nn import (
     ParamSet,
     Rng,
     adam_step,
-    concat_backward,
     concat_forward,
     conv1x1_backward,
     conv1x1_forward,
@@ -20,7 +19,6 @@ from uavad.nn import (
     relu_forward,
     reparameterize_backward,
     reparameterize_forward,
-    sigmoid_backward,
     sigmoid_forward,
 )
 
@@ -86,21 +84,6 @@ class TestRng:
         with pytest.raises(ValueError):
             rng.sample_without_replacement(seq, 21)
 
-    def test_spawn_streams_are_reproducible_and_distinct(self):
-        a = Rng(42).spawn(1)
-        b = Rng(42).spawn(1)
-        c = Rng(42).spawn(2)
-        assert np.array_equal(a.uniform(50), b.uniform(50))
-        assert not np.array_equal(Rng(42).spawn(1).uniform(50), c.uniform(50))
-
-    def test_spawn_depends_on_consumed_state(self):
-        a = Rng(42)
-        before = a.spawn(1).uniform(10)
-        b = Rng(42)
-        b.uniform()
-        after = b.spawn(1).uniform(10)
-        assert not np.array_equal(before, after)
-
 
 class TestParamSet:
     def test_iteration_in_name_order(self):
@@ -120,14 +103,9 @@ class TestParamSet:
         ps.add("w", np.arange(6.0).reshape(2, 3))
         snapshot = ps.copy_values()
         ps["w"].value += 1.0
-        ps.load_values(snapshot)
-        assert np.array_equal(ps["w"].value, np.arange(6.0).reshape(2, 3))
-
-    def test_load_values_shape_checked(self):
-        ps = ParamSet()
-        ps.add("w", np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="shape mismatch"):
-            ps.load_values({"w": np.zeros((3, 2))})
+        restored = ParamSet()
+        restored.add("w", snapshot["w"])
+        assert np.array_equal(restored["w"].value, np.arange(6.0).reshape(2, 3))
 
 
 def check_layer_gradients(forward, backward, params, inputs, seed):
@@ -227,7 +205,7 @@ class TestActivations:
         x = rng.standard_normal((5, 5))
         r = rng.standard_normal((5, 5))
         y = sigmoid_forward(x)
-        analytic = sigmoid_backward(r, y)
+        analytic = r * y * (1.0 - y)  # the derivative adnet.backward fuses into dlogits
         numeric = numeric_gradient(lambda: float(np.sum(sigmoid_forward(x) * r)), x)
         assert relative_error(analytic, numeric) < GRAD_TOL
 
@@ -272,9 +250,8 @@ class TestConcat:
         b = rng.standard_normal((4, 2))
         y = concat_forward(a, b)
         assert y.shape == (4, 5)
-        da, db = concat_backward(y, a.shape[-1])
-        np.testing.assert_array_equal(da, a)
-        np.testing.assert_array_equal(db, b)
+        np.testing.assert_array_equal(y[:, :3], a)
+        np.testing.assert_array_equal(y[:, 3:], b)
 
 
 class TestReparameterize:

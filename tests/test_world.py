@@ -1,11 +1,12 @@
 """Tests for the synthetic world: zone maps, sampling, auditing, injection."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from uavad.grid import CATEGORIES, CATEGORY_IDS, GpsLabel, GridSpec, GridTensor, diff_cells
+from uavad.grid import CATEGORIES, CATEGORY_IDS, GpsLabel, GridSpec, GridTensor
 from uavad.nn import Rng
 from uavad.world import (
     DEFAULT_RARE_LIST,
@@ -394,6 +395,21 @@ class TestBuildDataset:
             assert g0 == g1
             assert gps0 == gps1
 
+    def test_files_match_the_pinned_digests(self, tmp_path):
+        """The RNG stream and the file format, pinned across versions: same-run
+        reproducibility cannot catch a change that alters both runs alike."""
+        build_dataset(WORLD, 60, str(tmp_path), seed=5)
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("manifest.json", "train.jsonl", "val.jsonl", "test.jsonl")
+        }
+        assert digests == {
+            "manifest.json": "895bf2cc6d577d5736a4d4e6d399d424b710b06893a575120d29a8a2f2208119",
+            "train.jsonl": "89b8142ef009ef9a27cf97a5f475fdb5d2b3633d1745e90b5723721a190ea5af",
+            "val.jsonl": "b3a8012d8d009bfb515f236502380e2076778886931c825dae4381a3838ecea2",
+            "test.jsonl": "fa16329a8705d25268a9466b36a0b7aec024a353380ffe9a8dfdfed5a6edfb6b",
+        }
+
     def test_tiny_datasets_are_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least 10"):
             build_dataset(WORLD, 9, str(tmp_path), seed=0)
@@ -468,7 +484,9 @@ class TestInjection:
             grid, _, rng = self.fresh()
             modified, case = task_fn(WORLD, grid, 0, rng, scene_index=7)
             cat = CATEGORY_IDS[case.category]
-            assert diff_cells(grid, modified) == [(case.row, case.col, cat, "added")]
+            changed = np.argwhere(modified.data != grid.data).tolist()
+            assert changed == [[case.row, case.col, cat]]
+            assert modified.data[case.row, case.col, cat] == 1
             assert case.scene_index == 7 and case.waypoint_index == 0
             assert case.injected == (case.category, case.row, case.col)
 
