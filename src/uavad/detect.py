@@ -52,6 +52,11 @@ class AnomalyReport:
         return {(a.category, a.row, a.col) for a in self.anomalies}
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold {threshold} is not a number in [0, 1]")
+
+
 def detection_masks(
     x: np.ndarray, probs: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -62,8 +67,7 @@ def detection_masks(
     ``prob >= threshold``: the hallucinations). Raises ValueError for a
     threshold that is NaN or outside [0, 1].
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold {threshold} is not a number in [0, 1]")
+    _check_threshold(threshold)
     kept = probs >= threshold
     occupied = x != 0
     return occupied & ~kept, ~occupied & kept
@@ -115,8 +119,10 @@ def detect_batch(checkpoint: Checkpoint, path: str, threshold: float = 0.5) -> l
     """One report per scene record, in file order.
 
     Accepts plain scene files and injected-anomaly benchmark files alike;
-    only the gps and cells fields are read.
+    only the gps and cells fields are read. The threshold is checked
+    before the file is read, so an empty file does not hide a bad one.
     """
+    _check_threshold(threshold)
     use_gps = checkpoint.config.use_gps
     reports = []
     with open(path, "r", encoding="utf-8") as f:

@@ -52,6 +52,8 @@ class Rng:
     SplitMix64 finalizer of the new state. Uniforms take the top 53 bits of
     the output, mapped to [0, 1). Gaussians transform uniform pairs with
     Box-Muller; array draws consume the same stream as repeated scalar draws.
+    Scalar draws step the state on Python ints, array draws on uint64
+    arrays; both give the same bits and leave the same state.
     """
 
     __slots__ = ("_state", "_spare")
@@ -80,7 +82,12 @@ class Rng:
     def uniform(self, shape: int | tuple[int, ...] | None = None) -> float | np.ndarray:
         """Uniform in [0, 1); scalar when shape is None."""
         if shape is None:
-            return float(self._raw(1)[0] >> np.uint64(11)) * 2.0**-53
+            # The SplitMix64 step of _raw and _mix on one Python int: no
+            # NumPy scalars, no errstate.
+            z = self._state = (self._state + _GAMMA) & _MASK64
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            return ((z ^ (z >> 31)) >> 11) * 2.0**-53
         n = int(np.prod(shape))
         vals = (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
         return vals.reshape(shape)
@@ -112,11 +119,11 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
-        perm = np.arange(n)
+        perm = list(range(n))
         for i in range(n - 1, 0, -1):
             j = self.randint(i + 1)
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.intp)
 
     def sample_without_replacement(self, seq, k: int) -> list:
         """First k entries of a Fisher-Yates shuffle of seq."""

@@ -736,11 +736,13 @@ def read_benchmark(
         try:
             g, gps = record_to_scene(record, spec)
             name, row, col = record["injected"]
+            if type(row) is not int or type(col) is not int:
+                raise ValueError(f"injected cell ({row!r}, {col!r}): row and col must be integers")
             case = AnomalyCase(
                 task=str(record["task"]),
                 category=str(name),
-                row=int(row),
-                col=int(col),
+                row=row,
+                col=col,
                 scene_index=len(records),
                 waypoint_index=-1,
             )

@@ -165,6 +165,16 @@ class TestDetect:
             )
             assert code == EXIT_CONFIG
 
+    def test_bad_threshold_on_an_empty_input_is_a_config_error(self, pipeline, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        code = main(
+            ["detect", "--ckpt", pipeline["ckpts"]["vae"],
+             "--in", str(empty), "--out", str(tmp_path / "o"), "--threshold", "nan"]
+        )
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
     def test_missing_checkpoint_is_a_config_error(self, pipeline, tmp_path):
         code = main(
             ["detect", "--ckpt", str(tmp_path / "absent.json"),
@@ -208,6 +218,29 @@ class TestEval:
              "--out", str(tmp_path / "r.json")]
         )
         assert code == EXIT_CONFIG
+
+    def test_fractional_injected_cell_is_a_config_error_naming_the_line(
+        self, pipeline, tmp_path, caplog
+    ):
+        bench = tmp_path / "bench"
+        bench.mkdir()
+        for task in ("1", "2", "3"):
+            name = f"task{task}.jsonl"
+            (bench / name).write_text((pipeline["bench"] / name).read_text())
+        lines = (bench / "task2.jsonl").read_text().splitlines()
+        doc = json.loads(lines[0])
+        doc["injected"][1] += 0.9
+        lines[0] = json.dumps(doc)
+        (bench / "task2.jsonl").write_text("\n".join(lines) + "\n")
+        ckpts = pipeline["ckpts"]
+        with caplog.at_level(logging.ERROR):
+            code = main(
+                ["eval", "--data", str(pipeline["data"]), "--bench", str(bench),
+                 "--ckpts", ckpts["uav_adnet"], ckpts["uav_adnet_wo_gps"],
+                 ckpts["cvae"], ckpts["vae"], "--out", str(tmp_path / "r.json")]
+            )
+        assert code == EXIT_CONFIG
+        assert "line 1" in caplog.text
 
 
 class TestRender:

@@ -174,6 +174,13 @@ class TestDetectBatch:
         reports = detect_batch(random_checkpoint("uav_adnet_wo_gps"), path)
         assert all(r.gps is None for r in reports)
 
+    @pytest.mark.parametrize("threshold", [math.nan, 1.5])
+    def test_bad_threshold_is_rejected_on_an_empty_file(self, tmp_path, threshold):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        with pytest.raises(ValueError, match="threshold"):
+            detect_batch(random_checkpoint("vae"), str(path), threshold)
+
     def test_bad_records_carry_line_numbers(self, tmp_path):
         path = tmp_path / "scenes.jsonl"
         good = json.dumps({"gps": [41.1, 29.0], "cells": []})

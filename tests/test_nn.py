@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uavad.nn import (
+    _GAMMA,
     ParamSet,
     Rng,
     adam_step,
@@ -83,6 +86,46 @@ class TestRng:
         assert set(sample) <= set(seq)
         with pytest.raises(ValueError):
             rng.sample_without_replacement(seq, 21)
+
+
+# Seeds where the 64-bit state wraps on the first draws, plus any other.
+SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1, 2**64 - _GAMMA]), st.integers(0, 2**64 - 1))
+
+
+def reference_permutation(rng: Rng, n: int) -> np.ndarray:
+    """Fisher-Yates on np.arange, with all n - 1 uniforms from one array draw."""
+    perm = np.arange(n)
+    u = rng.uniform(max(n - 1, 0))
+    for k, i in enumerate(range(n - 1, 0, -1)):
+        j = min(int(u[k] * (i + 1)), i)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+class TestRngStreams:
+    """Scalar draws step the state on Python ints, array draws on uint64
+    arrays; both must be one stream, bit for bit, across the 64-bit wrap."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, n=st.integers(0, 300))
+    @example(seed=2**64 - _GAMMA, n=3)
+    @example(seed=2**64 - 1, n=3)
+    def test_scalar_draws_equal_one_array_draw(self, seed, n):
+        a, b = Rng(seed), Rng(seed)
+        scalars = np.array([a.uniform() for _ in range(n)], dtype=np.float64)
+        assert scalars.tobytes() == b.uniform(n).tobytes()
+        assert a._state == b._state
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=SEEDS)
+    @example(seed=0)
+    def test_permutation_matches_a_reference_fisher_yates(self, seed):
+        a, b = Rng(seed), Rng(seed)
+        for n in (0, 1, 2, 17, 240):
+            perm = a.permutation(n)
+            assert perm.dtype == np.intp
+            assert np.array_equal(perm, reference_permutation(b, n))
+            assert a._state == b._state
 
 
 class TestParamSet:

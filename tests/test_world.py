@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+from uavad import adnet
+from uavad.adnet import Dataset, ModelConfig, TrainConfig, save_checkpoint
 from uavad.grid import CATEGORIES, CATEGORY_IDS, GpsLabel, GridSpec, GridTensor
 from uavad.nn import Rng
 from uavad.world import (
@@ -410,6 +412,23 @@ class TestBuildDataset:
             "test.jsonl": "fa16329a8705d25268a9466b36a0b7aec024a353380ffe9a8dfdfed5a6edfb6b",
         }
 
+    def test_checkpoint_matches_the_pinned_digest(self, tmp_path):
+        """Training draws its epoch permutations and noise from the same
+        stream, so a 3-epoch checkpoint pins that stream through training."""
+        build_dataset(WORLD, 60, str(tmp_path), seed=5)
+        train_set, val_set = (
+            Dataset.from_scenes(load_scenes(str(tmp_path / f"{split}.jsonl"), WORLD.grid))
+            for split in ("train", "val")
+        )
+        checkpoint, _ = adnet.train(
+            ModelConfig("uav_adnet"), train_set, val_set, TrainConfig(max_epochs=3, seed=5)
+        )
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(checkpoint, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "1887d28c02610bad10d8a892418085ba425f819f6a55ae1aa4d192cb8d63b116"
+        )
+
     def test_tiny_datasets_are_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least 10"):
             build_dataset(WORLD, 9, str(tmp_path), seed=0)
@@ -587,6 +606,18 @@ class TestBenchmarks:
         doc["injected"] = ["car", 15, 15]  # building row: never occupied
         path.write_text(lines[0] + "\n" + json.dumps(doc) + "\n")
         with pytest.raises(ValueError, match="line 2"):
+            read_benchmark(str(path), WORLD.grid)
+
+    @pytest.mark.parametrize("row", [1.9, 2.0, True, "2"])
+    def test_reader_rejects_non_integer_injected_cells(self, tmp_path, row):
+        scenes = sample_dataset(WORLD, 1, seed=66)
+        records = build_benchmark(WORLD, scenes, task=2, rng=Rng(67))[:1]
+        path = tmp_path / "bad.jsonl"
+        write_benchmark(records, str(path))
+        doc = json.loads(path.read_text())
+        doc["injected"][1] = row
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(ValueError, match="line 1: .*must be integers"):
             read_benchmark(str(path), WORLD.grid)
 
 
