@@ -18,8 +18,10 @@ averaged over the batch, with Adam and early stopping on validation loss.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
+import os
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -403,7 +405,9 @@ def backward(config: ModelConfig, params: ParamSet, cache: dict) -> None:
     dh1 = dense_backward(dmu, cache["h1"], params["mu.w"], params["mu.b"])
     dh1 += dense_backward(dlog_var, cache["h1"], params["logvar.w"], params["logvar.b"])
     dh1_pre = relu_backward(dh1, cache["h1_pre"])
-    dense_backward(dh1_pre, cache["x"], params["enc.w"], params["enc.b"])
+    # dense_backward for the encoder, less its input gradient, which nothing reads.
+    params["enc.w"].grad += dh1_pre.T @ cache["x"]
+    params["enc.b"].grad += dh1_pre.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +647,9 @@ class Checkpoint:
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
+    """Write ``checkpoint`` to ``path`` as JSON, atomically: the document goes
+    to a temporary file in the same directory, which then replaces ``path``.
+    On failure the temporary file is removed and ``path`` is left as it was."""
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": checkpoint.config.to_dict(),
@@ -656,8 +663,18 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
         },
         "training_meta": checkpoint.training_meta,
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f)
+    # json.dumps runs the C encoder; json.dump would stream through the
+    # pure-Python one. The bytes are the same.
+    text = json.dumps(doc)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> Checkpoint:

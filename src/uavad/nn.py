@@ -43,6 +43,10 @@ _GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment
 _SIGMOID_LO = 1e-300
 _SIGMOID_HI = float(np.nextafter(1.0, 0.0))
 
+# Elements per Adam block: the block's slices of value, grad, m, v and the
+# two scratch buffers (6 x 128 KiB) stay in cache across the update's passes.
+_ADAM_BLOCK = 16384
+
 
 class Rng:
     """SplitMix64 stream with Box-Muller gaussians.
@@ -147,7 +151,8 @@ class Param:
     adam_v: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        self.value = np.asarray(self.value, dtype=np.float64)
+        # C order, so that reshape(-1) in adam_step is a view, never a copy.
+        self.value = np.asarray(self.value, dtype=np.float64, order="C")
         self.grad = np.zeros_like(self.value)
         self.adam_m = np.zeros_like(self.value)
         self.adam_v = np.zeros_like(self.value)
@@ -222,13 +227,17 @@ def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid_forward(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic; output stays inside the open interval (0, 1)."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return np.clip(out, _SIGMOID_LO, _SIGMOID_HI)
+    """Numerically stable logistic; output stays inside the open interval (0, 1).
+
+    With e = exp(-|x|), x >= 0 gives 1 / (1 + e) and x < 0 gives e / (1 + e):
+    the same exp argument and division, so the same bits, as evaluating
+    1 / (1 + exp(-x)) and exp(x) / (1 + exp(x)) on the two halves separately.
+    """
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
 
 
 def conv1x1_forward(x: np.ndarray, k: Param, b: Param) -> np.ndarray:
@@ -276,18 +285,51 @@ def adam_step(
     epsilon: float = 1e-8,
     t: int = 1,
 ) -> None:
-    """In-place Adam update with bias correction; zeroes gradients afterwards."""
+    """Adam update with bias correction; zeroes gradients afterwards.
+
+    Every gradient is checked to be finite before anything changes, so a
+    non-finite gradient raises ``FloatingPointError`` naming the first bad
+    parameter and leaves all parameters and moments as they were. The update
+    then runs in place on ``value``, ``adam_m`` and ``adam_v`` (the arrays
+    stay the same objects), in blocks of ``_ADAM_BLOCK`` elements with two
+    scratch buffers. Per element it evaluates, in this order,
+    m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*g**2,
+    value = value - (lr * m/(1-beta1**t)) / (sqrt(v/(1-beta2**t)) + epsilon),
+    so the bits equal the whole-array expressions.
+    """
     if t < 1:
         raise ValueError("Adam step index t must be >= 1")
-    for p in params:
+    plist = list(params)
+    for p in plist:
         if not np.isfinite(p.grad).all():
             raise FloatingPointError(f"non-finite gradient in parameter {p.name!r}")
-        p.adam_m = beta1 * p.adam_m + (1.0 - beta1) * p.grad
-        p.adam_v = beta2 * p.adam_v + (1.0 - beta2) * p.grad**2
-        m_hat = p.adam_m / (1.0 - beta1**t)
-        v_hat = p.adam_v / (1.0 - beta2**t)
-        p.value = p.value - lr * m_hat / (np.sqrt(v_hat) + epsilon)
-    params.zero_grads()
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    size = min(_ADAM_BLOCK, max((p.value.size for p in plist), default=0))
+    buf_a = np.empty(size)
+    buf_b = np.empty(size)
+    for p in plist:
+        w_all, g_all = p.value.reshape(-1), p.grad.reshape(-1)
+        m_all, v_all = p.adam_m.reshape(-1), p.adam_v.reshape(-1)
+        for lo in range(0, w_all.size, _ADAM_BLOCK):
+            w, g = w_all[lo : lo + _ADAM_BLOCK], g_all[lo : lo + _ADAM_BLOCK]
+            m, v = m_all[lo : lo + _ADAM_BLOCK], v_all[lo : lo + _ADAM_BLOCK]
+            a, b = buf_a[: w.size], buf_b[: w.size]
+            np.multiply(g, 1.0 - beta1, out=a)
+            m *= beta1
+            m += a
+            np.square(g, out=a)
+            a *= 1.0 - beta2
+            v *= beta2
+            v += a
+            np.divide(m, c1, out=a)
+            a *= lr
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += epsilon
+            a /= b
+            w -= a
+            g.fill(0.0)
 
 
 def glorot_uniform(rng: Rng, n_out: int, n_in: int) -> np.ndarray:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from uavad import adnet
+from uavad import adnet, nn
 from uavad.adnet import (
     CHECKPOINT_FORMAT_VERSION,
     Checkpoint,
@@ -331,6 +331,43 @@ class TestFullModelGradients:
         assert a == b
 
 
+def reference_backward(config: ModelConfig, params, cache: dict) -> None:
+    """adnet.backward as it was with the encoder's input gradient still
+    computed (and dropped) by nn.dense_backward."""
+    b = cache["x"].shape[0]
+    dlogits = (cache["x_hat4"] - cache["x4"]) / b
+    dconv_in = nn.conv1x1_backward(dlogits, cache["conv_in"], params["out.k"], params["out.b"])
+    dgrid4 = dconv_in[..., : config.n_o] if config.use_copy_crop else dconv_in
+    dh3_pre = nn.relu_backward(dgrid4.reshape(b, -1), cache["h3_pre"])
+    ddec_in = nn.dense_backward(dh3_pre, cache["dec_in"], params["dec.w"], params["dec.b"])
+    dz = ddec_in[:, : config.n_h] if config.use_gps else ddec_in
+    dmu, dlog_var = nn.reparameterize_backward(dz, cache["log_var"], cache["eps"])
+    dmu = dmu + cache["mu"] / b
+    dlog_var = dlog_var + 0.5 * (np.exp(cache["log_var"]) - 1.0) / b
+    dh1 = nn.dense_backward(dmu, cache["h1"], params["mu.w"], params["mu.b"])
+    dh1 += nn.dense_backward(dlog_var, cache["h1"], params["logvar.w"], params["logvar.b"])
+    dh1_pre = nn.relu_backward(dh1, cache["h1_pre"])
+    nn.dense_backward(dh1_pre, cache["x"], params["enc.w"], params["enc.b"])
+
+
+class TestBackwardReference:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_gradients_are_bit_equal_to_the_reference(self, variant):
+        """Full-size model, batch 8, on top of non-zero gradients, so that
+        accumulation (not assignment) is checked too."""
+        config = ModelConfig(variant)
+        x, gps, eps = random_batch(config, 8, seed=21)
+        grads = {}
+        for run in (adnet.backward, reference_backward):
+            params = init_params(config, 4)
+            for p in params:
+                p.grad[...] = np.random.default_rng(len(p.name)).standard_normal(p.grad.shape)
+            _, _, _, cache = adnet._forward_cached(config, params, x, gps, eps)
+            run(config, params, cache)
+            grads[run] = {p.name: p.grad.tobytes() for p in params}
+        assert grads[adnet.backward] == grads[reference_backward]
+
+
 def _binary_dataset(n: int, width: int, seed: int, patterns: int = 4) -> Dataset:
     """n samples cycling over a few fixed binary patterns, with jittered GPS."""
     rng = Rng(seed)
@@ -591,6 +628,23 @@ class TestCheckpointPersistence:
         doc["params"]["enc.b"]["data"][0] = float("inf")
         with pytest.raises(CheckpointCorruptError, match="non-finite"):
             self._reload(doc, path)
+
+    @pytest.mark.parametrize("target", ["json.dumps", "os.replace"])
+    def test_failed_save_keeps_the_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch, target):
+        path = tmp_path / "ck.json"
+        save_checkpoint(tiny_checkpoint("vae", seed=1), str(path))
+        before = path.read_bytes()
+
+        def boom(*args, **kwargs):
+            raise OSError("injected failure")
+
+        module, attr = target.split(".")
+        monkeypatch.setattr(getattr(adnet, module), attr, boom)
+        with pytest.raises(OSError, match="injected failure"):
+            save_checkpoint(tiny_checkpoint("uav_adnet", seed=2), str(path))
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json"]
 
     def test_error_classes_share_a_base(self):
         for cls in (CheckpointVersionError, CheckpointShapeError, CheckpointCorruptError):

@@ -1,11 +1,16 @@
 """Tests for the hand-written layers, optimizer, and counter-based RNG."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from uavad.adnet import ModelConfig, init_params
 from uavad.nn import (
+    _ADAM_BLOCK,
     _GAMMA,
     ParamSet,
     Rng,
@@ -222,6 +227,25 @@ class TestDense:
             dense_forward(np.zeros((1, 4)), w, b)
 
 
+def reference_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The masked two-branch logistic that sigmoid_forward must reproduce."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return np.clip(out, 1e-300, np.nextafter(1.0, 0.0))
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal shapes and bits, except that any NaN matches any NaN (their sign
+    bit depends on which exp argument carried it)."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 class TestActivations:
     def test_relu_gradient(self):
         rng = np.random.default_rng(3)
@@ -242,6 +266,26 @@ class TestActivations:
         np.testing.assert_allclose(
             sigmoid_forward(x) + sigmoid_forward(-x), 1.0, atol=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 37.0, -37.0, 709.8, -709.8]),
+            np.array([745.2, -745.2, 1e6, -1e6, np.inf, -np.inf, np.nan, 0.5, -2.0]),
+            np.linspace(-40.0, 40.0, 64).reshape(4, 2, 8),
+        ],
+    )
+    def test_sigmoid_matches_the_two_branch_form_bit_for_bit(self, x):
+        before = x.tobytes()
+        assert_same_bits(sigmoid_forward(x), reference_sigmoid(x))
+        assert x.tobytes() == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, max_side=6), elements=st.floats()))
+    def test_sigmoid_matches_the_two_branch_form_on_any_floats(self, x):
+        before = x.tobytes()
+        assert_same_bits(sigmoid_forward(x), reference_sigmoid(x))
+        assert x.tobytes() == before
 
     def test_sigmoid_gradient(self):
         rng = np.random.default_rng(4)
@@ -385,6 +429,110 @@ class TestAdam:
         ps.add("w", np.array([1.0]))
         with pytest.raises(ValueError):
             adam_step(ps, t=0)
+
+
+def reference_adam(value, grad, m, v, lr, beta1, beta2, eps, t):
+    """One whole-array Adam update of a single parameter: (value, m, v)."""
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad**2
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return value - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+def random_param_state(ps: ParamSet, seed: int) -> None:
+    """Fill every gradient and Adam moment with random values (v >= 0)."""
+    rng = np.random.default_rng(seed)
+    for p in ps:
+        p.grad[...] = rng.standard_normal(p.grad.shape)
+        p.adam_m[...] = 0.1 * rng.standard_normal(p.adam_m.shape)
+        p.adam_v[...] = 0.01 * rng.random(p.adam_v.shape)
+
+
+B = _ADAM_BLOCK
+# Around one block, and 2.5 blocks, whose last block is partial.
+ADAM_SIZES_1D = [(1,), (3,), (B - 1,), (B,), (B + 1,), (5 * B // 2,)]
+ADAM_SIZES_2D = [(1, 1), (1, 3), (127, 129), (128, 128), (113, 145), (160, 256)]
+
+
+class TestAdamInPlace:
+    """The blocked in-place update against the whole-array formula."""
+
+    @pytest.mark.parametrize("shapes", [ADAM_SIZES_1D, ADAM_SIZES_2D], ids=["1d", "2d"])
+    @pytest.mark.parametrize("t", [1, 2, 50])
+    @pytest.mark.parametrize(
+        "hyper",
+        [dict(lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8), dict(lr=0.03, beta1=0.8, beta2=0.99, eps=1e-6)],
+        ids=["default", "custom"],
+    )
+    def test_bit_equal_to_the_whole_array_formula(self, shapes, t, hyper):
+        ps = ParamSet()
+        # Names put the largest parameter first, so that smaller ones reuse
+        # slices of the scratch buffers sized for it.
+        for i, shape in enumerate(reversed(shapes)):
+            ps.add(f"p{i}", np.random.default_rng(i).standard_normal(shape))
+        random_param_state(ps, seed=t)
+        want = {
+            p.name: reference_adam(p.value, p.grad, p.adam_m, p.adam_v, t=t, **hyper) for p in ps
+        }
+        adam_step(
+            ps, lr=hyper["lr"], beta1=hyper["beta1"], beta2=hyper["beta2"], epsilon=hyper["eps"], t=t
+        )
+        for p in ps:
+            value, m, v = want[p.name]
+            assert p.value.tobytes() == value.tobytes(), p.name
+            assert p.adam_m.tobytes() == m.tobytes(), p.name
+            assert p.adam_v.tobytes() == v.tobytes(), p.name
+            assert not p.grad.any(), p.name
+
+    def test_arrays_are_updated_in_place(self):
+        ps = ParamSet()
+        p = ps.add("w", np.ones((4, B // 3)))
+        random_param_state(ps, seed=0)
+        arrays = (p.value, p.grad, p.adam_m, p.adam_v)
+        before = p.value.copy()
+        adam_step(ps, t=1)
+        assert all(a is b for a, b in zip((p.value, p.grad, p.adam_m, p.adam_v), arrays))
+        assert not np.array_equal(p.value, before)
+
+    def test_non_contiguous_input_is_still_updated(self):
+        ps = ParamSet()
+        source = np.arange(12.0).reshape(3, 4)
+        p = ps.add("w", source.T)
+        assert p.value.flags.c_contiguous
+        assert all(a.flags.c_contiguous for a in (p.grad, p.adam_m, p.adam_v))
+        p.grad[...] = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
+        value, m, v = reference_adam(p.value, p.grad, p.adam_m, p.adam_v, 0.01, 0.9, 0.999, 1e-8, 1)
+        adam_step(ps, lr=0.01, t=1)
+        assert p.value.tobytes() == value.tobytes()
+        assert p.adam_m.tobytes() == m.tobytes() and p.adam_v.tobytes() == v.tobytes()
+        np.testing.assert_array_equal(source, np.arange(12.0).reshape(3, 4))
+
+    def test_non_finite_last_gradient_changes_nothing(self):
+        ps = ParamSet()
+        for name, shape in (("a", (B + 5,)), ("b", (3, 4)), ("z", (7,))):
+            ps.add(name, np.random.default_rng(len(name)).standard_normal(shape))
+        random_param_state(ps, seed=1)
+        ps["z"].grad[-1] = np.nan
+        before = {p.name: [a.copy() for a in (p.value, p.grad, p.adam_m, p.adam_v)] for p in ps}
+        with pytest.raises(FloatingPointError, match="'z'"):
+            adam_step(ps, t=3)
+        for p in ps:
+            for got, want in zip((p.value, p.grad, p.adam_m, p.adam_v), before[p.name]):
+                assert got.tobytes() == want.tobytes(), p.name
+
+    def test_step_allocates_no_per_parameter_temporaries(self):
+        """One step on the full model stays far below the 13.6 MB that
+        whole-array temporaries take (about 342 000 parameters)."""
+        ps = init_params(ModelConfig("uav_adnet"), 0)
+        random_param_state(ps, seed=2)
+        tracemalloc.start()
+        try:
+            adam_step(ps, t=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestGlorot:
