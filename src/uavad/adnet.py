@@ -21,9 +21,10 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -264,7 +265,7 @@ def init_params(config: ModelConfig, rng: Rng | int) -> ParamSet:
         n_out, n_in = shapes[name]
         params.add(name, glorot_uniform(rng, n_out, n_in))
     for name, shape in shapes.items():
-        if name not in params:
+        if name not in params.values:
             params.add(name, np.zeros(shape))
     return params
 
@@ -280,7 +281,7 @@ def _as_batch(arr: np.ndarray | None, width: int, what: str) -> np.ndarray:
 
 def _forward_cached(
     config: ModelConfig,
-    params: ParamSet,
+    values: Mapping[str, np.ndarray],
     x: np.ndarray,
     gps: np.ndarray | None,
     eps: np.ndarray,
@@ -289,19 +290,19 @@ def _forward_cached(
     b = x.shape[0]
     rows, cols, n_o = config.grid.cells_y, config.grid.cells_x, config.n_o
 
-    h1_pre = dense_forward(x, params["enc.w"], params["enc.b"])
+    h1_pre = dense_forward(x, values["enc.w"], values["enc.b"])
     h1 = relu_forward(h1_pre)
-    mu = dense_forward(h1, params["mu.w"], params["mu.b"])
-    log_var = dense_forward(h1, params["logvar.w"], params["logvar.b"])
+    mu = dense_forward(h1, values["mu.w"], values["mu.b"])
+    log_var = dense_forward(h1, values["logvar.w"], values["logvar.b"])
     z = reparameterize_forward(mu, log_var, eps)
     dec_in = concat_forward(z, gps) if config.use_gps else z
-    h3_pre = dense_forward(dec_in, params["dec.w"], params["dec.b"])
+    h3_pre = dense_forward(dec_in, values["dec.w"], values["dec.b"])
     h3 = relu_forward(h3_pre)
 
     grid4 = h3.reshape(b, rows, cols, n_o)
     x4 = x.reshape(b, rows, cols, n_o)
-    conv_in = concat_forward(grid4, x4, axis=-1) if config.use_copy_crop else grid4
-    logits = conv1x1_forward(conv_in, params["out.k"], params["out.b"])
+    conv_in = concat_forward(grid4, x4) if config.use_copy_crop else grid4
+    logits = conv1x1_forward(conv_in, values["out.k"], values["out.b"])
     x_hat4 = sigmoid_forward(logits)
     x_hat = x_hat4.reshape(b, -1)
 
@@ -323,16 +324,18 @@ def _forward_cached(
 
 def forward(
     config: ModelConfig,
-    params: ParamSet,
+    values: Mapping[str, np.ndarray],
     x: np.ndarray,
     gps: np.ndarray | None = None,
     eps: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reconstruction probabilities plus latent statistics.
 
-    ``x`` is a flat binary vector (or a batch of them). ``gps`` is the
-    normalized two-component location input, required exactly when the
-    variant uses GPS. ``eps`` is the latent noise; None means zeros, the
+    ``values`` maps each parameter name to its array: ``ParamSet.values``
+    while training, ``Checkpoint.values`` at inference. ``x`` is a flat
+    binary vector (or a batch of them). ``gps`` is the normalized
+    two-component location input, required exactly when the variant uses
+    GPS. ``eps`` is the latent noise; None means zeros, the
     deterministic posterior-mean mode used at inference.
     """
     single = np.asarray(x).ndim == 1
@@ -354,7 +357,7 @@ def forward(
         if eb.shape[0] != xb.shape[0]:
             raise ValueError("latent noise batch size does not match input batch size")
 
-    x_hat, mu, log_var, _ = _forward_cached(config, params, xb, gb, eb)
+    x_hat, mu, log_var, _ = _forward_cached(config, values, xb, gb, eb)
     if single:
         return x_hat[0], mu[0], log_var[0]
     return x_hat, mu, log_var
@@ -417,7 +420,7 @@ def backward(config: ModelConfig, params: ParamSet, cache: dict) -> None:
 
 def _validation_stats(
     config: ModelConfig,
-    params: ParamSet,
+    values: Mapping[str, np.ndarray],
     x: np.ndarray,
     gps: np.ndarray | None,
     chunk: int = 256,
@@ -429,7 +432,7 @@ def _validation_stats(
     for lo in range(0, n, chunk):
         xb = x[lo : lo + chunk].astype(np.float64)
         gb = gps[lo : lo + chunk] if gps is not None else None
-        x_hat, mu, log_var = forward(config, params, xb, gb, None)
+        x_hat, mu, log_var = forward(config, values, xb, gb, None)
         lb = loss(xb, x_hat, mu, log_var)
         loss_sum += lb.total * xb.shape[0]
         sq_sum += float(np.sum((x_hat - xb) ** 2))
@@ -488,7 +491,7 @@ def train(
             gb = g_train[idx] if g_train is not None else None
             eb = eps_all[idx]
             try:
-                x_hat, mu, log_var, cache = _forward_cached(config, params, xb, gb, eb)
+                x_hat, mu, log_var, cache = _forward_cached(config, params.values, xb, gb, eb)
                 lb = loss(xb, x_hat, mu, log_var)
                 backward(config, params, cache)
                 step += 1
@@ -498,7 +501,7 @@ def train(
             loss_sum += lb.total * xb.shape[0]
 
         train_loss = loss_sum / n
-        val_loss, val_mse = _validation_stats(config, params, x_val, g_val)
+        val_loss, val_mse = _validation_stats(config, params.values, x_val, g_val)
         history.append(EpochStats(train_loss=train_loss, val_loss=val_loss, val_mse=val_mse))
         logger.info(
             "epoch %d/%d: train %.5f val %.5f val_mse %.6f",
@@ -550,13 +553,13 @@ def gradient_check(
     gps = rng.gaussian((batch, 2)) if config.use_gps else None
     eps = rng.gaussian((batch, config.n_h))
 
-    _, _, _, cache = _forward_cached(config, params, x, gps, eps)
+    _, _, _, cache = _forward_cached(config, params.values, x, gps, eps)
     backward(config, params, cache)
     analytic = {p.name: p.grad.copy() for p in params}
     params.zero_grads()
 
     def objective() -> float:
-        x_hat, mu, log_var = forward(config, params, x, gps, eps)
+        x_hat, mu, log_var = forward(config, params.values, x, gps, eps)
         return loss(x, x_hat, mu, log_var).total
 
     errors = {}
@@ -588,7 +591,11 @@ class CheckpointCorruptError(CheckpointError):
 
 
 class Checkpoint:
-    """Trained model state: configuration, GPS normalization, parameters."""
+    """Trained model state: configuration, GPS normalization, parameters.
+
+    ``values`` (parameter name -> array) is what inference reads; arrays
+    that are already C-contiguous float64 are kept, not copied.
+    """
 
     def __init__(
         self,
@@ -597,6 +604,7 @@ class Checkpoint:
         values: dict[str, np.ndarray],
         training_meta: dict | None = None,
     ):
+        values = {n: np.asarray(arr, dtype=np.float64, order="C") for n, arr in values.items()}
         expected = expected_param_shapes(config)
         if set(values) != set(expected):
             raise CheckpointShapeError(
@@ -609,17 +617,8 @@ class Checkpoint:
                 )
         self.config = config
         self.gps_normalization = gps_normalization
-        self.values = {name: np.asarray(arr, dtype=np.float64) for name, arr in values.items()}
+        self.values = values
         self.training_meta = dict(training_meta or {})
-        self._param_set: ParamSet | None = None
-
-    def param_set(self) -> ParamSet:
-        if self._param_set is None:
-            ps = ParamSet()
-            for name in sorted(self.values):
-                ps.add(name, self.values[name].copy())
-            self._param_set = ps
-        return self._param_set
 
     def reconstruct(self, x: np.ndarray, gps_deg: np.ndarray | None = None) -> np.ndarray:
         """Posterior-mean reconstruction probabilities, shape (n, D).
@@ -636,13 +635,12 @@ class Checkpoint:
             if gps_deg is None:
                 raise ValueError(f"variant {self.config.variant!r} requires gps inputs")
             g = self.gps_normalization.normalize_array(gps_deg)
-        params = self.param_set()
         chunk = 512
         out = np.empty((x.shape[0], self.config.hidden3))
         for lo in range(0, x.shape[0], chunk):
             gb = g[lo : lo + chunk] if g is not None else None
             xb = x[lo : lo + chunk].astype(np.float64)
-            out[lo : lo + chunk], _, _ = forward(self.config, params, xb, gb, None)
+            out[lo : lo + chunk], _, _ = forward(self.config, self.values, xb, gb, None)
         return out
 
 
@@ -678,6 +676,13 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    Every malformed field raises a ``CheckpointError`` whose message starts
+    with ``path``: an unsupported ``format_version`` a version error, names
+    or shapes that do not match the configuration a shape error, anything
+    else a corrupt error.
+    """
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -695,30 +700,25 @@ def load_checkpoint(path: str) -> Checkpoint:
         gn = GpsNormalization.from_dict(doc["gps_normalization"])
         params_doc = doc["params"]
         meta = doc.get("training_meta", {})
-    except (KeyError, TypeError, ValueError) as e:
+        for field, value in (("params", params_doc), ("training_meta", meta)):
+            if not isinstance(value, dict):
+                raise TypeError(f"{field} must be a JSON object, got {type(value).__name__}")
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise CheckpointCorruptError(f"{path}: malformed checkpoint fields: {e}") from e
 
-    expected = expected_param_shapes(config)
-    if set(params_doc) != set(expected):
-        raise CheckpointShapeError(
-            f"{path}: parameter names {sorted(params_doc)} != expected {sorted(expected)}"
-        )
     values = {}
     for name, entry in params_doc.items():
         try:
             shape = tuple(int(s) for s in entry["shape"])
             data = np.asarray(entry["data"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as e:
+            if data.size != math.prod(shape):
+                raise ValueError(f"{data.size} values for shape {shape}")
+            values[name] = data.reshape(shape)
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise CheckpointCorruptError(f"{path}: malformed parameter {name!r}: {e}") from e
-        if data.size != int(np.prod(shape)):
-            raise CheckpointCorruptError(
-                f"{path}: parameter {name!r} has {data.size} values for shape {shape}"
-            )
-        if shape != expected[name]:
-            raise CheckpointShapeError(
-                f"{path}: parameter {name!r} has shape {shape}, expected {expected[name]}"
-            )
         if not np.isfinite(data).all():
             raise CheckpointCorruptError(f"{path}: parameter {name!r} has non-finite values")
-        values[name] = data.reshape(shape)
-    return Checkpoint(config=config, gps_normalization=gn, values=values, training_meta=meta)
+    try:
+        return Checkpoint(config=config, gps_normalization=gn, values=values, training_meta=meta)
+    except CheckpointShapeError as e:
+        raise CheckpointShapeError(f"{path}: {e}") from e

@@ -158,7 +158,7 @@ class GridTensor:
             expected = (spec.cells_y, spec.cells_x, N_CATEGORIES)
             if data.shape != expected:
                 raise ValueError(f"grid data shape {data.shape} != {expected}")
-            if not np.isin(data, (0, 1)).all():
+            if not (data <= 1).all():  # data is uint8 here, so this is the binary check
                 raise ValueError("grid data must be binary")
             data = data.copy()
         data.flags.writeable = False
@@ -181,9 +181,10 @@ class GridTensor:
         rows, cols, cats = np.nonzero(self.data)
         return sorted(zip(rows.tolist(), cols.tolist(), cats.tolist()))
 
-    def with_cell(self, row: int, col: int, cat: int, value: int = 1) -> "GridTensor":
+    def with_cell(self, row: int, col: int, cat: int) -> "GridTensor":
+        """A copy with cell (row, col, cat) set."""
         data = self.data.copy()
-        data[row, col, cat] = value
+        data[row, col, cat] = 1
         return GridTensor(self.spec, data)
 
 
@@ -286,26 +287,30 @@ def read_jsonl(f: TextIO) -> Iterator[tuple[int, dict]]:
 
 
 def read_annotations(f: TextIO) -> Iterator[tuple[GridSpec, GpsLabel, list[BoundingBox]]]:
-    """Parse annotation records; boxes outside the image window are dropped and logged."""
+    """Parse annotation records; boxes outside the image window are dropped and
+    logged. A malformed record raises ``ValueError`` naming its line."""
     for lineno, record in read_jsonl(f):
-        spec = GridSpec(
-            image_width=int(record["image_width"]),
-            image_height=int(record["image_height"]),
-        )
-        gps = GpsLabel(float(record["gps"][0]), float(record["gps"][1]))
-        boxes = []
-        for b in record["boxes"]:
-            box = BoundingBox(
-                category=category_id(b["category"]),
-                x_min=float(b["x_min"]),
-                y_min=float(b["y_min"]),
-                x_max=float(b["x_max"]),
-                y_max=float(b["y_max"]),
+        try:
+            spec = GridSpec(
+                image_width=int(record["image_width"]),
+                image_height=int(record["image_height"]),
             )
-            try:
-                box.validate(spec)
-            except ValueError as e:
-                logger.warning("line %d: dropping out-of-bounds box: %s", lineno, e)
-                continue
-            boxes.append(box)
+            gps = GpsLabel(float(record["gps"][0]), float(record["gps"][1]))
+            boxes = []
+            for b in record["boxes"]:
+                box = BoundingBox(
+                    category=category_id(b["category"]),
+                    x_min=float(b["x_min"]),
+                    y_min=float(b["y_min"]),
+                    x_max=float(b["x_max"]),
+                    y_max=float(b["y_max"]),
+                )
+                try:
+                    box.validate(spec)
+                except ValueError as e:
+                    logger.warning("line %d: dropping out-of-bounds box: %s", lineno, e)
+                    continue
+                boxes.append(box)
+        except (KeyError, TypeError, ValueError, IndexError) as e:
+            raise ValueError(f"line {lineno}: invalid annotation record: {e}") from e
         yield spec, gps, boxes

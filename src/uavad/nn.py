@@ -2,10 +2,11 @@
 Adam, and a seedable platform-independent random generator.
 
 All arrays are float64 numpy arrays. Layer functions accept an arbitrary
-number of leading batch dimensions; parameter gradients accumulate into
-``Param.grad`` and the returned value of each backward pass is the gradient
-with respect to the layer input. Every backward pass is checked against
-central finite differences in the test suite.
+number of leading batch dimensions. Forward passes take parameter arrays;
+backward passes take ``Param`` entries, accumulate parameter gradients into
+``Param.grad`` and return the gradient with respect to the layer input.
+Every backward pass is checked against central finite differences in the
+test suite.
 """
 
 from __future__ import annotations
@@ -159,33 +160,31 @@ class Param:
 
 
 class ParamSet:
-    """Named parameter collection with per-entry gradient and Adam state."""
+    """Named parameter collection with per-entry gradient and Adam state.
+
+    ``values`` maps each name to that parameter's live ``value`` array (the
+    same object, which ``adam_step`` updates in place): it is what the
+    forward pass reads.
+    """
 
     def __init__(self):
         self._params: dict[str, Param] = {}
+        self.values: dict[str, np.ndarray] = {}
 
     def add(self, name: str, value: np.ndarray) -> Param:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
         p = Param(name, value)
         self._params[name] = p
+        self.values[name] = p.value
         return p
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __iter__(self) -> Iterator[Param]:
         # Canonical name order, used for checkpoints and Adam sweeps.
         return iter(sorted(self._params.values(), key=lambda p: p.name))
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> list[str]:
-        return sorted(self._params)
 
     def zero_grads(self) -> None:
         for p in self._params.values():
@@ -203,11 +202,11 @@ class ParamSet:
 # ---------------------------------------------------------------------------
 
 
-def dense_forward(x: np.ndarray, w: Param, b: Param) -> np.ndarray:
-    n_out, n_in = w.value.shape
+def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    n_out, n_in = w.shape
     if x.shape[-1] != n_in:
         raise ValueError(f"dense input width {x.shape[-1]} != {n_in}")
-    return x @ w.value.T + b.value
+    return x @ w.T + b
 
 
 def dense_backward(dy: np.ndarray, x: np.ndarray, w: Param, b: Param) -> np.ndarray:
@@ -240,20 +239,21 @@ def sigmoid_forward(x: np.ndarray) -> np.ndarray:
     return np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
 
 
-def conv1x1_forward(x: np.ndarray, k: Param, b: Param) -> np.ndarray:
+def conv1x1_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-pixel linear map across channels: y[..., o] = sum_c k[o, c] x[..., c] + b[o]."""
-    c_out, c_in = k.value.shape
+    c_out, c_in = k.shape
     if x.shape[-1] != c_in:
         raise ValueError(f"conv1x1 input channels {x.shape[-1]} != {c_in}")
-    return x @ k.value.T + b.value
+    return x @ k.T + b
 
 
 def conv1x1_backward(dy: np.ndarray, x: np.ndarray, k: Param, b: Param) -> np.ndarray:
     return dense_backward(dy, x, k, b)
 
 
-def concat_forward(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
-    return np.concatenate([a, b], axis=axis)
+def concat_forward(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Join along the last (feature) axis."""
+    return np.concatenate([a, b], axis=-1)
 
 
 def reparameterize_forward(mu: np.ndarray, log_var: np.ndarray, eps: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .grid import (
     GridSpec,
     GridTensor,
     N_CATEGORIES,
-    category_id,
     read_jsonl,
     record_to_scene,
     scene_to_record,
@@ -98,6 +97,19 @@ DEFAULT_RARE_LIST = (
     ("truck", "car_park"),
     ("bicycle", "car_park"),
 )
+
+# Task 1 and 2 injections as (category, zone) pairs, like the rare list of
+# task 3, in candidate order: any category behind the building, vehicles on
+# its left side; pedestrians on a road, bicycles on a road or pedestrian way,
+# heavy vehicles on a bike road.
+_TASK1_PAIRS = tuple((name, "forbidden_backside") for name in CATEGORIES) + tuple(
+    (name, "forbidden_leftside") for name in VEHICLE_CATEGORIES
+)
+_TASK2_PAIRS = (
+    ("pedestrian", "road"),
+    ("bicycle", "road"),
+    ("bicycle", "pedestrian_road"),
+) + tuple((name, "bike_road") for name in HEAVY_VEHICLE_CATEGORIES)
 
 
 class WorldConfigError(Exception):
@@ -238,6 +250,13 @@ class WorldSpec:
 # ---------------------------------------------------------------------------
 
 
+def _whole(v: object, what: str) -> int:
+    """``v`` if it is an int (a bool or a float, even 2.0, is not)."""
+    if type(v) is not int:
+        raise WorldConfigError(f"{what} {v!r} must be an integer")
+    return v
+
+
 def build_zone_map(spec: GridSpec, entries: Sequence[dict]) -> np.ndarray:
     """Paint zone entries in order (later entries override earlier ones).
 
@@ -252,13 +271,13 @@ def build_zone_map(spec: GridSpec, entries: Sequence[dict]) -> np.ndarray:
             raise WorldConfigError(f"unknown zone kind {kind!r}")
         zid = _ZONE_IDS[kind]
         if "rect" in entry:
-            r0, c0, r1, c1 = (int(v) for v in entry["rect"])
+            r0, c0, r1, c1 = (_whole(v, "zone rect bound") for v in entry["rect"])
             if not (0 <= r0 <= r1 < spec.cells_y and 0 <= c0 <= c1 < spec.cells_x):
                 raise WorldConfigError(f"zone rect {entry['rect']} outside the grid")
             zm[r0 : r1 + 1, c0 : c1 + 1] = zid
         elif "cells" in entry:
             for rc in entry["cells"]:
-                r, c = int(rc[0]), int(rc[1])
+                r, c = _whole(rc[0], "zone cell row"), _whole(rc[1], "zone cell col")
                 if not (0 <= r < spec.cells_y and 0 <= c < spec.cells_x):
                     raise WorldConfigError(f"zone cell [{r}, {c}] outside the grid")
                 zm[r, c] = zid
@@ -300,8 +319,8 @@ def load_world(path: str) -> WorldSpec:
                 PlacementRule(
                     category=str(r["category"]),
                     allowed_zones=tuple(str(z) for z in r["zones"]),
-                    count_min=int(count[0]),
-                    count_max=int(count[1]),
+                    count_min=_whole(count[0], "rule count"),
+                    count_max=_whole(count[1], "rule count"),
                     weights=weights,
                 )
             )
@@ -506,17 +525,12 @@ def split_sizes(n: int, fracs: tuple[float, float, float] = (0.6, 0.1, 0.3)) -> 
     return n_train, n_val, n_test
 
 
-def build_dataset(
-    world: WorldSpec,
-    n: int,
-    out_dir: str,
-    seed: int,
-    split: tuple[float, float, float] = (0.6, 0.1, 0.3),
-) -> dict:
-    """Generate n scenes and write train/val/test JSON Lines plus a manifest."""
+def build_dataset(world: WorldSpec, n: int, out_dir: str, seed: int) -> dict:
+    """Generate n scenes and write train/val/test JSON Lines (split 60/10/30)
+    plus a manifest."""
     if n < 10:
         raise ValueError("dataset needs at least 10 samples")
-    n_train, n_val, n_test = split_sizes(n, split)
+    n_train, n_val, n_test = split_sizes(n)
     scenes = sample_dataset(world, n, seed)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -590,48 +604,6 @@ def audit_scene(waypoint: Waypoint, grid: GridTensor) -> list[tuple[str, str, in
 # ---------------------------------------------------------------------------
 
 
-def _free(grid: GridTensor, cells: Iterable[tuple[int, int]], cat: int):
-    return [(r, c) for r, c in cells if grid.data[r, c, cat] == 0]
-
-
-def _task1_candidates(wp: Waypoint, grid: GridTensor) -> list[tuple[int, int, int]]:
-    out = []
-    backside = wp.cells_of("forbidden_backside")
-    leftside = wp.cells_of("forbidden_leftside")
-    for name in CATEGORIES:
-        cat = CATEGORY_IDS[name]
-        out.extend((cat, r, c) for r, c in _free(grid, backside, cat))
-    for name in VEHICLE_CATEGORIES:
-        cat = CATEGORY_IDS[name]
-        out.extend((cat, r, c) for r, c in _free(grid, leftside, cat))
-    return out
-
-
-def _task2_candidates(wp: Waypoint, grid: GridTensor) -> list[tuple[int, int, int]]:
-    out = []
-    road = wp.cells_of("road")
-    ped_road = wp.cells_of("pedestrian_road")
-    bike_road = wp.cells_of("bike_road")
-    ped = CATEGORY_IDS["pedestrian"]
-    out.extend((ped, r, c) for r, c in _free(grid, road, ped))
-    bike = CATEGORY_IDS["bicycle"]
-    out.extend((bike, r, c) for r, c in _free(grid, road + ped_road, bike))
-    for name in HEAVY_VEHICLE_CATEGORIES:
-        cat = CATEGORY_IDS[name]
-        out.extend((cat, r, c) for r, c in _free(grid, bike_road, cat))
-    return out
-
-
-def _task3_candidates(
-    wp: Waypoint, grid: GridTensor, rare_list: Sequence[tuple[str, str]]
-) -> list[tuple[int, int, int]]:
-    out = []
-    for name, zone in rare_list:
-        cat = CATEGORY_IDS[name]
-        out.extend((cat, r, c) for r, c in _free(grid, wp.cells_of(zone), cat))
-    return out
-
-
 def _inject(
     world: WorldSpec,
     task: int,
@@ -640,15 +612,18 @@ def _inject(
     rng: Rng,
     scene_index: int,
 ) -> tuple[GridTensor, AnomalyCase]:
-    wp = world.waypoints[waypoint_index]
-    if task == 1:
-        candidates = _task1_candidates(wp, grid)
-    elif task == 2:
-        candidates = _task2_candidates(wp, grid)
-    elif task == 3:
-        candidates = _task3_candidates(wp, grid, world.rare_list)
-    else:
+    pairs = {1: _TASK1_PAIRS, 2: _TASK2_PAIRS, 3: world.rare_list}.get(task)
+    if pairs is None:
         raise ValueError(f"unknown task {task}")
+    wp = world.waypoints[waypoint_index]
+    cells = {zone: wp.cells_of(zone) for zone in {zone for _, zone in pairs}}
+    candidates = [
+        (cat, r, c)
+        for name, zone in pairs
+        for cat in (CATEGORY_IDS[name],)
+        for r, c in cells[zone]
+        if grid.data[r, c, cat] == 0
+    ]
     if not candidates:
         raise InjectionError(f"no feasible task-{task} injection at waypoint {waypoint_index}")
     cat, row, col = candidates[rng.randint(len(candidates))]
@@ -724,33 +699,32 @@ def write_benchmark(
             f.write(json.dumps(record) + "\n")
 
 
-def read_benchmark(
-    source: str | TextIO, spec: GridSpec
-) -> list[tuple[GridTensor, GpsLabel, AnomalyCase]]:
-    """Parse an injected-anomaly benchmark file; errors carry line numbers."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as f:
-            return read_benchmark(f, spec)
+def read_benchmark(path: str, spec: GridSpec) -> list[tuple[GridTensor, GpsLabel, AnomalyCase]]:
+    """Parse an injected-anomaly benchmark file; errors carry the path and
+    the line number."""
     records = []
-    for lineno, record in read_jsonl(source):
-        try:
-            g, gps = record_to_scene(record, spec)
-            name, row, col = record["injected"]
-            if type(row) is not int or type(col) is not int:
-                raise ValueError(f"injected cell ({row!r}, {col!r}): row and col must be integers")
-            case = AnomalyCase(
-                task=str(record["task"]),
-                category=str(name),
-                row=row,
-                col=col,
-                scene_index=len(records),
-                waypoint_index=-1,
-            )
-            if str(name) not in CATEGORY_IDS:
-                raise ValueError(f"unknown category {name!r}")
-            if g.data[case.row, case.col, CATEGORY_IDS[case.category]] != 1:
-                raise ValueError("injected cell is not occupied in the scene")
-        except (KeyError, TypeError, ValueError, IndexError) as e:
-            raise ValueError(f"line {lineno}: invalid benchmark record: {e}") from e
-        records.append((g, gps, case))
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, record in read_jsonl(f):
+            try:
+                g, gps = record_to_scene(record, spec)
+                name, row, col = record["injected"]
+                if type(row) is not int or type(col) is not int:
+                    raise ValueError(
+                        f"injected cell ({row!r}, {col!r}): row and col must be integers"
+                    )
+                case = AnomalyCase(
+                    task=str(record["task"]),
+                    category=str(name),
+                    row=row,
+                    col=col,
+                    scene_index=len(records),
+                    waypoint_index=-1,
+                )
+                if str(name) not in CATEGORY_IDS:
+                    raise ValueError(f"unknown category {name!r}")
+                if g.data[case.row, case.col, CATEGORY_IDS[case.category]] != 1:
+                    raise ValueError("injected cell is not occupied in the scene")
+            except (KeyError, TypeError, ValueError, IndexError) as e:
+                raise ValueError(f"{path}: line {lineno}: invalid benchmark record: {e}") from e
+            records.append((g, gps, case))
     return records

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavad import adnet, nn
 from uavad.adnet import (
@@ -29,7 +34,7 @@ from uavad.adnet import (
     train,
 )
 from uavad.grid import GpsLabel, GridSpec, GridTensor
-from uavad.nn import Rng
+from uavad.nn import Rng, adam_step
 
 
 def tiny_config(variant: str) -> ModelConfig:
@@ -141,7 +146,7 @@ class TestParameterWiring:
             config = tiny_config(variant)
             params = init_params(config, 0)
             shapes = expected_param_shapes(config)
-            assert params.names() == sorted(shapes)
+            assert sorted(params.values) == sorted(shapes)
             for p in params:
                 assert p.value.shape == shapes[p.name], (variant, p.name)
 
@@ -170,10 +175,10 @@ class TestForward:
             config = tiny_config(variant)
             params = init_params(config, 1)
             x, gps, eps = random_batch(config, 5, 2)
-            x_hat, mu, log_var = forward(config, params, x, gps, eps)
+            x_hat, mu, log_var = forward(config, params.values, x, gps, eps)
             assert x_hat.shape == (5, config.hidden3)
             assert mu.shape == (5, config.n_h) and log_var.shape == (5, config.n_h)
-            one = forward(config, params, x[0], gps[0] if gps is not None else None, eps[0])
+            one = forward(config, params.values, x[0], gps[0] if gps is not None else None, eps[0])
             assert one[0].shape == (config.hidden3,)
 
     def test_outputs_are_strict_probabilities(self):
@@ -181,16 +186,16 @@ class TestForward:
             config = tiny_config(variant)
             params = init_params(config, 3)
             x, gps, eps = random_batch(config, 8, 4)
-            x_hat, _, _ = forward(config, params, x, gps, eps)
+            x_hat, _, _ = forward(config, params.values, x, gps, eps)
             assert np.all(x_hat > 0.0) and np.all(x_hat < 1.0)
 
     def test_batch_rows_match_single_calls(self):
         config = tiny_config("uav_adnet")
         params = init_params(config, 5)
         x, gps, eps = random_batch(config, 6, 6)
-        batch_out = forward(config, params, x, gps, eps)[0]
+        batch_out = forward(config, params.values, x, gps, eps)[0]
         for i in range(6):
-            single = forward(config, params, x[i], gps[i], eps[i])[0]
+            single = forward(config, params.values, x[i], gps[i], eps[i])[0]
             assert np.allclose(batch_out[i], single, atol=1e-12), i
 
     def test_no_noise_means_zero_noise(self):
@@ -198,16 +203,16 @@ class TestForward:
         config = tiny_config("cvae")
         params = init_params(config, 8)
         x, gps, _ = random_batch(config, 4, 9)
-        default = forward(config, params, x, gps, None)
-        explicit = forward(config, params, x, gps, np.zeros((4, config.n_h)))
+        default = forward(config, params.values, x, gps, None)
+        explicit = forward(config, params.values, x, gps, np.zeros((4, config.n_h)))
         assert np.array_equal(default[0], explicit[0])
 
     def test_forward_is_deterministic(self):
         config = tiny_config("vae")
         params = init_params(config, 10)
         x, _, eps = random_batch(config, 4, 11)
-        a = forward(config, params, x, None, eps)[0]
-        b = forward(config, params, x, None, eps)[0]
+        a = forward(config, params.values, x, None, eps)[0]
+        b = forward(config, params.values, x, None, eps)[0]
         assert np.array_equal(a, b)
 
     def test_gps_input_changes_the_reconstruction(self):
@@ -215,36 +220,79 @@ class TestForward:
             config = tiny_config(variant)
             params = init_params(config, 12)
             x, _, eps = random_batch(config, 1, 13)
-            near = forward(config, params, x, np.array([[0.0, 0.0]]), eps)[0]
-            far = forward(config, params, x, np.array([[5.0, 5.0]]), eps)[0]
+            near = forward(config, params.values, x, np.array([[0.0, 0.0]]), eps)[0]
+            far = forward(config, params.values, x, np.array([[5.0, 5.0]]), eps)[0]
             assert not np.allclose(near, far), variant
 
     def test_gps_presence_is_enforced_both_ways(self):
         x = np.zeros(tiny_config("vae").hidden3)
         with pytest.raises(ValueError, match="uav_adnet"):
-            forward(tiny_config("uav_adnet"), init_params(tiny_config("uav_adnet"), 0), x)
+            forward(tiny_config("uav_adnet"), init_params(tiny_config("uav_adnet"), 0).values, x)
         with pytest.raises(ValueError, match="vae"):
-            forward(tiny_config("vae"), init_params(tiny_config("vae"), 0), x, np.zeros(2))
+            forward(tiny_config("vae"), init_params(tiny_config("vae"), 0).values, x, np.zeros(2))
 
     def test_bad_widths_are_rejected(self):
         config = tiny_config("uav_adnet")
         params = init_params(config, 0)
         gps = np.zeros(2)
         with pytest.raises(ValueError, match="input vector"):
-            forward(config, params, np.zeros(config.hidden3 + 1), gps)
+            forward(config, params.values, np.zeros(config.hidden3 + 1), gps)
         with pytest.raises(ValueError, match="gps input"):
-            forward(config, params, np.zeros(config.hidden3), np.zeros(3))
+            forward(config, params.values, np.zeros(config.hidden3), np.zeros(3))
         with pytest.raises(ValueError, match="latent noise"):
-            forward(config, params, np.zeros(config.hidden3), gps, np.zeros(config.n_h + 1))
+            forward(config, params.values, np.zeros(config.hidden3), gps, np.zeros(config.n_h + 1))
 
     def test_batch_size_mismatches_are_rejected(self):
         config = tiny_config("uav_adnet")
         params = init_params(config, 0)
         x = np.zeros((3, config.hidden3))
         with pytest.raises(ValueError, match="batch size"):
-            forward(config, params, x, np.zeros((2, 2)))
+            forward(config, params.values, x, np.zeros((2, 2)))
         with pytest.raises(ValueError, match="batch size"):
-            forward(config, params, x, np.zeros((3, 2)), np.zeros((2, config.n_h)))
+            forward(config, params.values, x, np.zeros((3, 2)), np.zeros((2, config.n_h)))
+
+
+class TestParameterStore:
+    def test_values_are_the_live_arrays_that_adam_updates(self):
+        config = tiny_config("uav_adnet")
+        params = init_params(config, 6)
+        x, gps, eps = random_batch(config, 4, seed=7)
+        before = forward(config, params.values, x, gps, eps)[0]
+        _, _, _, cache = adnet._forward_cached(config, params.values, x, gps, eps)
+        adnet.backward(config, params, cache)
+        adam_step(params, lr=0.01, t=1)
+        for p in params:
+            assert params.values[p.name] is p.value, p.name
+        after = forward(config, params.values, x, gps, eps)[0]
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, forward(config, params.copy_values(), x, gps, eps)[0])
+
+    def test_checkpoint_keeps_c_contiguous_float64_arrays(self):
+        config = tiny_config("vae")
+        values = init_params(config, 0).copy_values()
+        values["enc.w"] = np.asfortranarray(values["enc.w"])
+        ck = Checkpoint(config, GpsNormalization(41.1, 29.0), values)
+        for name, arr in ck.values.items():
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous, name
+            assert (arr is values[name]) == (name != "enc.w"), name
+        assert np.array_equal(ck.values["enc.w"], values["enc.w"])
+
+    def test_first_reconstruct_retains_no_parameter_copy(self):
+        """Inference reads the checkpoint's own arrays: no second copy of the
+        ~342 000 parameters and no gradient or Adam buffers stay behind."""
+        config = ModelConfig("uav_adnet")
+        ck = Checkpoint(
+            config, GpsNormalization(41.1, 29.0), init_params(config, 0).copy_values()
+        )
+        x = np.zeros((1, config.hidden3), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            probs = ck.reconstruct(x, np.array([[41.1, 29.0]]))
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert probs.shape == (1, config.hidden3)
+        assert retained < 1_000_000
 
 
 class TestLoss:
@@ -362,7 +410,7 @@ class TestBackwardReference:
             params = init_params(config, 4)
             for p in params:
                 p.grad[...] = np.random.default_rng(len(p.name)).standard_normal(p.grad.shape)
-            _, _, _, cache = adnet._forward_cached(config, params, x, gps, eps)
+            _, _, _, cache = adnet._forward_cached(config, params.values, x, gps, eps)
             run(config, params, cache)
             grads[run] = {p.name: p.grad.tobytes() for p in params}
         assert grads[adnet.backward] == grads[reference_backward]
@@ -527,8 +575,8 @@ class TestCheckpointPersistence:
             config = ck.config
             for i in range(10):
                 x, gps, eps = random_batch(config, 1, 100 + i)
-                a = forward(config, ck.param_set(), x, gps, eps)[0]
-                b = forward(config, loaded.param_set(), x, gps, eps)[0]
+                a = forward(config, ck.values, x, gps, eps)[0]
+                b = forward(config, loaded.values, x, gps, eps)[0]
                 assert np.array_equal(a, b), (variant, i)
 
     def test_reconstruct_runs_batches_in_chunks(self):
@@ -549,7 +597,7 @@ class TestCheckpointPersistence:
             ]
             assert np.array_equal(probs, np.concatenate(chunks))
             g = ck.gps_normalization.normalize_array(gps[:512]) if config.use_gps else None
-            want, _, _ = forward(config, ck.param_set(), x[:512].astype(np.float64), g)
+            want, _, _ = forward(config, ck.values, x[:512].astype(np.float64), g)
             assert np.array_equal(probs[:512], want)
             if not config.use_gps:
                 assert np.array_equal(ck.reconstruct(x, None), probs)
@@ -646,6 +694,81 @@ class TestCheckpointPersistence:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("training_meta", 5),
+            ("params", 5),
+            ("params", sorted(expected_param_shapes(tiny_config("vae")))),
+        ],
+        ids=["training_meta-int", "params-int", "params-list"],
+    )
+    def test_malformed_field_is_a_corrupt_error_naming_the_path(self, tmp_path, field, value):
+        doc, path = self._saved_doc(tmp_path)
+        doc[field] = value
+        with pytest.raises(CheckpointCorruptError, match=field) as info:
+            self._reload(doc, path)
+        assert str(info.value).startswith(path)
+
+    def test_shape_errors_name_the_path(self, tmp_path):
+        doc, path = self._saved_doc(tmp_path)
+        del doc["params"]["mu.w"]
+        with pytest.raises(CheckpointShapeError) as info:
+            self._reload(doc, path)
+        assert str(info.value).startswith(path)
+
     def test_error_classes_share_a_base(self):
         for cls in (CheckpointVersionError, CheckpointShapeError, CheckpointCorruptError):
             assert issubclass(cls, CheckpointError)
+
+
+# Any JSON value, NaN and infinities included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+# Key paths into a saved checkpoint document, from the top level down to
+# single parameter fields.
+_FIELDS = [
+    ("format_version",),
+    ("config",),
+    ("config", "variant"),
+    ("config", "grid"),
+    ("config", "grid", "cells_x"),
+    ("config", "n_o"),
+    ("config", "n_h"),
+    ("gps_normalization",),
+    ("gps_normalization", "lat_ref"),
+    ("params",),
+    ("params", "enc.w"),
+    ("params", "enc.b", "shape"),
+    ("params", "dec.w", "data"),
+    ("training_meta",),
+]
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(field=st.sampled_from(_FIELDS), value=JSON_VALUES)
+    def test_any_swapped_field_loads_or_raises_a_checkpoint_error(self, field, value):
+        ck = tiny_checkpoint("uav_adnet", seed=1)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "ck.json")
+            save_checkpoint(ck, path)
+            with open(path, encoding="utf-8") as f:
+                doc = json.load(f)
+            node = doc
+            for key in field[:-1]:
+                node = node[key]
+            node[field[-1]] = value
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump(doc, f)
+            try:
+                loaded = load_checkpoint(path)
+            except CheckpointError as e:
+                assert str(e).startswith(path)
+            else:
+                assert isinstance(loaded, Checkpoint)

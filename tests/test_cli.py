@@ -7,7 +7,7 @@ import pytest
 
 from uavad.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from uavad.grid import scene_to_record
-from uavad.world import default_world, sample_scene
+from uavad.world import default_world, sample_scene, save_world
 from uavad.nn import Rng
 
 FAST_TRAIN = ["--n-h", "4", "--batch", "8", "--max-epochs", "1"]
@@ -69,6 +69,20 @@ class TestGenerate:
              "--world", str(tmp_path / "absent.json")]
         )
         assert code == EXIT_CONFIG
+
+
+    def test_fractional_zone_bound_is_a_config_error(self, tmp_path, caplog):
+        path = tmp_path / "world.json"
+        save_world(default_world(), str(path))
+        doc = json.loads(path.read_text())
+        doc["waypoints"][0]["zones"].insert(0, {"kind": "grass", "rect": [0, 0, 1.9, 1]})
+        path.write_text(json.dumps(doc))
+        with caplog.at_level(logging.ERROR):
+            code = main(
+                ["generate", "--n", "10", "--out", str(tmp_path / "d"), "--world", str(path)]
+            )
+        assert code == EXIT_CONFIG
+        assert "1.9" in caplog.text
 
 
 class TestInject:
@@ -190,6 +204,20 @@ class TestDetect:
              "--in", str(pipeline["data"] / "test.jsonl"), "--out", str(tmp_path / "o")]
         )
         assert code == EXIT_CONFIG
+
+
+    def test_malformed_checkpoint_field_is_a_config_error(self, pipeline, tmp_path, caplog):
+        doc = json.loads(open(pipeline["ckpts"]["vae"], encoding="utf-8").read())
+        doc["training_meta"] = 5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with caplog.at_level(logging.ERROR):
+            code = main(
+                ["detect", "--ckpt", str(bad),
+                 "--in", str(pipeline["data"] / "test.jsonl"), "--out", str(tmp_path / "o")]
+            )
+        assert code == EXIT_CONFIG
+        assert "training_meta" in caplog.text
 
 
 class TestEval:

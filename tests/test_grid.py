@@ -268,6 +268,24 @@ class TestReadAnnotations:
         assert gps == GpsLabel(41.0, 29.0)
         assert boxes[0].category == CATEGORY_IDS["car"]
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("boxes", [{"category": "tank", "x_min": 0, "y_min": 0, "x_max": 5, "y_max": 5}], "tank"),
+         ("image_height", None, "image_height"),
+         ("gps", [41.0], "index")],
+        ids=["unknown-category", "missing-image-height", "short-gps"],
+    )
+    def test_malformed_record_names_its_line(self, field, value, message):
+        good = self._record([])
+        doc = json.loads(good)
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        text = good + "\n" + json.dumps(doc) + "\n"
+        with pytest.raises(ValueError, match=f"line 2: .*{message}"):
+            list(read_annotations(io.StringIO(text)))
+
     def test_out_of_bounds_boxes_dropped_with_warning(self, caplog):
         line = self._record(
             [

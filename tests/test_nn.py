@@ -189,7 +189,7 @@ class TestDense:
         w = ps.add("w", np.arange(6.0).reshape(2, 3))  # rows [0,1,2], [3,4,5]
         b = ps.add("b", np.array([1.0, -1.0]))
         x = np.array([[1.0, 0.0, 2.0]])
-        np.testing.assert_allclose(dense_forward(x, w, b), [[5.0, 12.0]])
+        np.testing.assert_allclose(dense_forward(x, w.value, b.value), [[5.0, 12.0]])
 
     def test_gradients(self):
         rng = np.random.default_rng(0)
@@ -198,7 +198,7 @@ class TestDense:
         b = ps.add("b", rng.standard_normal(4))
         x = rng.standard_normal((5, 7))
         worst = check_layer_gradients(
-            lambda: dense_forward(x, w, b),
+            lambda: dense_forward(x, w.value, b.value),
             lambda r: [(dense_backward(r, x, w, b), x)],
             [w, b],
             [x],
@@ -224,7 +224,7 @@ class TestDense:
         w = ps.add("w", np.zeros((2, 3)))
         b = ps.add("b", np.zeros(2))
         with pytest.raises(ValueError, match="width"):
-            dense_forward(np.zeros((1, 4)), w, b)
+            dense_forward(np.zeros((1, 4)), w.value, b.value)
 
 
 def reference_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -305,7 +305,7 @@ class TestConv1x1:
         k = ps.add("k", rng.standard_normal((3, 6)))
         b = ps.add("b", rng.standard_normal(3))
         x = rng.standard_normal((2, 4, 4, 6))
-        y = conv1x1_forward(x, k, b)
+        y = conv1x1_forward(x, k.value, b.value)
         assert y.shape == (2, 4, 4, 3)
         for n in range(2):
             for i in range(4):
@@ -321,7 +321,7 @@ class TestConv1x1:
         b = ps.add("b", rng.standard_normal(2))
         x = rng.standard_normal((3, 2, 2, 5))
         worst = check_layer_gradients(
-            lambda: conv1x1_forward(x, k, b),
+            lambda: conv1x1_forward(x, k.value, b.value),
             lambda r: [(conv1x1_backward(r, x, k, b), x)],
             [k, b],
             [x],

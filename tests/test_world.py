@@ -650,6 +650,28 @@ class TestWorldPersistence:
         with pytest.raises(WorldConfigError, match="malformed"):
             load_world(str(path))
 
+    @pytest.mark.parametrize(
+        "first_zone, count",
+        [
+            ({"kind": "grass", "rect": [0, 0, 1.9, 1]}, [6, 10]),
+            ({"kind": "grass", "rect": [0, 0, 1, True]}, [6, 10]),
+            ({"kind": "grass", "cells": [[2.0, 3]]}, [6, 10]),
+            (None, [6.7, 10]),
+            (None, [6, "10"]),
+        ],
+        ids=["fractional-rect", "bool-rect", "float-cell", "fractional-count", "string-count"],
+    )
+    def test_non_integer_bounds_cells_and_counts_are_rejected(self, tmp_path, first_zone, count):
+        path = tmp_path / "world.json"
+        save_world(WORLD, str(path))
+        doc = json.loads(path.read_text())
+        if first_zone is not None:  # painted first, so later zones still cover the grid
+            doc["waypoints"][0]["zones"].insert(0, first_zone)
+        doc["rules"][0]["count"] = count
+        path.write_text(json.dumps(doc))
+        with pytest.raises(WorldConfigError, match="must be an integer"):
+            load_world(str(path))
+
     def test_missing_fields_are_a_config_error(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"grid": GridSpec().to_dict()}))
