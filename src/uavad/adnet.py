@@ -18,17 +18,17 @@ averaged over the batch, with Adam and early stopping on validation loss.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import logging
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .grid import GpsLabel, GridSpec, GridTensor, N_CATEGORIES, flatten
+from .grid import (
+    RECORD_ERRORS, GpsLabel, GridSpec, GridTensor, N_CATEGORIES, atomic_write, flatten, whole,
+)
 from .nn import (
     ParamSet,
     Rng,
@@ -131,9 +131,9 @@ class ModelConfig:
         return cls(
             variant=str(d["variant"]),
             grid=GridSpec.from_dict(d["grid"]),
-            n_o=int(d["n_o"]),
-            n_h=int(d["n_h"]),
-            hidden1=int(d["hidden1"]),
+            n_o=whole(d["n_o"], "n_o"),
+            n_h=whole(d["n_h"], "n_h"),
+            hidden1=whole(d["hidden1"], "hidden1"),
         )
 
 
@@ -159,7 +159,10 @@ class GpsNormalization:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GpsNormalization":
-        return cls(lat_ref=float(d["lat_ref"]), lon_ref=float(d["lon_ref"]), scale=float(d["scale"]))
+        gn = cls(lat_ref=float(d["lat_ref"]), lon_ref=float(d["lon_ref"]), scale=float(d["scale"]))
+        if not all(map(math.isfinite, (gn.lat_ref, gn.lon_ref, gn.scale))):
+            raise ValueError(f"gps_normalization {gn.to_dict()} is not finite")
+        return gn
 
 
 @dataclass(frozen=True)
@@ -645,9 +648,8 @@ class Checkpoint:
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
-    """Write ``checkpoint`` to ``path`` as JSON, atomically: the document goes
-    to a temporary file in the same directory, which then replaces ``path``.
-    On failure the temporary file is removed and ``path`` is left as it was."""
+    """Write ``checkpoint`` to ``path`` as JSON, through ``atomic_write``: on
+    failure ``path`` is left as it was."""
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": checkpoint.config.to_dict(),
@@ -663,16 +665,8 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
     }
     # json.dumps runs the C encoder; json.dump would stream through the
     # pure-Python one. The bytes are the same.
-    text = json.dumps(doc)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    with atomic_write(path) as f:
+        f.write(json.dumps(doc))
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -703,18 +697,18 @@ def load_checkpoint(path: str) -> Checkpoint:
         for field, value in (("params", params_doc), ("training_meta", meta)):
             if not isinstance(value, dict):
                 raise TypeError(f"{field} must be a JSON object, got {type(value).__name__}")
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except RECORD_ERRORS as e:
         raise CheckpointCorruptError(f"{path}: malformed checkpoint fields: {e}") from e
 
     values = {}
     for name, entry in params_doc.items():
         try:
-            shape = tuple(int(s) for s in entry["shape"])
+            shape = tuple(whole(s, "shape entry") for s in entry["shape"])
             data = np.asarray(entry["data"], dtype=np.float64)
             if data.size != math.prod(shape):
                 raise ValueError(f"{data.size} values for shape {shape}")
             values[name] = data.reshape(shape)
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
+        except RECORD_ERRORS as e:
             raise CheckpointCorruptError(f"{path}: malformed parameter {name!r}: {e}") from e
         if not np.isfinite(data).all():
             raise CheckpointCorruptError(f"{path}: parameter {name!r} has non-finite values")

@@ -46,24 +46,7 @@ def _setup_logging() -> None:
 def _load_world(path: str | None) -> world_mod.WorldSpec:
     if path is None:
         return world_mod.default_world()
-    if not os.path.exists(path):
-        raise ConfigError(f"world file not found: {path}")
     return world_mod.load_world(path)
-
-
-def _load_checkpoint(path: str) -> adnet.Checkpoint:
-    if not os.path.exists(path):
-        raise ConfigError(f"checkpoint not found: {path}")
-    try:
-        return adnet.load_checkpoint(path)
-    except adnet.CheckpointError as e:
-        raise ConfigError(str(e)) from e
-
-
-def _require_file(path: str, what: str) -> str:
-    if not os.path.exists(path):
-        raise ConfigError(f"{what} not found: {path}")
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +63,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_inject(args: argparse.Namespace) -> int:
     w = _load_world(args.world)
-    scenes = world_mod.load_scenes(_require_file(args.data, "scene file"), w.grid)
+    scenes = world_mod.load_scenes(args.data, w.grid)
     rng = Rng(args.seed)
     records = world_mod.build_benchmark(w, scenes, args.task, rng)
     if not records:
@@ -92,14 +75,16 @@ def _cmd_inject(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    data_dir = args.data
-    train_path = _require_file(os.path.join(data_dir, "train.jsonl"), "training file")
-    val_path = _require_file(os.path.join(data_dir, "val.jsonl"), "validation file")
-    manifest_path = os.path.join(data_dir, "manifest.json")
+    train_path = os.path.join(args.data, "train.jsonl")
+    val_path = os.path.join(args.data, "val.jsonl")
+    manifest_path = os.path.join(args.data, "manifest.json")
     spec = grid.GridSpec()
     if os.path.exists(manifest_path):
-        with open(manifest_path, "r", encoding="utf-8") as f:
-            spec = grid.GridSpec.from_dict(json.load(f)["grid"])
+        try:
+            with open(manifest_path, "r", encoding="utf-8") as f:
+                spec = grid.GridSpec.from_dict(json.load(f)["grid"])
+        except grid.RECORD_ERRORS as e:
+            raise ConfigError(f"{manifest_path}: malformed manifest: {e}") from e
 
     config = adnet.ModelConfig(variant=args.variant, grid=spec, n_h=args.n_h)
     tc = adnet.TrainConfig(
@@ -115,7 +100,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     checkpoint, history = adnet.train(config, train_set, val_set, tc)
     adnet.save_checkpoint(checkpoint, args.out)
     history_path = args.history or args.out + ".history.json"
-    with open(history_path, "w", encoding="utf-8") as f:
+    with grid.atomic_write(history_path) as f:
         json.dump([dataclasses.asdict(h) for h in history], f, indent=1)
     print(
         json.dumps(
@@ -132,8 +117,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    ckpt = _load_checkpoint(args.ckpt)
-    _require_file(args.input, "input file")
+    ckpt = adnet.load_checkpoint(args.ckpt)
     reports = detect_mod.detect_batch(ckpt, args.input, args.threshold)
     detect_mod.write_reports(reports, args.out)
     flagged = sum(len(r.anomalies) for r in reports)
@@ -145,7 +129,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     w = _load_world(args.world)
     checkpoints = {}
     for path in args.ckpts:
-        ckpt = _load_checkpoint(path)
+        ckpt = adnet.load_checkpoint(path)
         variant = ckpt.config.variant
         if variant in checkpoints:
             raise ConfigError(f"duplicate checkpoint for variant {variant!r}: {path}")
@@ -156,9 +140,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    path = _require_file(args.input, "scene file")
-    spec = grid.GridSpec()
-    scenes = world_mod.load_scenes(path, spec)
+    scenes = world_mod.load_scenes(args.input, grid.GridSpec())
     if not 0 <= args.index < len(scenes):
         raise ConfigError(f"scene index {args.index} out of range (file has {len(scenes)})")
     g, _ = scenes[args.index]
@@ -259,10 +241,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code) if e.code is not None else EXIT_CONFIG
     try:
         return args.func(args)
-    except (ConfigError, world_mod.WorldConfigError, FileNotFoundError, ValueError) as e:
+    except (
+        ConfigError, world_mod.WorldConfigError, adnet.CheckpointError, FileNotFoundError, ValueError
+    ) as e:
         logger.error("%s", e)
         return EXIT_CONFIG
-    except (world_mod.InjectionError, adnet.CheckpointError, FloatingPointError, OSError) as e:
+    except (world_mod.InjectionError, FloatingPointError, OSError) as e:
         logger.error("%s", e)
         return EXIT_RUNTIME
 

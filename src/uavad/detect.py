@@ -16,7 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from .adnet import Checkpoint
-from .grid import CATEGORIES, GpsLabel, GridTensor, N_CATEGORIES, read_jsonl, record_to_scene
+from .grid import (
+    CATEGORIES, RECORD_ERRORS, GpsLabel, GridTensor, N_CATEGORIES, atomic_write, read_jsonl,
+    record_to_scene,
+)
 
 __all__ = [
     "AnomalyCell",
@@ -129,7 +132,7 @@ def detect_batch(checkpoint: Checkpoint, path: str, threshold: float = 0.5) -> l
         for lineno, record in read_jsonl(f):
             try:
                 g, gps = record_to_scene(record, checkpoint.config.grid)
-            except (KeyError, TypeError, ValueError) as e:
+            except RECORD_ERRORS as e:
                 raise ValueError(f"{path}: line {lineno}: invalid scene record: {e}") from e
             reports.append(detect(checkpoint, g, gps if use_gps else None, threshold))
     return reports
@@ -147,7 +150,7 @@ def _cell_doc(a: AnomalyCell) -> dict:
 
 
 def write_reports(reports: Sequence[AnomalyReport], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for report in reports:
             doc = {
                 "model_variant": report.model_variant,

@@ -13,7 +13,7 @@ import numpy as np
 from .adnet import VARIANTS, Checkpoint, Dataset
 from .adnet import forward  # noqa: F401  (perfbench/spans.py traces evaluate.forward)
 from .detect import detection_masks
-from .grid import CATEGORY_IDS, GpsLabel, GridTensor
+from .grid import CATEGORY_IDS, GpsLabel, GridTensor, atomic_write
 from .world import AnomalyCase, WorldSpec, load_scenes, read_benchmark
 
 __all__ = [
@@ -147,21 +147,11 @@ def run_benchmark(
         if variant not in checkpoints:
             raise ValueError(f"missing checkpoint for variant {variant!r}")
 
-    paths = {
-        "val": os.path.join(data_dir, "val.jsonl"),
-        "test": os.path.join(data_dir, "test.jsonl"),
-        "task1": os.path.join(bench_dir, "task1.jsonl"),
-        "task2": os.path.join(bench_dir, "task2.jsonl"),
-        "task3": os.path.join(bench_dir, "task3.jsonl"),
-    }
-    for name, path in paths.items():
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"missing benchmark artifact {name!r}: {path}")
-
-    val_scenes = load_scenes(paths["val"], world.grid)
-    test_scenes = load_scenes(paths["test"], world.grid)
+    val_scenes = load_scenes(os.path.join(data_dir, "val.jsonl"), world.grid)
+    test_scenes = load_scenes(os.path.join(data_dir, "test.jsonl"), world.grid)
     tasks = {
-        f"task{k}": read_benchmark(paths[f"task{k}"], world.grid) for k in (1, 2, 3)
+        f"task{k}": read_benchmark(os.path.join(bench_dir, f"task{k}.jsonl"), world.grid)
+        for k in (1, 2, 3)
     }
 
     result: dict = {
@@ -195,7 +185,7 @@ def run_benchmark(
         )
 
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as f:
+        with atomic_write(out_path) as f:
             json.dump(result, f, indent=1)
     return result
 

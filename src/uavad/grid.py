@@ -19,9 +19,11 @@ Geometry conventions:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
@@ -53,6 +55,13 @@ def category_id(name: str) -> int:
         return CATEGORY_IDS[name]
     except KeyError:
         raise ValueError(f"unknown object category {name!r}") from None
+
+
+def whole(v: object, what: str) -> int:
+    """``v`` if it is an int; anything else, a bool or 2.0 too, raises ValueError."""
+    if type(v) is not int:
+        raise ValueError(f"{what} {v!r} must be an integer")
+    return v
 
 
 @dataclass(frozen=True)
@@ -97,10 +106,10 @@ class GridSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
         return cls(
-            image_width=int(d["image_width"]),
-            image_height=int(d["image_height"]),
-            cells_x=int(d["cells_x"]),
-            cells_y=int(d["cells_y"]),
+            image_width=whole(d["image_width"], "image_width"),
+            image_height=whole(d["image_height"], "image_height"),
+            cells_x=whole(d["cells_x"], "cells_x"),
+            cells_y=whole(d["cells_y"], "cells_y"),
         )
 
 
@@ -274,16 +283,37 @@ def record_to_scene(record: dict, spec: GridSpec) -> tuple[GridTensor, GpsLabel]
     return GridTensor(spec, data), gps
 
 
+# What reading the fields of a malformed JSON document can raise.
+RECORD_ERRORS = (KeyError, TypeError, ValueError, IndexError, OverflowError)
+
+
+@contextlib.contextmanager
+def atomic_write(path: str) -> Iterator[TextIO]:
+    """A text file on ``<path>.<pid>.tmp`` that ``os.replace`` moves onto
+    ``path`` when the block completes. If the block raises, the temporary
+    file is removed and ``path`` is left as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def read_jsonl(f: TextIO) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, record) pairs, raising with the line number on bad JSON."""
+    """Yield (line_number, record) pairs; bad JSON raises naming the line (and the file)."""
     for lineno, line in enumerate(f, start=1):
         line = line.strip()
         if not line:
             continue
         try:
             yield lineno, json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"line {lineno}: malformed JSON record: {e}") from e
+        except ValueError as e:
+            where = f"{f.name}: " if hasattr(f, "name") else ""
+            raise ValueError(f"{where}line {lineno}: malformed JSON record: {e}") from e
 
 
 def read_annotations(f: TextIO) -> Iterator[tuple[GridSpec, GpsLabel, list[BoundingBox]]]:
@@ -311,6 +341,6 @@ def read_annotations(f: TextIO) -> Iterator[tuple[GridSpec, GpsLabel, list[Bound
                     logger.warning("line %d: dropping out-of-bounds box: %s", lineno, e)
                     continue
                 boxes.append(box)
-        except (KeyError, TypeError, ValueError, IndexError) as e:
+        except RECORD_ERRORS as e:
             raise ValueError(f"line {lineno}: invalid annotation record: {e}") from e
         yield spec, gps, boxes

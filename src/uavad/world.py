@@ -21,7 +21,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,9 +32,12 @@ from .grid import (
     GridSpec,
     GridTensor,
     N_CATEGORIES,
+    RECORD_ERRORS,
+    atomic_write,
     read_jsonl,
     record_to_scene,
     scene_to_record,
+    whole,
 )
 from .nn import Rng
 
@@ -250,13 +253,6 @@ class WorldSpec:
 # ---------------------------------------------------------------------------
 
 
-def _whole(v: object, what: str) -> int:
-    """``v`` if it is an int (a bool or a float, even 2.0, is not)."""
-    if type(v) is not int:
-        raise WorldConfigError(f"{what} {v!r} must be an integer")
-    return v
-
-
 def build_zone_map(spec: GridSpec, entries: Sequence[dict]) -> np.ndarray:
     """Paint zone entries in order (later entries override earlier ones).
 
@@ -271,13 +267,13 @@ def build_zone_map(spec: GridSpec, entries: Sequence[dict]) -> np.ndarray:
             raise WorldConfigError(f"unknown zone kind {kind!r}")
         zid = _ZONE_IDS[kind]
         if "rect" in entry:
-            r0, c0, r1, c1 = (_whole(v, "zone rect bound") for v in entry["rect"])
+            r0, c0, r1, c1 = (whole(v, "zone rect bound") for v in entry["rect"])
             if not (0 <= r0 <= r1 < spec.cells_y and 0 <= c0 <= c1 < spec.cells_x):
                 raise WorldConfigError(f"zone rect {entry['rect']} outside the grid")
             zm[r0 : r1 + 1, c0 : c1 + 1] = zid
         elif "cells" in entry:
             for rc in entry["cells"]:
-                r, c = _whole(rc[0], "zone cell row"), _whole(rc[1], "zone cell col")
+                r, c = whole(rc[0], "zone cell row"), whole(rc[1], "zone cell col")
                 if not (0 <= r < spec.cells_y and 0 <= c < spec.cells_x):
                     raise WorldConfigError(f"zone cell [{r}, {c}] outside the grid")
                 zm[r, c] = zid
@@ -297,7 +293,7 @@ def load_world(path: str) -> WorldSpec:
         raise WorldConfigError(f"{path}: malformed world file: {e}") from e
     try:
         grid = GridSpec.from_dict(doc["grid"])
-        seed = int(doc.get("seed", 0))
+        seed = whole(doc.get("seed", 0), "seed")
         waypoints = []
         for w in doc["waypoints"]:
             waypoints.append(
@@ -319,13 +315,13 @@ def load_world(path: str) -> WorldSpec:
                 PlacementRule(
                     category=str(r["category"]),
                     allowed_zones=tuple(str(z) for z in r["zones"]),
-                    count_min=_whole(count[0], "rule count"),
-                    count_max=_whole(count[1], "rule count"),
+                    count_min=whole(count[0], "rule count"),
+                    count_max=whole(count[1], "rule count"),
                     weights=weights,
                 )
             )
         rare = [(str(c), str(z)) for c, z in doc.get("rare_list", DEFAULT_RARE_LIST)]
-    except (KeyError, TypeError, ValueError, IndexError) as e:
+    except RECORD_ERRORS as e:
         raise WorldConfigError(f"{path}: invalid world document: {e}") from e
     return WorldSpec(grid=grid, waypoints=waypoints, rules=rules, rare_list=rare, seed=seed)
 
@@ -357,7 +353,7 @@ def save_world(world: WorldSpec, path: str) -> None:
         ],
         "rare_list": [[c, z] for c, z in world.rare_list],
     }
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         json.dump(doc, f, indent=1)
 
 
@@ -542,7 +538,7 @@ def build_dataset(world: WorldSpec, n: int, out_dir: str, seed: int) -> dict:
     files = {}
     for name, part in parts.items():
         path = os.path.join(out_dir, f"{name}.jsonl")
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path) as f:
             for g, gps in part:
                 f.write(json.dumps(scene_to_record(g, gps)) + "\n")
         files[name] = f"{name}.jsonl"
@@ -555,21 +551,27 @@ def build_dataset(world: WorldSpec, n: int, out_dir: str, seed: int) -> dict:
         "files": files,
         "grid": world.grid.to_dict(),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as f:
+    with atomic_write(os.path.join(out_dir, "manifest.json")) as f:
         json.dump(manifest, f, indent=1)
     logger.info("wrote %d scenes to %s (%d/%d/%d)", n, out_dir, n_train, n_val, n_test)
     return manifest
 
 
-def load_scenes(path: str, spec: GridSpec) -> list[tuple[GridTensor, GpsLabel]]:
-    scenes = []
+def _read_records(path: str, parse: Callable[[dict, int], object]) -> list:
+    """``parse(record, position)`` over the records of a JSON Lines file, in
+    order. A malformed record raises ValueError naming the file and the line."""
+    out = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, record in read_jsonl(f):
             try:
-                scenes.append(record_to_scene(record, spec))
-            except (KeyError, TypeError, ValueError) as e:
+                out.append(parse(record, len(out)))
+            except RECORD_ERRORS as e:
                 raise ValueError(f"{path}: line {lineno}: {e}") from e
-    return scenes
+    return out
+
+
+def load_scenes(path: str, spec: GridSpec) -> list[tuple[GridTensor, GpsLabel]]:
+    return _read_records(path, lambda record, _: record_to_scene(record, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +693,7 @@ def build_benchmark(
 def write_benchmark(
     records: Sequence[tuple[GridTensor, GpsLabel, AnomalyCase]], path: str
 ) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for g, gps, case in records:
             record = scene_to_record(g, gps)
             record["task"] = case.task
@@ -702,29 +704,26 @@ def write_benchmark(
 def read_benchmark(path: str, spec: GridSpec) -> list[tuple[GridTensor, GpsLabel, AnomalyCase]]:
     """Parse an injected-anomaly benchmark file; errors carry the path and
     the line number."""
-    records = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, record in read_jsonl(f):
-            try:
-                g, gps = record_to_scene(record, spec)
-                name, row, col = record["injected"]
-                if type(row) is not int or type(col) is not int:
-                    raise ValueError(
-                        f"injected cell ({row!r}, {col!r}): row and col must be integers"
-                    )
-                case = AnomalyCase(
-                    task=str(record["task"]),
-                    category=str(name),
-                    row=row,
-                    col=col,
-                    scene_index=len(records),
-                    waypoint_index=-1,
-                )
-                if str(name) not in CATEGORY_IDS:
-                    raise ValueError(f"unknown category {name!r}")
-                if g.data[case.row, case.col, CATEGORY_IDS[case.category]] != 1:
-                    raise ValueError("injected cell is not occupied in the scene")
-            except (KeyError, TypeError, ValueError, IndexError) as e:
-                raise ValueError(f"{path}: line {lineno}: invalid benchmark record: {e}") from e
-            records.append((g, gps, case))
-    return records
+
+    def parse(record: dict, index: int) -> tuple[GridTensor, GpsLabel, AnomalyCase]:
+        g, gps = record_to_scene(record, spec)
+        name, row, col = record["injected"]
+        if type(row) is not int or type(col) is not int:
+            raise ValueError(f"injected cell ({row!r}, {col!r}): row and col must be integers")
+        if not (0 <= row < spec.cells_y and 0 <= col < spec.cells_x):
+            raise ValueError(f"injected cell ({row}, {col}) outside grid")
+        case = AnomalyCase(
+            task=str(record["task"]),
+            category=str(name),
+            row=row,
+            col=col,
+            scene_index=index,
+            waypoint_index=-1,
+        )
+        if str(name) not in CATEGORY_IDS:
+            raise ValueError(f"unknown category {name!r}")
+        if g.data[case.row, case.col, CATEGORY_IDS[case.category]] != 1:
+            raise ValueError("injected cell is not occupied in the scene")
+        return g, gps, case
+
+    return _read_records(path, parse)

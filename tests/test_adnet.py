@@ -687,7 +687,7 @@ class TestCheckpointPersistence:
             raise OSError("injected failure")
 
         module, attr = target.split(".")
-        monkeypatch.setattr(getattr(adnet, module), attr, boom)
+        monkeypatch.setattr({"json": json, "os": os}[module], attr, boom)
         with pytest.raises(OSError, match="injected failure"):
             save_checkpoint(tiny_checkpoint("uav_adnet", seed=2), str(path))
         monkeypatch.undo()
@@ -707,6 +707,29 @@ class TestCheckpointPersistence:
         doc, path = self._saved_doc(tmp_path)
         doc[field] = value
         with pytest.raises(CheckpointCorruptError, match=field) as info:
+            self._reload(doc, path)
+        assert str(info.value).startswith(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (("config", "n_h"), 3.9, "n_h 3.9 must be an integer"),
+            (("config", "grid", "cells_x"), 4.0, "cells_x 4.0 must be an integer"),
+            (("params", "enc.b", "shape"), [6.9], "'enc.b'.*shape entry 6.9"),
+            (("gps_normalization", "scale"), math.nan, "not finite"),
+            (("gps_normalization", "lat_ref"), math.inf, "not finite"),
+        ],
+        ids=["fractional-n_h", "float-cells_x", "fractional-shape", "nan-scale", "inf-lat_ref"],
+    )
+    def test_non_integer_or_non_finite_field_is_a_corrupt_error(
+        self, tmp_path, field, value, message
+    ):
+        doc, path = self._saved_doc(tmp_path, "uav_adnet")
+        node = doc
+        for key in field[:-1]:
+            node = node[key]
+        node[field[-1]] = value
+        with pytest.raises(CheckpointCorruptError, match=message) as info:
             self._reload(doc, path)
         assert str(info.value).startswith(path)
 
@@ -742,6 +765,7 @@ _FIELDS = [
     ("config", "n_h"),
     ("gps_normalization",),
     ("gps_normalization", "lat_ref"),
+    ("gps_normalization", "scale"),
     ("params",),
     ("params", "enc.w"),
     ("params", "enc.b", "shape"),

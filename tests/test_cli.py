@@ -2,6 +2,7 @@
 
 import json
 import logging
+import shutil
 
 import pytest
 
@@ -143,6 +144,27 @@ class TestTrain:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "manifest",
+        ["{}", '{"grid": {"image_width": 1080, "image_height": 1080, "cells_x": 16.9, '
+         '"cells_y": 16}}', "{broken"],
+        ids=["no-grid", "fractional-cells", "malformed-json"],
+    )
+    def test_malformed_manifest_is_a_config_error_naming_it(
+        self, pipeline, tmp_path, caplog, manifest
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        (data / "manifest.json").write_text(manifest)
+        with caplog.at_level(logging.ERROR):
+            code = main(
+                ["train", "--variant", "vae", "--data", str(data),
+                 "--out", str(tmp_path / "ck.json"), *FAST_TRAIN]
+            )
+        assert code == EXIT_CONFIG
+        assert str(data / "manifest.json") in caplog.text
+        assert not (tmp_path / "ck.json").exists()
+
     def test_usage_errors_exit_two(self):
         assert main(["train", "--variant", "vae"]) == EXIT_CONFIG
         assert main(["train", "--variant", "nonsense", "--data", "d", "--out", "o"]) == EXIT_CONFIG
@@ -220,6 +242,32 @@ class TestDetect:
         assert "training_meta" in caplog.text
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [(("config", "n_h"), 4.9), (("params", "enc.b", "shape"), [128.5]),
+         (("gps_normalization", "scale"), float("nan"))],
+        ids=["fractional-n_h", "fractional-shape", "nan-scale"],
+    )
+    def test_non_integer_or_non_finite_checkpoint_field_is_a_config_error(
+        self, pipeline, tmp_path, caplog, field, value
+    ):
+        doc = json.loads(open(pipeline["ckpts"]["uav_adnet"], encoding="utf-8").read())
+        node = doc
+        for key in field[:-1]:
+            node = node[key]
+        node[field[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with caplog.at_level(logging.ERROR):
+            code = main(
+                ["detect", "--ckpt", str(bad),
+                 "--in", str(pipeline["data"] / "test.jsonl"), "--out", str(tmp_path / "o")]
+            )
+        assert code == EXIT_CONFIG
+        assert str(bad) in caplog.text
+        assert not (tmp_path / "o").exists()
+
+
 class TestEval:
     def test_runs_the_four_variant_benchmark(self, pipeline, tmp_path, capsys):
         out = tmp_path / "result.json"
@@ -290,6 +338,14 @@ class TestRender:
         with caplog.at_level(logging.ERROR):
             assert main(["render", "--in", str(path)]) == EXIT_CONFIG
         assert "line 1" in caplog.text
+
+
+    def test_malformed_json_line_is_a_config_error_naming_the_file(self, tmp_path, caplog):
+        path = tmp_path / "scenes.jsonl"
+        path.write_text(json.dumps({"gps": [41.1, 29.0], "cells": []}) + "\n{broken\n")
+        with caplog.at_level(logging.ERROR):
+            assert main(["render", "--in", str(path)]) == EXIT_CONFIG
+        assert f"{path}: line 2: malformed JSON record" in caplog.text
 
 
 class TestGradcheck:

@@ -65,6 +65,12 @@ class TestGridSpec:
             with pytest.raises(ValueError):
                 GridSpec(**kwargs)
 
+    @pytest.mark.parametrize("value", [16.9, 16.0, True, "16"])
+    def test_from_dict_rejects_non_integers(self, value):
+        doc = {**SPEC.to_dict(), "cells_x": value}
+        with pytest.raises(ValueError, match="cells_x .* must be an integer"):
+            GridSpec.from_dict(doc)
+
 
 class TestCategories:
     def test_category_ids_are_dense_and_ordered(self):

@@ -621,6 +621,17 @@ class TestBenchmarks:
             read_benchmark(str(path), WORLD.grid)
 
 
+    @pytest.mark.parametrize("row, col", [(-1, 3), (3, -1), (16, 3)])
+    def test_reader_rejects_injected_cells_outside_the_grid(self, tmp_path, row, col):
+        """A negative index would wrap to the last row or column."""
+        doc = {"gps": [41.1, 29.0], "cells": [["car", 15, 3], ["car", 3, 15]],
+               "task": "task2_public", "injected": ["car", row, col]}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(ValueError, match="line 1: .*outside grid"):
+            read_benchmark(str(path), WORLD.grid)
+
+
 class TestWorldPersistence:
     def test_round_trip_preserves_everything(self, tmp_path):
         path = tmp_path / "world.json"
@@ -670,6 +681,21 @@ class TestWorldPersistence:
         doc["rules"][0]["count"] = count
         path.write_text(json.dumps(doc))
         with pytest.raises(WorldConfigError, match="must be an integer"):
+            load_world(str(path))
+
+    @pytest.mark.parametrize(
+        "field, value", [(("seed",), 3.7), (("grid", "cells_x"), 16.9)], ids=["seed", "cells_x"]
+    )
+    def test_non_integer_seed_and_grid_are_rejected(self, tmp_path, field, value):
+        path = tmp_path / "world.json"
+        save_world(WORLD, str(path))
+        doc = json.loads(path.read_text())
+        node = doc
+        for key in field[:-1]:
+            node = node[key]
+        node[field[-1]] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(WorldConfigError, match=f"{field[-1]} {value} must be an integer"):
             load_world(str(path))
 
     def test_missing_fields_are_a_config_error(self, tmp_path):
