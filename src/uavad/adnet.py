@@ -18,6 +18,7 @@ averaged over the batch, with Adam and early stopping on validation loss.
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import math
@@ -72,7 +73,7 @@ __all__ = [
 
 logger = logging.getLogger("uavad.adnet")
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 # Loss-side clamp keeping log() finite; forward outputs are not clamped.
 _LOSS_CLIP = 1e-7
@@ -649,18 +650,17 @@ class Checkpoint:
 
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
     """Write ``checkpoint`` to ``path`` as JSON, through ``atomic_write``: on
-    failure ``path`` is left as it was."""
+    failure ``path`` is left as it was. Each parameter's ``data`` is the
+    base64 of its little-endian float64 bytes."""
+    params = {}
+    for name in sorted(checkpoint.values):
+        arr = np.ascontiguousarray(checkpoint.values[name], dtype="<f8")
+        params[name] = {"shape": list(arr.shape), "data": base64.b64encode(arr).decode("ascii")}
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": checkpoint.config.to_dict(),
         "gps_normalization": checkpoint.gps_normalization.to_dict(),
-        "params": {
-            name: {
-                "shape": list(checkpoint.values[name].shape),
-                "data": checkpoint.values[name].reshape(-1).tolist(),
-            }
-            for name in sorted(checkpoint.values)
-        },
+        "params": params,
         "training_meta": checkpoint.training_meta,
     }
     # json.dumps runs the C encoder; json.dump would stream through the
@@ -704,9 +704,11 @@ def load_checkpoint(path: str) -> Checkpoint:
     for name, entry in params_doc.items():
         try:
             shape = tuple(whole(s, "shape entry") for s in entry["shape"])
-            data = np.asarray(entry["data"], dtype=np.float64)
-            if data.size != math.prod(shape):
-                raise ValueError(f"{data.size} values for shape {shape}")
+            # A bytearray, so the array is writeable like any other.
+            raw = bytearray(base64.b64decode(entry["data"], validate=True))
+            if len(raw) != 8 * math.prod(shape):
+                raise ValueError(f"{len(raw)} bytes for shape {shape}")
+            data = np.frombuffer(raw, "<f8")
             values[name] = data.reshape(shape)
         except RECORD_ERRORS as e:
             raise CheckpointCorruptError(f"{path}: malformed parameter {name!r}: {e}") from e

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import logging
 import os
@@ -49,6 +50,13 @@ def _load_world(path: str | None) -> world_mod.WorldSpec:
     return world_mod.load_world(path)
 
 
+def _require_parent_dir(path: str) -> None:
+    """Fail before any work when ``path`` cannot be written: its directory is missing."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"{path}: directory {parent} does not exist")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -62,6 +70,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
+    _require_parent_dir(args.out)
     w = _load_world(args.world)
     scenes = world_mod.load_scenes(args.data, w.grid)
     rng = Rng(args.seed)
@@ -75,14 +84,20 @@ def _cmd_inject(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    history_path = args.history or args.out + ".history.json"
+    for path in (args.out, history_path):
+        _require_parent_dir(path)
     train_path = os.path.join(args.data, "train.jsonl")
     val_path = os.path.join(args.data, "val.jsonl")
     manifest_path = os.path.join(args.data, "manifest.json")
     spec = grid.GridSpec()
+    manifest_sha256 = None
     if os.path.exists(manifest_path):
+        with open(manifest_path, "rb") as f:
+            raw = f.read()
+        manifest_sha256 = hashlib.sha256(raw).hexdigest()
         try:
-            with open(manifest_path, "r", encoding="utf-8") as f:
-                spec = grid.GridSpec.from_dict(json.load(f)["grid"])
+            spec = grid.GridSpec.from_dict(json.loads(raw.decode("utf-8"))["grid"])
         except grid.RECORD_ERRORS as e:
             raise ConfigError(f"{manifest_path}: malformed manifest: {e}") from e
 
@@ -98,8 +113,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     val_set = adnet.Dataset.from_scenes(world_mod.load_scenes(val_path, spec))
 
     checkpoint, history = adnet.train(config, train_set, val_set, tc)
+    if manifest_sha256 is not None:
+        checkpoint.training_meta["data_manifest_sha256"] = manifest_sha256
     adnet.save_checkpoint(checkpoint, args.out)
-    history_path = args.history or args.out + ".history.json"
     with grid.atomic_write(history_path) as f:
         json.dump([dataclasses.asdict(h) for h in history], f, indent=1)
     print(
@@ -117,6 +133,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
+    _require_parent_dir(args.out)
     ckpt = adnet.load_checkpoint(args.ckpt)
     reports = detect_mod.detect_batch(ckpt, args.input, args.threshold)
     detect_mod.write_reports(reports, args.out)
@@ -126,6 +143,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    _require_parent_dir(args.out)
     w = _load_world(args.world)
     checkpoints = {}
     for path in args.ckpts:
@@ -134,6 +152,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if variant in checkpoints:
             raise ConfigError(f"duplicate checkpoint for variant {variant!r}: {path}")
         checkpoints[variant] = ckpt
+    sources = {v: ck.training_meta.get("data_manifest_sha256") for v, ck in checkpoints.items()}
+    if len(set(sources.values())) > 1:
+        logger.warning(
+            "checkpoints were trained on different data (data_manifest_sha256): %s",
+            ", ".join(f"{v}={sha}" for v, sha in sources.items()),
+        )
     result = evaluate.run_benchmark(w, args.data, checkpoints, args.bench, args.out)
     print(evaluate.format_table(result))
     return EXIT_OK
@@ -242,7 +266,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (
-        ConfigError, world_mod.WorldConfigError, adnet.CheckpointError, FileNotFoundError, ValueError
+        ConfigError, world_mod.WorldConfigError, adnet.CheckpointError, ValueError,
+        # A path that is missing, the wrong kind of file or not readable is bad input.
+        FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError,
     ) as e:
         logger.error("%s", e)
         return EXIT_CONFIG

@@ -1,8 +1,10 @@
 """Tests for the autoencoder variants: wiring, loss, gradients, training, checkpoints."""
 
+import base64
 import json
 import math
 import os
+import string
 import tempfile
 import tracemalloc
 
@@ -62,6 +64,27 @@ def tiny_checkpoint(variant: str = "uav_adnet", seed: int = 0) -> Checkpoint:
         values=params.copy_values(),
         training_meta={"epochs_run": 1, "best_val_loss": 1.0, "seed": seed},
     )
+
+
+def unpack(data: str) -> np.ndarray:
+    """A saved parameter's ``data`` field as a flat, writeable float64 array."""
+    return np.frombuffer(base64.b64decode(data), "<f8").copy()
+
+
+def b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
+def pack(values) -> str:
+    """Flat float64 values as a checkpoint ``data`` field."""
+    return b64(np.asarray(values, "<f8").tobytes())
+
+
+def with_value(data: str, index: int, value: float) -> str:
+    """``data`` with the float64 at ``index`` replaced by ``value``."""
+    values = unpack(data)
+    values[index] = value
+    return pack(values)
 
 
 class TestModelConfig:
@@ -579,6 +602,28 @@ class TestCheckpointPersistence:
                 b = forward(config, loaded.values, x, gps, eps)[0]
                 assert np.array_equal(a, b), (variant, i)
 
+    def test_round_trip_gives_the_same_bits_as_writeable_float64(self, tmp_path):
+        ck = tiny_checkpoint("uav_adnet", seed=4)
+        path = tmp_path / "ck.json"
+        save_checkpoint(ck, str(path))
+        loaded = load_checkpoint(str(path))
+        assert sorted(loaded.values) == sorted(ck.values)
+        for name, arr in loaded.values.items():
+            assert arr.dtype == np.float64 and arr.shape == ck.values[name].shape, name
+            assert arr.flags.c_contiguous and arr.flags.writeable, name
+            assert arr.tobytes() == ck.values[name].tobytes(), name
+
+    def test_parameter_data_is_base64_of_little_endian_float64(self, tmp_path):
+        ck = tiny_checkpoint("vae", seed=4)
+        path = tmp_path / "ck.json"
+        save_checkpoint(ck, str(path))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert doc["format_version"] == CHECKPOINT_FORMAT_VERSION == 2
+        for name, arr in ck.values.items():
+            entry = doc["params"][name]
+            assert entry["shape"] == list(arr.shape)
+            assert base64.b64decode(entry["data"]) == arr.astype("<f8").tobytes()
+
     def test_reconstruct_runs_batches_in_chunks(self):
         """Rows go through forward 512 at a time, with GPS normalized only
         for the GPS variants; a batch equals its chunks run separately."""
@@ -655,7 +700,7 @@ class TestCheckpointPersistence:
         configuration is a shape error, not a corruption."""
         doc, path = self._saved_doc(tmp_path)
         doc["params"]["enc.b"]["shape"] = [5]
-        doc["params"]["enc.b"]["data"] = doc["params"]["enc.b"]["data"][:5]
+        doc["params"]["enc.b"]["data"] = pack(unpack(doc["params"]["enc.b"]["data"])[:5])
         with pytest.raises(CheckpointShapeError, match="enc.b"):
             self._reload(doc, path)
 
@@ -667,15 +712,45 @@ class TestCheckpointPersistence:
 
     def test_truncated_data_is_a_corrupt_error(self, tmp_path):
         doc, path = self._saved_doc(tmp_path)
-        doc["params"]["enc.w"]["data"] = doc["params"]["enc.w"]["data"][:-1]
+        doc["params"]["enc.w"]["data"] = pack(unpack(doc["params"]["enc.w"]["data"])[:-1])
         with pytest.raises(CheckpointCorruptError, match="enc.w"):
             self._reload(doc, path)
 
     def test_non_finite_values_are_a_corrupt_error(self, tmp_path):
         doc, path = self._saved_doc(tmp_path)
-        doc["params"]["enc.b"]["data"][0] = float("inf")
+        doc["params"]["enc.b"]["data"] = with_value(doc["params"]["enc.b"]["data"], 0, math.inf)
         with pytest.raises(CheckpointCorruptError, match="non-finite"):
             self._reload(doc, path)
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda data: "not base64!", "'enc.w'.*Only base64 data"),
+            (lambda data: "é" + data, "'enc.w'.*ASCII"),
+            (lambda data: data[:-1], "'enc.w'.*padding"),
+            (lambda data: b64(base64.b64decode(data)[:-1]), "'enc.w'.*bytes for shape"),
+            (lambda data: with_value(data, 7, math.nan), "'enc.w' has non-finite values"),
+            (lambda data: 5, "'enc.w'"),
+        ],
+        ids=["not-base64", "non-ascii", "bad-padding", "one-byte-short", "packed-nan", "number"],
+    )
+    def test_malformed_payload_is_a_corrupt_error_naming_the_path(self, tmp_path, tamper, message):
+        doc, path = self._saved_doc(tmp_path)
+        doc["params"]["enc.w"]["data"] = tamper(doc["params"]["enc.w"]["data"])
+        with pytest.raises(CheckpointCorruptError, match=message) as info:
+            self._reload(doc, path)
+        assert str(info.value).startswith(path)
+
+    def test_version_1_document_is_a_version_error_naming_the_path(self, tmp_path):
+        """Version 1 stored each parameter as a list of decimal floats; it is
+        no longer read."""
+        doc, path = self._saved_doc(tmp_path)
+        doc["format_version"] = 1
+        for entry in doc["params"].values():
+            entry["data"] = unpack(entry["data"]).tolist()
+        with pytest.raises(CheckpointVersionError, match="format version 1, supported 2") as info:
+            self._reload(doc, path)
+        assert str(info.value).startswith(path)
 
     @pytest.mark.parametrize("target", ["json.dumps", "os.replace"])
     def test_failed_save_keeps_the_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch, target):
@@ -774,25 +849,47 @@ _FIELDS = [
 ]
 
 
+# Strings a parameter's ``data`` might hold: any text, text over the base64
+# alphabet, valid base64 of short byte strings, and base64 of exactly the 48
+# bytes (6 float64 values, NaNs and infinities among them) that fill ``enc.b``.
+DATA_STRINGS = (
+    st.text(max_size=80)
+    | st.text(alphabet=string.ascii_letters + string.digits + "+/=", max_size=80)
+    | st.binary(max_size=64).map(b64)
+    | st.binary(min_size=48, max_size=48).map(b64)
+)
+
+
+def _swap_and_load(field: tuple, value) -> None:
+    """Save a checkpoint, put ``value`` at ``field`` and load it back: it
+    loads, or raises a ``CheckpointError`` that starts with the path."""
+    ck = tiny_checkpoint("uav_adnet", seed=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ck.json")
+        save_checkpoint(ck, path)
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+        node = doc
+        for key in field[:-1]:
+            node = node[key]
+        node[field[-1]] = value
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        try:
+            loaded = load_checkpoint(path)
+        except CheckpointError as e:
+            assert str(e).startswith(path)
+        else:
+            assert isinstance(loaded, Checkpoint)
+
+
 class TestCheckpointFuzz:
     @settings(max_examples=150, deadline=None)
     @given(field=st.sampled_from(_FIELDS), value=JSON_VALUES)
     def test_any_swapped_field_loads_or_raises_a_checkpoint_error(self, field, value):
-        ck = tiny_checkpoint("uav_adnet", seed=1)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "ck.json")
-            save_checkpoint(ck, path)
-            with open(path, encoding="utf-8") as f:
-                doc = json.load(f)
-            node = doc
-            for key in field[:-1]:
-                node = node[key]
-            node[field[-1]] = value
-            with open(path, "w", encoding="utf-8") as f:
-                json.dump(doc, f)
-            try:
-                loaded = load_checkpoint(path)
-            except CheckpointError as e:
-                assert str(e).startswith(path)
-            else:
-                assert isinstance(loaded, Checkpoint)
+        _swap_and_load(field, value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(["enc.b", "dec.w", "out.k"]), value=DATA_STRINGS)
+    def test_any_data_string_loads_or_raises_a_checkpoint_error(self, name, value):
+        _swap_and_load(("params", name, "data"), value)

@@ -1,17 +1,24 @@
 """End-to-end tests of the command-line interface via its main() entry point."""
 
+import hashlib
 import json
 import logging
+import os
 import shutil
 
 import pytest
 
+from uavad import adnet, evaluate, world
 from uavad.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from uavad.grid import scene_to_record
 from uavad.world import default_world, sample_scene, save_world
 from uavad.nn import Rng
 
 FAST_TRAIN = ["--n-h", "4", "--batch", "8", "--max-epochs", "1"]
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("work ran although the output cannot be written")
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +172,11 @@ class TestTrain:
         assert str(data / "manifest.json") in caplog.text
         assert not (tmp_path / "ck.json").exists()
 
+    def test_checkpoint_records_the_dataset_manifest_digest(self, pipeline):
+        want = hashlib.sha256((pipeline["data"] / "manifest.json").read_bytes()).hexdigest()
+        for path in pipeline["ckpts"].values():
+            assert adnet.load_checkpoint(path).training_meta["data_manifest_sha256"] == want
+
     def test_usage_errors_exit_two(self):
         assert main(["train", "--variant", "vae"]) == EXIT_CONFIG
         assert main(["train", "--variant", "nonsense", "--data", "d", "--out", "o"]) == EXIT_CONFIG
@@ -286,6 +298,21 @@ class TestEval:
         for entry in result["variants"].values():
             assert 0.0 <= entry["task1_acc"] <= 1.0
 
+    def test_checkpoints_from_different_data_log_a_warning(self, pipeline, tmp_path, caplog):
+        ckpts = dict(pipeline["ckpts"])
+        doc = json.loads(open(ckpts["vae"], encoding="utf-8").read())
+        doc["training_meta"]["data_manifest_sha256"] = "0" * 64
+        ckpts["vae"] = str(tmp_path / "vae.json")
+        (tmp_path / "vae.json").write_text(json.dumps(doc))
+        args = ["eval", "--data", str(pipeline["data"]), "--bench", str(pipeline["bench"]),
+                "--out", str(tmp_path / "r.json"), "--ckpts"]
+        with caplog.at_level(logging.WARNING):
+            assert main([*args, *pipeline["ckpts"].values()]) == EXIT_OK
+            assert "different data" not in caplog.text
+            assert main([*args, *ckpts.values()]) == EXIT_OK
+        assert "trained on different data" in caplog.text
+        assert "vae=" + "0" * 64 in caplog.text
+
     def test_duplicate_variants_are_a_config_error(self, pipeline, tmp_path):
         ckpts = pipeline["ckpts"]
         code = main(
@@ -346,6 +373,62 @@ class TestRender:
         with caplog.at_level(logging.ERROR):
             assert main(["render", "--in", str(path)]) == EXIT_CONFIG
         assert f"{path}: line 2: malformed JSON record" in caplog.text
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["inject", "train", "train-history", "detect", "eval"])
+    def test_missing_output_directory_is_a_config_error_before_any_work(
+        self, pipeline, tmp_path, caplog, monkeypatch, command
+    ):
+        absent = str(tmp_path / "absent" / "out.json")
+        data, ckpts = pipeline["data"], pipeline["ckpts"]
+        for module, name in [(adnet, "load_checkpoint"), (adnet, "train"),
+                             (evaluate, "run_benchmark"), (world, "load_scenes")]:
+            monkeypatch.setattr(module, name, must_not_run)
+        argv = {
+            "inject": ["inject", "--data", str(data / "test.jsonl"), "--task", "1",
+                       "--out", absent],
+            "train": ["train", "--variant", "vae", "--data", str(data), "--out", absent],
+            "train-history": ["train", "--variant", "vae", "--data", str(data),
+                              "--out", str(tmp_path / "ck.json"), "--history", absent],
+            "detect": ["detect", "--ckpt", ckpts["vae"], "--in", str(data / "test.jsonl"),
+                       "--out", absent],
+            "eval": ["eval", "--data", str(data), "--bench", str(pipeline["bench"]),
+                     "--ckpts", *ckpts.values(), "--out", absent],
+        }[command]
+        with caplog.at_level(logging.ERROR):
+            assert main(argv) == EXIT_CONFIG
+        assert f"{absent}: directory" in caplog.text
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestUnreadableInput:
+    def test_directory_as_input_is_a_config_error(self, tmp_path, caplog):
+        with caplog.at_level(logging.ERROR):
+            assert main(["render", "--in", str(tmp_path)]) == EXIT_CONFIG
+        assert str(tmp_path) in caplog.text
+
+    def test_path_through_a_file_is_a_config_error(self, tmp_path, caplog):
+        (tmp_path / "scenes.jsonl").write_text("")
+        path = str(tmp_path / "scenes.jsonl" / "child.jsonl")
+        with caplog.at_level(logging.ERROR):
+            assert main(["render", "--in", path]) == EXIT_CONFIG
+        assert path in caplog.text
+
+    def test_unreadable_file_is_a_config_error(self, tmp_path, caplog, monkeypatch):
+        path = tmp_path / "scenes.jsonl"
+        path.write_text(json.dumps({"gps": [41.1, 29.0], "cells": []}) + "\n")
+        path.chmod(0)
+        if os.access(path, os.R_OK):
+            # A privileged user reads through the mode bits; raise what the
+            # open would raise for anyone else.
+            def denied(file, *args, **kwargs):
+                raise PermissionError(13, "Permission denied", file)
+
+            monkeypatch.setattr(world, "open", denied, raising=False)
+        with caplog.at_level(logging.ERROR):
+            assert main(["render", "--in", str(path)]) == EXIT_CONFIG
+        assert "Permission denied" in caplog.text
 
 
 class TestGradcheck:

@@ -412,22 +412,48 @@ class TestBuildDataset:
             "test.jsonl": "fa16329a8705d25268a9466b36a0b7aec024a353380ffe9a8dfdfed5a6edfb6b",
         }
 
-    def test_checkpoint_matches_the_pinned_digest(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def digest_b_checkpoint(self, tmp_path_factory):
         """Training draws its epoch permutations and noise from the same
         stream, so a 3-epoch checkpoint pins that stream through training."""
-        build_dataset(WORLD, 60, str(tmp_path), seed=5)
+        data = tmp_path_factory.mktemp("digest_b")
+        build_dataset(WORLD, 60, str(data), seed=5)
         train_set, val_set = (
-            Dataset.from_scenes(load_scenes(str(tmp_path / f"{split}.jsonl"), WORLD.grid))
+            Dataset.from_scenes(load_scenes(str(data / f"{split}.jsonl"), WORLD.grid))
             for split in ("train", "val")
         )
         checkpoint, _ = adnet.train(
             ModelConfig("uav_adnet"), train_set, val_set, TrainConfig(max_epochs=3, seed=5)
         )
+        return checkpoint
+
+    def test_checkpoint_matches_the_pinned_digest(self, digest_b_checkpoint, tmp_path):
+        """The checkpoint file's bytes: the training bits and the file format."""
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(checkpoint, str(path))
+        save_checkpoint(digest_b_checkpoint, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "1887d28c02610bad10d8a892418085ba425f819f6a55ae1aa4d192cb8d63b116"
+            "fc0f61c8358c2d2ae4f4603bfd597f3b25d1dc1fb37389105876441a13256501"
         )
+
+    def test_parameter_bytes_match_the_pinned_digest(self, digest_b_checkpoint, tmp_path):
+        """The same checkpoint's parameters, hashed apart from the file format
+        (name, shape and little-endian float64 bytes, in sorted name order),
+        both as trained and as loaded back from the file."""
+
+        def parameter_digest(values: dict) -> str:
+            h = hashlib.sha256()
+            for name in sorted(values):
+                arr = values[name]
+                h.update(json.dumps([name, list(arr.shape)]).encode("ascii"))
+                h.update(arr.astype("<f8").tobytes())
+            return h.hexdigest()
+
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(digest_b_checkpoint, str(path))
+        loaded = adnet.load_checkpoint(str(path))
+        pinned = "5f8f5519bb4c2eb36e9235ef3f71b7e742b73fc3498550fbf5ee7461cc97c795"
+        assert parameter_digest(digest_b_checkpoint.values) == pinned
+        assert parameter_digest(loaded.values) == pinned
 
     def test_tiny_datasets_are_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least 10"):
