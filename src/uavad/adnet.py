@@ -151,9 +151,9 @@ class GpsNormalization:
         return (arr - np.array([self.lat_ref, self.lon_ref])) * self.scale
 
     @classmethod
-    def fit(cls, lat_lon: np.ndarray, scale: float = 1e4) -> "GpsNormalization":
+    def fit(cls, lat_lon: np.ndarray) -> "GpsNormalization":
         arr = np.asarray(lat_lon, dtype=np.float64).reshape(-1, 2)
-        return cls(lat_ref=float(arr[:, 0].mean()), lon_ref=float(arr[:, 1].mean()), scale=scale)
+        return cls(lat_ref=float(arr[:, 0].mean()), lon_ref=float(arr[:, 1].mean()))
 
     def to_dict(self) -> dict:
         return {"lat_ref": self.lat_ref, "lon_ref": self.lon_ref, "scale": self.scale}
@@ -176,9 +176,6 @@ class LossBreakdown:
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 64
     max_epochs: int = 30
     patience: int = 5
@@ -427,9 +424,9 @@ def _validation_stats(
     values: Mapping[str, np.ndarray],
     x: np.ndarray,
     gps: np.ndarray | None,
-    chunk: int = 256,
 ) -> tuple[float, float]:
     """(mean total loss, mean squared error) with zero latent noise."""
+    chunk = 256
     n = x.shape[0]
     loss_sum = 0.0
     sq_sum = 0.0
@@ -499,7 +496,7 @@ def train(
                 lb = loss(xb, x_hat, mu, log_var)
                 backward(config, params, cache)
                 step += 1
-                adam_step(params, tc.lr, tc.beta1, tc.beta2, tc.epsilon, t=step)
+                adam_step(params, tc.lr, t=step)
             except FloatingPointError as e:
                 raise FloatingPointError(f"epoch {epoch}, batch {bi}: {e}") from e
             loss_sum += lb.total * xb.shape[0]

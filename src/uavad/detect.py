@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .adnet import Checkpoint
 from .grid import (
-    CATEGORIES, RECORD_ERRORS, GpsLabel, GridTensor, N_CATEGORIES, atomic_write, read_jsonl,
-    record_to_scene,
+    CATEGORIES, GpsLabel, GridTensor, N_CATEGORIES, atomic_write, read_jsonl, record_to_scene,
 )
 
 __all__ = [
@@ -33,10 +32,11 @@ __all__ = [
 # Category ids in name order: np.nonzero over a mask whose last axis is
 # permuted this way yields cells in (row, col, category name) order.
 _BY_NAME = np.argsort(CATEGORIES)
+# An object array, so every cell shares the one str of its category's name.
+_NAMES = np.array(CATEGORIES, dtype=object)
 
 
-@dataclass(frozen=True)
-class AnomalyCell:
+class AnomalyCell(NamedTuple):
     category: str
     row: int
     col: int
@@ -80,12 +80,10 @@ def _cells(mask: np.ndarray, probs: np.ndarray) -> tuple[AnomalyCell, ...]:
     """The cells set in a (rows, cols, categories) mask, in (row, col, name) order."""
     rows, cols, k = np.nonzero(mask[..., _BY_NAME])
     cats = _BY_NAME[k]
-    return tuple(
-        AnomalyCell(CATEGORIES[cat], row, col, prob)
-        for cat, row, col, prob in zip(
-            cats.tolist(), rows.tolist(), cols.tolist(), probs[rows, cols, cats].tolist()
-        )
-    )
+    return tuple(map(
+        AnomalyCell,
+        _NAMES[cats].tolist(), rows.tolist(), cols.tolist(), probs[rows, cols, cats].tolist(),
+    ))
 
 
 def detect(
@@ -126,27 +124,9 @@ def detect_batch(checkpoint: Checkpoint, path: str, threshold: float = 0.5) -> l
     before the file is read, so an empty file does not hide a bad one.
     """
     _check_threshold(threshold)
-    use_gps = checkpoint.config.use_gps
-    reports = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, record in read_jsonl(f):
-            try:
-                g, gps = record_to_scene(record, checkpoint.config.grid)
-            except RECORD_ERRORS as e:
-                raise ValueError(f"{path}: line {lineno}: invalid scene record: {e}") from e
-            reports.append(detect(checkpoint, g, gps if use_gps else None, threshold))
-    return reports
-
-
-def _cell_doc(a: AnomalyCell) -> dict:
-    # A new dict per cell: vars(a) would keep a materialized __dict__ on
-    # every cell the caller still holds, and dataclasses.asdict deep-copies.
-    return {
-        "category": a.category,
-        "row": a.row,
-        "col": a.col,
-        "reconstruction_prob": a.reconstruction_prob,
-    }
+    config = checkpoint.config
+    scenes = read_jsonl(path, lambda record, _: record_to_scene(record, config.grid))
+    return [detect(checkpoint, g, gps if config.use_gps else None, threshold) for g, gps in scenes]
 
 
 def write_reports(reports: Sequence[AnomalyReport], path: str) -> None:
@@ -156,7 +136,7 @@ def write_reports(reports: Sequence[AnomalyReport], path: str) -> None:
                 "model_variant": report.model_variant,
                 "threshold": report.threshold,
                 "gps": list(report.gps) if report.gps is not None else None,
-                "anomalies": [_cell_doc(a) for a in report.anomalies],
-                "hallucinated": [_cell_doc(a) for a in report.hallucinated],
+                "anomalies": [a._asdict() for a in report.anomalies],
+                "hallucinated": [a._asdict() for a in report.hallucinated],
             }
             f.write(json.dumps(doc) + "\n")

@@ -25,11 +25,13 @@ import logging
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
 import numpy as np
 
 logger = logging.getLogger("uavad.grid")
+
+T = TypeVar("T")
 
 CATEGORIES = (
     "car",
@@ -303,44 +305,55 @@ def atomic_write(path: str) -> Iterator[TextIO]:
         raise
 
 
-def read_jsonl(f: TextIO) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, record) pairs; bad JSON raises naming the line (and the file)."""
-    for lineno, line in enumerate(f, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            yield lineno, json.loads(line)
-        except ValueError as e:
-            where = f"{f.name}: " if hasattr(f, "name") else ""
-            raise ValueError(f"{where}line {lineno}: malformed JSON record: {e}") from e
-
-
-def read_annotations(f: TextIO) -> Iterator[tuple[GridSpec, GpsLabel, list[BoundingBox]]]:
-    """Parse annotation records; boxes outside the image window are dropped and
-    logged. A malformed record raises ``ValueError`` naming its line."""
-    for lineno, record in read_jsonl(f):
-        try:
-            spec = GridSpec(
-                image_width=int(record["image_width"]),
-                image_height=int(record["image_height"]),
-            )
-            gps = GpsLabel(float(record["gps"][0]), float(record["gps"][1]))
-            boxes = []
-            for b in record["boxes"]:
-                box = BoundingBox(
-                    category=category_id(b["category"]),
-                    x_min=float(b["x_min"]),
-                    y_min=float(b["y_min"]),
-                    x_max=float(b["x_max"]),
-                    y_max=float(b["y_max"]),
-                )
-                try:
-                    box.validate(spec)
-                except ValueError as e:
-                    logger.warning("line %d: dropping out-of-bounds box: %s", lineno, e)
+def read_jsonl(path: str, parse: Callable[[dict, int], T]) -> Iterator[T]:
+    """``parse(record, position)`` over the records of a JSON Lines file, in
+    order; ``position`` counts records from 0 and blank lines are skipped.
+    A line that is not UTF-8 or not JSON, or a record that ``parse``
+    rejects with one of ``RECORD_ERRORS``, raises ValueError naming the
+    file and the line."""
+    with open(path, "rb") as f:
+        position = 0
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
                     continue
-                boxes.append(box)
-        except RECORD_ERRORS as e:
-            raise ValueError(f"line {lineno}: invalid annotation record: {e}") from e
-        yield spec, gps, boxes
+                record = json.loads(line)
+            except ValueError as e:
+                raise ValueError(f"{path}: line {lineno}: malformed JSON record: {e}") from e
+            try:
+                item = parse(record, position)
+            except RECORD_ERRORS as e:
+                raise ValueError(f"{path}: line {lineno}: invalid record: {e}") from e
+            position += 1
+            yield item
+
+
+def read_annotations(path: str) -> Iterator[tuple[GridSpec, GpsLabel, list[BoundingBox]]]:
+    """Parse an annotation file; boxes outside the image window are dropped and
+    logged. A malformed record raises ``ValueError`` naming the file and its line."""
+
+    def parse(record: dict, position: int) -> tuple[GridSpec, GpsLabel, list[BoundingBox]]:
+        spec = GridSpec(
+            image_width=whole(record["image_width"], "image_width"),
+            image_height=whole(record["image_height"], "image_height"),
+        )
+        gps = GpsLabel(float(record["gps"][0]), float(record["gps"][1]))
+        boxes = []
+        for b in record["boxes"]:
+            box = BoundingBox(
+                category=category_id(b["category"]),
+                x_min=float(b["x_min"]),
+                y_min=float(b["y_min"]),
+                x_max=float(b["x_max"]),
+                y_max=float(b["y_max"]),
+            )
+            try:
+                box.validate(spec)
+            except ValueError as e:
+                logger.warning("%s: scene %d: dropping out-of-bounds box: %s", path, position, e)
+                continue
+            boxes.append(box)
+        return spec, gps, boxes
+
+    return read_jsonl(path, parse)

@@ -21,7 +21,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -137,8 +137,8 @@ class Waypoint:
             raise WorldConfigError("zone map must be two-dimensional")
         if zm.min() < 0 or zm.max() >= len(ZONE_KINDS):
             raise WorldConfigError("zone map holds an undefined zone index")
-        if self.gps_jitter < 0:
-            raise WorldConfigError("gps jitter must be non-negative")
+        if not (math.isfinite(self.gps_jitter) and self.gps_jitter >= 0):
+            raise WorldConfigError(f"gps jitter {self.gps_jitter} must be finite and non-negative")
         zm = zm.copy()
         zm.flags.writeable = False
         object.__setattr__(self, "zone_map", zm)
@@ -175,8 +175,10 @@ class PlacementRule:
                 f"rule for {self.category!r} has invalid count range "
                 f"[{self.count_min}, {self.count_max}]"
             )
-        if any(w < 0 for w in self.weights):
-            raise WorldConfigError(f"rule for {self.category!r} has a negative weight")
+        if not all(math.isfinite(w) and w >= 0 for w in self.weights):
+            raise WorldConfigError(
+                f"rule for {self.category!r} has a negative or non-finite weight: {self.weights}"
+            )
 
 
 @dataclass(frozen=True)
@@ -286,10 +288,11 @@ def build_zone_map(spec: GridSpec, entries: Sequence[dict]) -> np.ndarray:
 
 
 def load_world(path: str) -> WorldSpec:
+    """Read a world written by ``save_world``; every error names ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise WorldConfigError(f"{path}: malformed world file: {e}") from e
     try:
         grid = GridSpec.from_dict(doc["grid"])
@@ -321,9 +324,11 @@ def load_world(path: str) -> WorldSpec:
                 )
             )
         rare = [(str(c), str(z)) for c, z in doc.get("rare_list", DEFAULT_RARE_LIST)]
+        return WorldSpec(grid=grid, waypoints=waypoints, rules=rules, rare_list=rare, seed=seed)
+    except WorldConfigError as e:
+        raise WorldConfigError(f"{path}: {e}") from e
     except RECORD_ERRORS as e:
         raise WorldConfigError(f"{path}: invalid world document: {e}") from e
-    return WorldSpec(grid=grid, waypoints=waypoints, rules=rules, rare_list=rare, seed=seed)
 
 
 def save_world(world: WorldSpec, path: str) -> None:
@@ -557,21 +562,8 @@ def build_dataset(world: WorldSpec, n: int, out_dir: str, seed: int) -> dict:
     return manifest
 
 
-def _read_records(path: str, parse: Callable[[dict, int], object]) -> list:
-    """``parse(record, position)`` over the records of a JSON Lines file, in
-    order. A malformed record raises ValueError naming the file and the line."""
-    out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, record in read_jsonl(f):
-            try:
-                out.append(parse(record, len(out)))
-            except RECORD_ERRORS as e:
-                raise ValueError(f"{path}: line {lineno}: {e}") from e
-    return out
-
-
 def load_scenes(path: str, spec: GridSpec) -> list[tuple[GridTensor, GpsLabel]]:
-    return _read_records(path, lambda record, _: record_to_scene(record, spec))
+    return list(read_jsonl(path, lambda record, _: record_to_scene(record, spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -726,4 +718,4 @@ def read_benchmark(path: str, spec: GridSpec) -> list[tuple[GridTensor, GpsLabel
             raise ValueError("injected cell is not occupied in the scene")
         return g, gps, case
 
-    return _read_records(path, parse)
+    return list(read_jsonl(path, parse))

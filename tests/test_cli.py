@@ -3,12 +3,13 @@
 import hashlib
 import json
 import logging
+import math
 import os
 import shutil
 
 import pytest
 
-from uavad import adnet, evaluate, world
+from uavad import adnet, evaluate, grid, world
 from uavad.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from uavad.grid import scene_to_record
 from uavad.world import default_world, sample_scene, save_world
@@ -91,6 +92,32 @@ class TestGenerate:
             )
         assert code == EXIT_CONFIG
         assert "1.9" in caplog.text
+
+    @pytest.mark.parametrize("weight", [math.inf, math.nan], ids=["infinite", "nan"])
+    def test_non_finite_rule_weight_is_a_config_error_naming_the_file(
+        self, tmp_path, caplog, weight
+    ):
+        path = tmp_path / "world.json"
+        save_world(default_world(), str(path))
+        doc = json.loads(path.read_text())
+        doc["rules"][0]["weights"][1] = weight
+        path.write_text(json.dumps(doc))
+        with caplog.at_level(logging.ERROR):
+            code = main(
+                ["generate", "--n", "10", "--out", str(tmp_path / "d"), "--world", str(path)]
+            )
+        assert code == EXIT_CONFIG
+        assert f"{path}: rule for 'car' has a negative or non-finite weight" in caplog.text
+
+    def test_non_utf8_world_file_is_a_config_error_naming_the_file(self, tmp_path, caplog):
+        path = tmp_path / "world.json"
+        path.write_bytes(b'{"grid": "\xff"}')
+        with caplog.at_level(logging.ERROR):
+            code = main(
+                ["generate", "--n", "10", "--out", str(tmp_path / "d"), "--world", str(path)]
+            )
+        assert code == EXIT_CONFIG
+        assert f"{path}: malformed world file" in caplog.text
 
 
 class TestInject:
@@ -374,6 +401,14 @@ class TestRender:
             assert main(["render", "--in", str(path)]) == EXIT_CONFIG
         assert f"{path}: line 2: malformed JSON record" in caplog.text
 
+    def test_non_utf8_line_is_a_config_error_naming_the_file(self, tmp_path, caplog):
+        path = tmp_path / "scenes.jsonl"
+        good = json.dumps({"gps": [41.1, 29.0], "cells": []}).encode("utf-8")
+        path.write_bytes(good + b"\n" + good.replace(b"cells", b"c\xe9lls") + b"\n")
+        with caplog.at_level(logging.ERROR):
+            assert main(["render", "--in", str(path)]) == EXIT_CONFIG
+        assert f"{path}: line 2: " in caplog.text
+
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize("command", ["inject", "train", "train-history", "detect", "eval"])
@@ -425,7 +460,7 @@ class TestUnreadableInput:
             def denied(file, *args, **kwargs):
                 raise PermissionError(13, "Permission denied", file)
 
-            monkeypatch.setattr(world, "open", denied, raising=False)
+            monkeypatch.setattr(grid, "open", denied, raising=False)
         with caplog.at_level(logging.ERROR):
             assert main(["render", "--in", str(path)]) == EXIT_CONFIG
         assert "Permission denied" in caplog.text

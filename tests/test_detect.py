@@ -1,5 +1,6 @@
 """Tests for reconstruction-comparison detection and report serialization."""
 
+import hashlib
 import json
 import math
 
@@ -18,7 +19,9 @@ from uavad.detect import AnomalyCell, AnomalyReport, detect, detect_batch, write
 from uavad.evaluate import reconstruction_metrics
 from uavad.grid import CATEGORIES, CATEGORY_IDS, N_CATEGORIES, GpsLabel, GridSpec, GridTensor
 from uavad.nn import Rng
-from uavad.world import build_benchmark, default_world, sample_dataset, write_benchmark
+from uavad.world import (
+    build_benchmark, build_dataset, default_world, load_scenes, sample_dataset, write_benchmark,
+)
 
 GPS = GpsLabel(41.1, 29.0)
 
@@ -267,3 +270,17 @@ class TestReportSerialization:
         path = tmp_path / "reports.jsonl"
         write_reports([report], str(path))
         assert json.loads(path.read_text())["gps"] is None
+
+    def test_report_file_matches_the_pinned_digest(self, tmp_path):
+        """The report bytes of criterion 8's untrained checkpoint on digest
+        (a)'s dataset, injected with task 2: cell order, probabilities and
+        the report format, pinned across versions."""
+        w = default_world()
+        build_dataset(w, 60, str(tmp_path), seed=5)
+        test = load_scenes(str(tmp_path / "test.jsonl"), w.grid)
+        write_benchmark(build_benchmark(w, test, 2, Rng(2)), str(tmp_path / "task2.jsonl"))
+        reports = detect_batch(random_checkpoint("uav_adnet"), str(tmp_path / "task2.jsonl"), 0.5)
+        write_reports(reports, str(tmp_path / "reports.jsonl"))
+        assert hashlib.sha256((tmp_path / "reports.jsonl").read_bytes()).hexdigest() == (
+            "26780c270f3648f8f665711c12d25713604f9a32ee8154315aeaf227e084a1a1"
+        )

@@ -19,7 +19,7 @@ from uavad.adnet import (
     expected_param_shapes,
     save_checkpoint,
 )
-from uavad.grid import atomic_write
+from uavad.grid import atomic_write, read_annotations
 from uavad.nn import Rng
 
 WORLD = world.default_world()
@@ -135,6 +135,7 @@ def _read(reader: str, path: str):
 
 
 READERS = ("load_scenes", "read_benchmark", "detect_batch")
+ANNOTATION = {"image_width": 1080, "image_height": 1080, "gps": [41.1, 29.0], "boxes": []}
 
 
 def _first_record(inputs) -> dict:
@@ -142,20 +143,37 @@ def _first_record(inputs) -> dict:
         return json.loads(f.readline())
 
 
+def _write_lines(path: str, first: dict, second: bytes) -> None:
+    with open(path, "wb") as f:
+        f.write(json.dumps(first).encode("utf-8") + b"\n" + second + b"\n")
+
+
+# A record whose category is written in Latin-1, not UTF-8.
+NOT_UTF8 = '{"gps": [41.1, 29.0], "cells": [["c\xe4r", 1, 2]]}'.encode("latin-1")
+
+
 class TestReadErrorsNameTheFileAndLine:
     @pytest.mark.parametrize("reader", READERS)
     @pytest.mark.parametrize(
         "bad",
-        ["{not json", '{"gps": [41.1], "cells": []}', '{"gps": [1%s, 29.0]}' % ("0" * 400),
-         '{"gps": [1%s, 29.0]}' % ("0" * 5000)],
-        ids=["malformed-json", "short-gps", "gps-beyond-float-range", "int-beyond-digit-limit"],
+        [b"{not json", b'{"gps": [41.1], "cells": []}',
+         b'{"gps": [1%s, 29.0]}' % (b"0" * 400), b'{"gps": [1%s, 29.0]}' % (b"0" * 5000),
+         NOT_UTF8],
+        ids=["malformed-json", "short-gps", "gps-beyond-float-range", "int-beyond-digit-limit",
+             "not-utf-8"],
     )
     def test_bad_second_line(self, inputs, tmp_path, reader, bad):
         path = str(tmp_path / "input.jsonl")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(json.dumps(_first_record(inputs)) + "\n" + bad + "\n")
+        _write_lines(path, _first_record(inputs), bad)
         with pytest.raises(ValueError, match=f"^{re.escape(path)}: line 2: "):
             _read(reader, path)
+
+    @pytest.mark.parametrize("bad", [b"{not json", NOT_UTF8], ids=["malformed-json", "not-utf-8"])
+    def test_bad_second_annotation_line(self, tmp_path, bad):
+        path = str(tmp_path / "annotations.jsonl")
+        _write_lines(path, ANNOTATION, bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: line 2: "):
+            list(read_annotations(path))
 
     def test_scene_index_is_the_record_position(self, inputs):
         records = world.read_benchmark(os.path.join(inputs["bench"], "task3.jsonl"), WORLD.grid)

@@ -1,8 +1,8 @@
 """Tests for the occupancy-grid representation and its serial formats."""
 
-import io
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -242,16 +242,21 @@ class TestSceneRecords:
 
 
 class TestJsonl:
-    def test_line_numbers_in_errors(self):
-        f = io.StringIO('{"ok": 1}\nnot json\n')
-        it = read_jsonl(f)
-        assert next(it)[0] == 1
-        with pytest.raises(ValueError, match="line 2"):
+    def test_line_numbers_in_errors(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"ok": 1}\nnot json\n')
+        it = read_jsonl(str(path), lambda record, position: (position, record))
+        assert next(it) == (0, {"ok": 1})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: "):
             next(it)
 
-    def test_blank_lines_skipped(self):
-        f = io.StringIO('\n{"a": 1}\n\n{"b": 2}\n')
-        assert [lineno for lineno, _ in read_jsonl(f)] == [2, 4]
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text('\n{"a": 1}\n\n{"b": 2}\n\nnot json\n')
+        it = read_jsonl(str(path), lambda record, position: (position, record))
+        assert [next(it), next(it)] == [(0, {"a": 1}), (1, {"b": 2})]
+        with pytest.raises(ValueError, match="line 6: "):
+            next(it)
 
 
 class TestReadAnnotations:
@@ -265,11 +270,16 @@ class TestReadAnnotations:
             }
         )
 
-    def test_parses_boxes(self):
+    def _read(self, tmp_path, text):
+        path = tmp_path / "annotations.jsonl"
+        path.write_text(text)
+        return read_annotations(str(path))
+
+    def test_parses_boxes(self, tmp_path):
         line = self._record(
             [{"category": "car", "x_min": 0, "y_min": 0, "x_max": 50, "y_max": 50}]
         )
-        spec, gps, boxes = next(read_annotations(io.StringIO(line)))
+        spec, gps, boxes = next(self._read(tmp_path, line))
         assert spec == SPEC
         assert gps == GpsLabel(41.0, 29.0)
         assert boxes[0].category == CATEGORY_IDS["car"]
@@ -278,10 +288,14 @@ class TestReadAnnotations:
         "field, value, message",
         [("boxes", [{"category": "tank", "x_min": 0, "y_min": 0, "x_max": 5, "y_max": 5}], "tank"),
          ("image_height", None, "image_height"),
-         ("gps", [41.0], "index")],
-        ids=["unknown-category", "missing-image-height", "short-gps"],
+         ("gps", [41.0], "index"),
+         ("image_width", 1080.9, "image_width 1080.9 must be an integer"),
+         ("image_height", "1080", "image_height '1080' must be an integer"),
+         ("image_width", True, "image_width True must be an integer")],
+        ids=["unknown-category", "missing-image-height", "short-gps", "fractional-width",
+             "string-height", "bool-width"],
     )
-    def test_malformed_record_names_its_line(self, field, value, message):
+    def test_malformed_record_names_its_line(self, tmp_path, field, value, message):
         good = self._record([])
         doc = json.loads(good)
         if value is None:
@@ -289,10 +303,11 @@ class TestReadAnnotations:
         else:
             doc[field] = value
         text = good + "\n" + json.dumps(doc) + "\n"
-        with pytest.raises(ValueError, match=f"line 2: .*{message}"):
-            list(read_annotations(io.StringIO(text)))
+        path = re.escape(str(tmp_path / "annotations.jsonl"))
+        with pytest.raises(ValueError, match=f"^{path}: line 2: .*{message}"):
+            list(self._read(tmp_path, text))
 
-    def test_out_of_bounds_boxes_dropped_with_warning(self, caplog):
+    def test_out_of_bounds_boxes_dropped_with_warning(self, tmp_path, caplog):
         line = self._record(
             [
                 {"category": "car", "x_min": 0, "y_min": 0, "x_max": 50, "y_max": 50},
@@ -300,6 +315,6 @@ class TestReadAnnotations:
             ]
         )
         with caplog.at_level(logging.WARNING, logger="uavad.grid"):
-            _, _, boxes = next(read_annotations(io.StringIO(line)))
+            _, _, boxes = next(self._read(tmp_path, line))
         assert len(boxes) == 1
         assert "dropping out-of-bounds box" in caplog.text

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -252,12 +254,16 @@ class TestWorldValidation:
             PlacementRule("car", ("road",), 3, 2, (1.0,))
         with pytest.raises(WorldConfigError, match="weight"):
             PlacementRule("car", ("road",), 1, 2, (-1.0,))
+        for weight in (math.inf, math.nan):
+            with pytest.raises(WorldConfigError, match="non-finite weight"):
+                PlacementRule("car", ("road",), 1, 2, (1.0, weight))
 
     def test_waypoint_validation(self):
         with pytest.raises(WorldConfigError, match="zone index"):
             Waypoint(GpsLabel(41.0, 29.0), 0.0, np.full((4, 4), 99))
-        with pytest.raises(WorldConfigError, match="jitter"):
-            Waypoint(GpsLabel(41.0, 29.0), -1.0, np.zeros((4, 4), dtype=np.int16))
+        for jitter in (-1.0, math.inf, math.nan):
+            with pytest.raises(WorldConfigError, match="jitter"):
+                Waypoint(GpsLabel(41.0, 29.0), jitter, np.zeros((4, 4), dtype=np.int16))
 
 
 class TestNearestWaypoint:
@@ -722,6 +728,36 @@ class TestWorldPersistence:
         node[field[-1]] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(WorldConfigError, match=f"{field[-1]} {value} must be an integer"):
+            load_world(str(path))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (("rules", 0, "weights", 1), math.inf, "non-finite weight"),
+            (("rules", 0, "weights", 1), math.nan, "non-finite weight"),
+            (("waypoints", 1, "gps_jitter"), math.nan, "gps jitter nan"),
+            (("rules", 0, "weights", 1), -1.0, "negative"),
+            (("waypoints",), [], "at least 2 waypoints"),
+        ],
+        ids=["infinite-weight", "nan-weight", "nan-jitter", "negative-weight", "no-waypoints"],
+    )
+    def test_invalid_world_names_the_file(self, tmp_path, field, value, message):
+        path = tmp_path / "world.json"
+        save_world(WORLD, str(path))
+        doc = json.loads(path.read_text())
+        node = doc
+        for key in field[:-1]:
+            node = node[key]
+        node[field[-1]] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(WorldConfigError, match=f"^{re.escape(str(path))}: .*{message}"):
+            load_world(str(path))
+
+    def test_non_utf8_world_names_the_file(self, tmp_path):
+        path = tmp_path / "world.json"
+        save_world(WORLD, str(path))
+        path.write_bytes(path.read_bytes().replace(b'"road"', b'"r\xf6ad"', 1))
+        with pytest.raises(WorldConfigError, match=f"^{re.escape(str(path))}: malformed"):
             load_world(str(path))
 
     def test_missing_fields_are_a_config_error(self, tmp_path):
