@@ -22,7 +22,8 @@ import base64
 import json
 import logging
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -198,6 +199,9 @@ class EpochStats:
     train_loss: float
     val_loss: float
     val_mse: float
+    # Wall seconds of the epoch, validation included; left out of == so that
+    # same-seed histories still compare equal.
+    wall_s: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -483,6 +487,7 @@ def train(
     step = 0
 
     for epoch in range(1, tc.max_epochs + 1):
+        started = time.perf_counter()
         perm = rng.permutation(n)
         eps_all = rng.gaussian((n, config.n_h))
         loss_sum = 0.0
@@ -503,7 +508,9 @@ def train(
 
         train_loss = loss_sum / n
         val_loss, val_mse = _validation_stats(config, params.values, x_val, g_val)
-        history.append(EpochStats(train_loss=train_loss, val_loss=val_loss, val_mse=val_mse))
+        history.append(EpochStats(
+            train_loss, val_loss, val_mse, wall_s=time.perf_counter() - started
+        ))
         logger.info(
             "epoch %d/%d: train %.5f val %.5f val_mse %.6f",
             epoch,

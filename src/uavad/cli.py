@@ -20,6 +20,8 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from . import adnet, detect as detect_mod, evaluate, grid, world as world_mod
 from .nn import Rng
 
@@ -113,6 +115,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     val_set = adnet.Dataset.from_scenes(world_mod.load_scenes(val_path, spec))
 
     checkpoint, history = adnet.train(config, train_set, val_set, tc)
+    checkpoint.training_meta["numpy_version"] = np.__version__
     if manifest_sha256 is not None:
         checkpoint.training_meta["data_manifest_sha256"] = manifest_sha256
     adnet.save_checkpoint(checkpoint, args.out)

@@ -10,7 +10,10 @@ cells — diagnostics, not detections.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -41,6 +44,17 @@ class AnomalyCell(NamedTuple):
     row: int
     col: int
     reconstruction_prob: float
+
+
+_new_cell = partial(tuple.__new__, AnomalyCell)
+_prob = itemgetter(3)
+
+# A report line ends with its two cell lists, each cell formatted from its
+# 4-tuple. The category names are plain ASCII identifiers, so a quoted %s is
+# their JSON text, and %s of a finite float (or np.float64) is its shortest
+# round-trip repr, as json.dumps writes it.
+_CELL = '{"category": "%s", "row": %d, "col": %d, "reconstruction_prob": %s}'
+_TAIL = ', "anomalies": [%s], "hallucinated": [%s]}\n'
 
 
 @dataclass(frozen=True)
@@ -80,10 +94,10 @@ def _cells(mask: np.ndarray, probs: np.ndarray) -> tuple[AnomalyCell, ...]:
     """The cells set in a (rows, cols, categories) mask, in (row, col, name) order."""
     rows, cols, k = np.nonzero(mask[..., _BY_NAME])
     cats = _BY_NAME[k]
-    return tuple(map(
-        AnomalyCell,
+    # AnomalyCell._make's construction, without the generated __new__ frame per cell.
+    return tuple(map(_new_cell, zip(
         _NAMES[cats].tolist(), rows.tolist(), cols.tolist(), probs[rows, cols, cats].tolist(),
-    ))
+    )))
 
 
 def detect(
@@ -130,13 +144,25 @@ def detect_batch(checkpoint: Checkpoint, path: str, threshold: float = 0.5) -> l
 
 
 def write_reports(reports: Sequence[AnomalyReport], path: str) -> None:
+    """Write one JSON line per report, in order.
+
+    Raises ValueError naming the report's position when any of its numbers is
+    not finite, which JSON cannot represent; ``path`` is then left as it was.
+    """
     with atomic_write(path) as f:
-        for report in reports:
-            doc = {
-                "model_variant": report.model_variant,
-                "threshold": report.threshold,
-                "gps": list(report.gps) if report.gps is not None else None,
-                "anomalies": [a._asdict() for a in report.anomalies],
-                "hallucinated": [a._asdict() for a in report.hallucinated],
-            }
-            f.write(json.dumps(doc) + "\n")
+        for i, report in enumerate(reports):
+            try:
+                head = json.dumps({
+                    "model_variant": report.model_variant,
+                    "threshold": report.threshold,
+                    "gps": list(report.gps) if report.gps is not None else None,
+                }, allow_nan=False)
+                if not all(map(math.isfinite, map(_prob, report.anomalies + report.hallucinated))):
+                    raise ValueError("a reconstruction_prob is not finite")
+            except ValueError as e:
+                raise ValueError(f"report {i}: {e}") from None
+            # The header object, reopened to append the two cell lists.
+            f.write(head[:-1] + _TAIL % (
+                ", ".join(map(_CELL.__mod__, report.anomalies)),
+                ", ".join(map(_CELL.__mod__, report.hallucinated)),
+            ))

@@ -490,7 +490,10 @@ class TestTraining:
         val_set = _binary_dataset(8, config.hidden3, 8)
         ck_a, hist_a = train(config, train_set, val_set, tc)
         ck_b, hist_b = train(config, train_set, val_set, tc)
+        assert all(h.wall_s > 0 for h in hist_a + hist_b)
         assert hist_a == hist_b
+        first = hist_a[0]  # wall seconds are not part of equality
+        assert first == adnet.EpochStats(first.train_loss, first.val_loss, first.val_mse, 1e9)
         assert all(np.array_equal(ck_a.values[k], ck_b.values[k]) for k in ck_a.values)
 
     def test_different_seeds_differ(self):

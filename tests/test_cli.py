@@ -7,6 +7,7 @@ import math
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from uavad import adnet, evaluate, grid, world
@@ -157,7 +158,8 @@ class TestTrain:
         assert ckpt["config"]["variant"] == "vae"
         history = json.loads((root / "vae.json.history.json").read_text())
         assert len(history) == 1
-        assert set(history[0]) == {"train_loss", "val_loss", "val_mse"}
+        assert set(history[0]) == {"train_loss", "val_loss", "val_mse", "wall_s"}
+        assert history[0]["wall_s"] > 0
 
     def test_reports_training_summary(self, pipeline, tmp_path, capsys):
         out = tmp_path / "ck.json"
@@ -203,6 +205,10 @@ class TestTrain:
         want = hashlib.sha256((pipeline["data"] / "manifest.json").read_bytes()).hexdigest()
         for path in pipeline["ckpts"].values():
             assert adnet.load_checkpoint(path).training_meta["data_manifest_sha256"] == want
+
+    def test_checkpoint_records_the_numpy_version(self, pipeline):
+        for path in pipeline["ckpts"].values():
+            assert adnet.load_checkpoint(path).training_meta["numpy_version"] == np.__version__
 
     def test_usage_errors_exit_two(self):
         assert main(["train", "--variant", "vae"]) == EXIT_CONFIG

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavad.adnet import (
     VARIANTS,
@@ -243,7 +245,91 @@ class TestReference:
         )
 
 
+    def test_cells_are_anomaly_cells_equal_to_direct_construction(self):
+        """_cells builds its tuples without AnomalyCell's own __new__: they
+        must still be AnomalyCells, equal to the directly built reference."""
+        ck = random_checkpoint("uav_adnet", seed=7)
+        grid, gps = sample_dataset(default_world(), 1, seed=8)[0]
+        probs = ck.reconstruct(grid.data.reshape(1, -1), [[gps.latitude, gps.longitude]])
+        report = detect(ck, grid, gps)
+        assert report.anomalies and report.hallucinated
+        for cell in report.anomalies + report.hallucinated:
+            assert type(cell) is AnomalyCell
+            assert list(cell._asdict()) == ["category", "row", "col", "reconstruction_prob"]
+        assert (report.anomalies, report.hallucinated) == reference_cells(grid, probs[0], 0.5)
+
+
+def dict_encoded_line(report: AnomalyReport) -> str:
+    """A report line as json.dumps writes it from a dict per report and per cell."""
+    return json.dumps({
+        "model_variant": report.model_variant,
+        "threshold": report.threshold,
+        "gps": list(report.gps) if report.gps is not None else None,
+        "anomalies": [c._asdict() for c in report.anomalies],
+        "hallucinated": [c._asdict() for c in report.hallucinated],
+    }) + "\n"
+
+
+EDGE_PROBS = (5e-324, 1e-300, 1 - 2**-53, 0.5, 1.0)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+CELLS = st.lists(st.builds(
+    AnomalyCell,
+    st.sampled_from(CATEGORIES),
+    st.integers(0, GridSpec().cells_y - 1),
+    st.integers(0, GridSpec().cells_x - 1),
+    st.one_of(FINITE, FINITE.map(np.float64), st.sampled_from(EDGE_PROBS)),
+), max_size=12).map(tuple)
+REPORTS = st.builds(
+    AnomalyReport,
+    anomalies=CELLS,
+    hallucinated=CELLS,
+    threshold=st.sampled_from([0.0, 0.5, 1.0, 1]),
+    model_variant=st.sampled_from(VARIANTS),
+    gps=st.one_of(st.none(), st.tuples(FINITE, FINITE)),
+)
+# Every run also writes the edge probabilities as Python floats and as np.float64.
+EDGE_REPORT = AnomalyReport(
+    anomalies=tuple(AnomalyCell("car", 0, 1, p) for p in EDGE_PROBS),
+    hallucinated=tuple(AnomalyCell("van", 15, 15, np.float64(p)) for p in EDGE_PROBS),
+    threshold=1,
+    model_variant="uav_adnet",
+    gps=(41.1, 29.0),
+)
+
+
 class TestReportSerialization:
+    @settings(max_examples=300, deadline=None)
+    @given(reports=st.lists(REPORTS, max_size=4))
+    def test_lines_match_the_dict_encoder_byte_for_byte(self, tmp_path_factory, reports):
+        reports = [*reports, EDGE_REPORT]
+        path = tmp_path_factory.mktemp("reports") / "reports.jsonl"
+        write_reports(reports, str(path))
+        assert path.read_bytes() == "".join(map(dict_encoded_line, reports)).encode()
+
+    def test_category_names_need_no_json_escapes(self):
+        """The cell template writes a name between quotes as it is."""
+        for name in CATEGORIES:
+            assert json.dumps(name) == f'"{name}"'
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["anomalies", "hallucinated", "threshold", "gps"])
+    def test_non_finite_number_is_rejected_naming_the_report(self, tmp_path, field, value):
+        """JSON has no token for NaN or infinity: the writer raises before
+        replacing the file, instead of writing NaN or Infinity."""
+        cells = (AnomalyCell("car", 1, 2, 0.25), AnomalyCell("bus", 3, 4, value))
+        bad = {
+            "anomalies": AnomalyReport(cells, (), 0.5, "vae", None),
+            "hallucinated": AnomalyReport((), cells, 0.5, "vae", None),
+            "threshold": AnomalyReport((), (), value, "vae", None),
+            "gps": AnomalyReport((), (), 0.5, "uav_adnet", (41.1, value)),
+        }[field]
+        path = tmp_path / "reports.jsonl"
+        path.write_bytes(b"old\n")
+        with pytest.raises(ValueError, match=r"^report 1: "):
+            write_reports([EDGE_REPORT, bad, EDGE_REPORT], str(path))
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["reports.jsonl"]
+
     def test_written_reports_are_json_lines(self, tmp_path):
         report = AnomalyReport(
             anomalies=(AnomalyCell("car", 1, 2, 0.125),),
