@@ -268,7 +268,7 @@ def scene_to_record(g: GridTensor, gps: GpsLabel) -> dict:
     cells = [
         [CATEGORIES[cat], row, col] for row, col, cat in g.occupied_cells()
     ]
-    cells.sort(key=lambda c: (c[0], c[1], c[2]))
+    cells.sort()
     return {"gps": [gps.latitude, gps.longitude], "cells": cells}
 
 

@@ -48,6 +48,9 @@ _SIGMOID_HI = float(np.nextafter(1.0, 0.0))
 # two scratch buffers (6 x 128 KiB) stay in cache across the update's passes.
 _ADAM_BLOCK = 16384
 
+# Scalar uniforms drawn ahead per array draw: about one refill per scene.
+_AHEAD = 256
+
 
 class Rng:
     """SplitMix64 stream with Box-Muller gaussians.
@@ -57,15 +60,17 @@ class Rng:
     SplitMix64 finalizer of the new state. Uniforms take the top 53 bits of
     the output, mapped to [0, 1). Gaussians transform uniform pairs with
     Box-Muller; array draws consume the same stream as repeated scalar draws.
-    Scalar draws step the state on Python ints, array draws on uint64
-    arrays; both give the same bits and leave the same state.
+    Scalar draws are served from a read-ahead block that one array draw
+    fills; ``_state`` counts only the values handed out, so scalar and array
+    draws give the same bits and leave the same state.
     """
 
-    __slots__ = ("_state", "_spare")
+    __slots__ = ("_state", "_spare", "_ahead")
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
         self._spare: float | None = None
+        self._ahead: list[float] = []  # the next scalar uniforms, last first
 
     @staticmethod
     def _mix(z: np.ndarray) -> np.ndarray:
@@ -76,6 +81,7 @@ class Rng:
             return z ^ (z >> np.uint64(31))
 
     def _raw(self, n: int) -> np.ndarray:
+        self._ahead = []
         start = self._state
         with np.errstate(over="ignore"):
             steps = (np.arange(1, n + 1, dtype=np.uint64)) * np.uint64(_GAMMA)
@@ -84,15 +90,25 @@ class Rng:
         self._state = (start + n * _GAMMA) & _MASK64
         return out
 
+    def _next(self, k: int) -> list[float]:
+        """The next k scalar uniforms in draw order, from the read-ahead block."""
+        if k == 0:
+            return []  # ahead[-0:] would be the whole block
+        if len(self._ahead) < k:
+            state = self._state
+            ahead = self.uniform(max(k, _AHEAD))[::-1].tolist()
+            self._state, self._ahead = state, ahead
+        ahead = self._ahead
+        out = ahead[-k:]
+        del ahead[-k:]
+        out.reverse()
+        self._state = (self._state + k * _GAMMA) & _MASK64
+        return out
+
     def uniform(self, shape: int | tuple[int, ...] | None = None) -> float | np.ndarray:
         """Uniform in [0, 1); scalar when shape is None."""
         if shape is None:
-            # The SplitMix64 step of _raw and _mix on one Python int: no
-            # NumPy scalars, no errstate.
-            z = self._state = (self._state + _GAMMA) & _MASK64
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            return ((z ^ (z >> 31)) >> 11) * 2.0**-53
+            return self._next(1)[0]
         n = int(np.prod(shape))
         vals = (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
         return vals.reshape(shape)
@@ -103,7 +119,7 @@ class Rng:
             if self._spare is not None:
                 z, self._spare = self._spare, None
                 return z
-            u = self.uniform(2)
+            u = np.array(self._next(2))
             r = np.sqrt(-2.0 * np.log1p(-u[0]))  # 1-u in (0, 1] avoids log(0)
             z0 = r * np.cos(2.0 * np.pi * u[1])
             self._spare = float(r * np.sin(2.0 * np.pi * u[1]))
@@ -122,20 +138,28 @@ class Rng:
             raise ValueError("randint needs n >= 1")
         return min(int(self.uniform() * n), n - 1)
 
+    def _shuffled(self, n: int) -> list[int]:
+        # Slot i swaps with randint(i + 1), written out on the next uniform;
+        # the clamp is randint's min(), as a branch.
+        perm = list(range(n))
+        for i, u in zip(range(n - 1, 0, -1), self._next(max(n - 1, 0))):
+            j = int(u * (i + 1))
+            if j > i:
+                j = i
+            perm[i], perm[j] = perm[j], perm[i]
+        return perm
+
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
-        perm = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = self.randint(i + 1)
-            perm[i], perm[j] = perm[j], perm[i]
-        return np.array(perm, dtype=np.intp)
+        if n < 0:
+            raise ValueError(f"permutation needs n >= 0, got {n}")
+        return np.array(self._shuffled(n), dtype=np.intp)
 
     def sample_without_replacement(self, seq, k: int) -> list:
         """First k entries of a Fisher-Yates shuffle of seq."""
-        if k > len(seq):
+        if not 0 <= k <= len(seq):
             raise ValueError(f"cannot sample {k} from {len(seq)} items")
-        idx = self.permutation(len(seq))[:k]
-        return [seq[i] for i in idx]
+        return [seq[i] for i in self._shuffled(len(seq))[:k]]
 
 
 # ---------------------------------------------------------------------------

@@ -495,6 +495,7 @@ def sample_scene(world: WorldSpec, waypoint_index: int, rng: Rng) -> tuple[GridT
     gps = GpsLabel(lat, lon)
 
     data = np.zeros((spec.cells_y, spec.cells_x, N_CATEGORIES), dtype=np.uint8)
+    taken = [set() for _ in range(N_CATEGORIES)]  # (row, col) cells set per category
     for rule in world.rules:
         weight = rule.weights[waypoint_index]
         drawn = rule.count_min + rng.randint(rule.count_max - rule.count_min + 1)
@@ -502,8 +503,9 @@ def sample_scene(world: WorldSpec, waypoint_index: int, rng: Rng) -> tuple[GridT
         if count <= 0:
             continue
         cat = CATEGORY_IDS[rule.category]
-        free = [(r, c) for r, c in world.rule_cells(rule, waypoint_index) if data[r, c, cat] == 0]
+        free = [rc for rc in world.rule_cells(rule, waypoint_index) if rc not in taken[cat]]
         for r, c in rng.sample_without_replacement(free, min(count, len(free))):
+            taken[cat].add((r, c))
             data[r, c, cat] = 1
     return GridTensor(spec, data), gps
 

@@ -12,6 +12,7 @@ from uavad.adnet import ModelConfig, init_params
 from uavad.nn import (
     _ADAM_BLOCK,
     _GAMMA,
+    _MASK64,
     ParamSet,
     Rng,
     adam_step,
@@ -70,6 +71,8 @@ class TestRng:
         rng = Rng(11)
         for n in (1, 2, 10, 100):
             assert sorted(rng.permutation(n).tolist()) == list(range(n))
+        with pytest.raises(ValueError):
+            rng.permutation(-1)
 
     def test_permutation_is_roughly_uniform(self):
         """Each value should land in each slot about n!/n of the time."""
@@ -91,10 +94,98 @@ class TestRng:
         assert set(sample) <= set(seq)
         with pytest.raises(ValueError):
             rng.sample_without_replacement(seq, 21)
+        with pytest.raises(ValueError):
+            rng.sample_without_replacement(seq, -1)
 
 
 # Seeds where the 64-bit state wraps on the first draws, plus any other.
 SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1, 2**64 - _GAMMA]), st.integers(0, 2**64 - 1))
+
+
+def reference_uniform(state: int) -> tuple[int, float]:
+    """One SplitMix64 step on Python ints: the next state and its uniform."""
+    z = state = (state + _GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return state, ((z ^ (z >> 31)) >> 11) * 2.0**-53
+
+
+class ReferenceRng:
+    """Every Rng draw written out on reference_uniform, one value at a time."""
+
+    def __init__(self, seed: int):
+        self.state = seed & _MASK64
+        self.spare = None
+
+    def uniform(self) -> float:
+        self.state, u = reference_uniform(self.state)
+        return u
+
+    def uniforms(self, n: int) -> np.ndarray:
+        return np.array([self.uniform() for _ in range(n)], dtype=np.float64)
+
+    def randint(self, m: int) -> int:
+        return min(int(self.uniform() * m), m - 1)
+
+    def permutation(self, n: int) -> np.ndarray:
+        perm = np.arange(n)
+        for i in range(n - 1, 0, -1):
+            j = self.randint(i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
+        return perm
+
+    def gaussian(self) -> float:
+        if self.spare is not None:
+            z, self.spare = self.spare, None
+            return z
+        u = self.uniforms(2)
+        r = np.sqrt(-2.0 * np.log1p(-u[0]))
+        self.spare = float(r * np.sin(2.0 * np.pi * u[1]))
+        return float(r * np.cos(2.0 * np.pi * u[1]))
+
+    def gaussians(self, shape) -> np.ndarray:
+        n = int(np.prod(shape))
+        pairs = (n + 1) // 2
+        u = self.uniforms(2 * pairs).reshape(2, pairs)
+        r = np.sqrt(-2.0 * np.log1p(-u[0]))
+        theta = 2.0 * np.pi * u[1]
+        return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n].reshape(shape)
+
+
+# Sizes around 0, 1 and the 256 values of one scalar read-ahead block.
+SIZES = st.sampled_from([0, 1, 2, 17, 255, 256, 257, 300])
+SHAPES = st.one_of(SIZES, st.just((3, 5)))
+OPERATIONS = st.one_of(
+    st.tuples(st.just("uniform")),
+    st.tuples(st.just("randint"), st.integers(1, 2**40)),
+    st.tuples(st.just("permutation"), SIZES),
+    st.tuples(st.just("sample"), SIZES, st.integers(0, 300)),
+    st.tuples(st.just("gaussian")),
+    st.tuples(st.just("uniform_array"), SHAPES),
+    st.tuples(st.just("gaussian_array"), SHAPES),
+)
+
+
+def run_both(rng: Rng, ref: ReferenceRng, op: tuple):
+    """One operation on rng and on ref, as arrays of the same dtype."""
+    name, *args = op
+    if name == "uniform":
+        return np.float64(rng.uniform()), np.float64(ref.uniform())
+    if name == "randint":
+        return np.int64(rng.randint(args[0])), np.int64(ref.randint(args[0]))
+    if name == "permutation":
+        return rng.permutation(args[0]), ref.permutation(args[0]).astype(np.intp)
+    if name == "sample":
+        n, k = args[0], min(args[1], args[0])
+        seq = [f"item{i}" for i in range(n)]
+        expected = [seq[i] for i in ref.permutation(n)[:k]]
+        return np.array(rng.sample_without_replacement(seq, k)), np.array(expected)
+    if name == "gaussian":
+        return np.float64(rng.gaussian()), np.float64(ref.gaussian())
+    if name == "uniform_array":
+        n = int(np.prod(args[0]))
+        return rng.uniform(args[0]), ref.uniforms(n).reshape(args[0])
+    return rng.gaussian(args[0]), ref.gaussians(args[0])
 
 
 def reference_permutation(rng: Rng, n: int) -> np.ndarray:
@@ -108,8 +199,8 @@ def reference_permutation(rng: Rng, n: int) -> np.ndarray:
 
 
 class TestRngStreams:
-    """Scalar draws step the state on Python ints, array draws on uint64
-    arrays; both must be one stream, bit for bit, across the 64-bit wrap."""
+    """Scalar draws come from a read-ahead block, array draws straight from
+    the state; both must be one stream, bit for bit, across the 64-bit wrap."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=SEEDS, n=st.integers(0, 300))
@@ -131,6 +222,21 @@ class TestRngStreams:
             assert perm.dtype == np.intp
             assert np.array_equal(perm, reference_permutation(b, n))
             assert a._state == b._state
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=SEEDS, program=st.lists(OPERATIONS, max_size=12))
+    @example(seed=2**64 - 1, program=[("uniform",), ("uniform_array", 0), ("permutation", 257)])
+    @example(seed=0, program=[("gaussian",), ("uniform_array", 3), ("gaussian",), ("uniform",)])
+    def test_interleaved_draws_are_one_stream(self, seed, program):
+        """Any mix of scalar and array draws reads one stream: each output
+        equals the one-value-at-a-time reference bit for bit, and the state
+        counts exactly the values handed out."""
+        rng, ref = Rng(seed), ReferenceRng(seed)
+        for op in program:
+            got, expected = run_both(rng, ref, op)
+            assert got.dtype == expected.dtype and got.shape == expected.shape, op
+            assert got.tobytes() == expected.tobytes(), op
+            assert rng._state == ref.state, op
 
 
 class TestParamSet:

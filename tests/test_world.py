@@ -345,6 +345,30 @@ class TestSampling:
         with pytest.raises(ValueError, match="waypoint index"):
             sample_scene(WORLD, 6, Rng(0))
 
+    def test_rules_sharing_a_zone_skip_taken_cells_as_pinned(self):
+        """Rules of one category on disjoint zones (as in the default world)
+        never meet a taken cell; two car rules on one road do. The pin was
+        computed when the filter read the grid array itself."""
+        world = toy_world()
+        world = WorldSpec(
+            grid=world.grid,
+            waypoints=[Waypoint(wp.gps, 1e-5, wp.zone_map) for wp in world.waypoints],
+            rules=[
+                PlacementRule("car", ("road",), 2, 4, (1.0, 1.0)),
+                PlacementRule("car", ("road",), 3, 6, (1.0, 1.0)),
+            ],
+            rare_list=[],
+            seed=1,
+        )
+        h = hashlib.sha256()
+        saturated = 0
+        for i, (grid, gps) in enumerate(sample_dataset(world, 30, seed=17)):
+            h.update(grid.data.tobytes())
+            h.update(np.array([gps.latitude, gps.longitude]).tobytes())
+            saturated += i % 2 == 1 and grid.popcount() == 8
+        assert saturated > 0  # some scenes fill all 8 road cells of waypoint 1
+        assert h.hexdigest() == "ad66e2329727a36845fb6901718f1cd544185a407d99bffc8793579ab1b00928"
+
 
 class TestSplitSizes:
     def test_default_fractions(self):
