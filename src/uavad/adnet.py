@@ -301,15 +301,15 @@ def _forward_cached(
     log_var = dense_forward(h1, values["logvar.w"], values["logvar.b"])
     z = reparameterize_forward(mu, log_var, eps)
     dec_in = concat_forward(z, gps) if config.use_gps else z
-    h3_pre = dense_forward(dec_in, values["dec.w"], values["dec.b"])
-    h3 = relu_forward(h3_pre)
+    h3 = dense_forward(dec_in, values["dec.w"], values["dec.b"])
+    np.maximum(h3, 0.0, out=h3)  # the decoder ReLU, in place
 
     grid4 = h3.reshape(b, rows, cols, n_o)
     x4 = x.reshape(b, rows, cols, n_o)
     conv_in = concat_forward(grid4, x4) if config.use_copy_crop else grid4
     logits = conv1x1_forward(conv_in, values["out.k"], values["out.b"])
     x_hat4 = sigmoid_forward(logits)
-    x_hat = x_hat4.reshape(b, -1)
+    x_hat = x_hat4.reshape(x.shape)
 
     cache = {
         "x": x,
@@ -319,7 +319,7 @@ def _forward_cached(
         "log_var": log_var,
         "eps": eps,
         "dec_in": dec_in,
-        "h3_pre": h3_pre,
+        "h3": h3,
         "conv_in": conv_in,
         "x4": x4,
         "x_hat4": x_hat4,
@@ -371,7 +371,8 @@ def forward(
 def loss(
     x: np.ndarray, x_hat: np.ndarray, mu: np.ndarray, log_var: np.ndarray
 ) -> LossBreakdown:
-    """Element-summed cross-entropy plus closed-form KL, each averaged over the batch."""
+    """Element-summed cross-entropy of binary ``x`` plus closed-form KL, each
+    averaged over the batch."""
     xb = np.atleast_2d(np.asarray(x, dtype=np.float64))
     xh = np.atleast_2d(np.asarray(x_hat, dtype=np.float64))
     mub = np.atleast_2d(np.asarray(mu, dtype=np.float64))
@@ -379,7 +380,11 @@ def loss(
     b = xb.shape[0]
 
     xh = np.clip(xh, _LOSS_CLIP, 1.0 - _LOSS_CLIP)
-    rec = float(-np.sum(xb * np.log(xh) + (1.0 - xb) * np.log1p(-xh)) / b)
+    occupied = xb != 0  # a cell adds log(x_hat) where x is 1, log1p(-x_hat) where 0
+    log_occupied = np.log(xh[occupied])
+    np.log1p(np.negative(xh, out=xh), out=xh)
+    xh[occupied] = log_occupied
+    rec = float(-np.sum(xh) / b)
     if not np.isfinite(rec):
         raise FloatingPointError("non-finite reconstruction loss term")
     reg = float(0.5 * np.sum(-lvb - 1.0 + np.exp(lvb) + mub**2) / b)
@@ -398,11 +403,12 @@ def backward(config: ModelConfig, params: ParamSet, cache: dict) -> None:
     b = cache["x"].shape[0]
     n_o = config.n_o
 
-    dlogits = (cache["x_hat4"] - cache["x4"]) / b
+    dlogits = cache["x_hat4"] - cache["x4"]
+    dlogits /= b
     dconv_in = conv1x1_backward(dlogits, cache["conv_in"], params["out.k"], params["out.b"])
     dgrid4 = dconv_in[..., :n_o] if config.use_copy_crop else dconv_in
     dh3 = dgrid4.reshape(b, -1)
-    dh3_pre = relu_backward(dh3, cache["h3_pre"])
+    dh3_pre = relu_backward(dh3, cache["h3"])  # h3 > 0 exactly where h3_pre > 0
     ddec_in = dense_backward(dh3_pre, cache["dec_in"], params["dec.w"], params["dec.b"])
     dz = ddec_in[:, : config.n_h] if config.use_gps else ddec_in
 
@@ -413,8 +419,10 @@ def backward(config: ModelConfig, params: ParamSet, cache: dict) -> None:
     dh1 = dense_backward(dmu, cache["h1"], params["mu.w"], params["mu.b"])
     dh1 += dense_backward(dlog_var, cache["h1"], params["logvar.w"], params["logvar.b"])
     dh1_pre = relu_backward(dh1, cache["h1_pre"])
-    # dense_backward for the encoder, less its input gradient, which nothing reads.
-    params["enc.w"].grad += dh1_pre.T @ cache["x"]
+    # dense_backward for the encoder, less its input gradient, which nothing
+    # reads; (x.T @ dh1_pre).T has the bits of dh1_pre.T @ x, per column too.
+    x, cols = cache["x"], params["enc.w"].cols
+    params["enc.w"].grad += ((x if cols is None else x[:, cols]).T @ dh1_pre).T
     params["enc.b"].grad += dh1_pre.sum(axis=0)
 
 
@@ -464,6 +472,8 @@ def train(
 
     rng = Rng(tc.seed)
     params = init_params(config, rng)
+    # An input cell that no training row sets gives its enc.w column no gradient.
+    params["enc.w"].restrict(np.flatnonzero(train_set.x.any(axis=0)))
     gn = tc.gps_normalization or GpsNormalization.fit(train_set.gps)
 
     x_train = train_set.x
@@ -644,6 +654,8 @@ class Checkpoint:
                 raise ValueError(f"variant {self.config.variant!r} requires gps inputs")
             g = self.gps_normalization.normalize_array(gps_deg)
         chunk = 512
+        if x.shape[0] <= chunk:
+            return forward(self.config, self.values, x.astype(np.float64), g, None)[0]
         out = np.empty((x.shape[0], self.config.hidden3))
         for lo in range(0, x.shape[0], chunk):
             gb = g[lo : lo + chunk] if g is not None else None

@@ -171,6 +171,7 @@ class Rng:
 class Param:
     name: str
     value: np.ndarray
+    cols: np.ndarray | None = field(init=False)  # see restrict
     grad: np.ndarray = field(init=False)
     adam_m: np.ndarray = field(init=False)
     adam_v: np.ndarray = field(init=False)
@@ -178,9 +179,17 @@ class Param:
     def __post_init__(self) -> None:
         # C order, so that reshape(-1) in adam_step is a view, never a copy.
         self.value = np.asarray(self.value, dtype=np.float64, order="C")
-        self.grad = np.zeros_like(self.value)
-        self.adam_m = np.zeros_like(self.value)
-        self.adam_v = np.zeros_like(self.value)
+        self.restrict(None)
+
+    def restrict(self, cols: np.ndarray | None) -> None:
+        """Train only columns ``cols`` (increasing) of the last axis; None: all.
+        ``grad``, ``adam_m`` and ``adam_v`` restart at zero, holding just those
+        columns. A column left out must be one whose gradient is always zero."""
+        self.cols = cols
+        shape = self.value.shape if cols is None else (*self.value.shape[:-1], len(cols))
+        self.grad = np.zeros(shape)
+        self.adam_m = np.zeros(shape)
+        self.adam_v = np.zeros(shape)
 
 
 class ParamSet:
@@ -230,7 +239,8 @@ def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     n_out, n_in = w.shape
     if x.shape[-1] != n_in:
         raise ValueError(f"dense input width {x.shape[-1]} != {n_in}")
-    return x @ w.T + b
+    y = x @ w.T
+    return np.add(y, b, out=y)
 
 
 def dense_backward(dy: np.ndarray, x: np.ndarray, w: Param, b: Param) -> np.ndarray:
@@ -256,7 +266,8 @@ def sigmoid_forward(x: np.ndarray) -> np.ndarray:
     the same exp argument and division, so the same bits, as evaluating
     1 / (1 + exp(-x)) and exp(x) / (1 + exp(x)) on the two halves separately.
     """
-    e = np.exp(-np.abs(x))
+    e = np.abs(x)
+    np.exp(np.negative(e, out=e), out=e)
     out = np.where(x >= 0, 1.0, e)
     e += 1.0
     out /= e
@@ -268,7 +279,8 @@ def conv1x1_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
     c_out, c_in = k.shape
     if x.shape[-1] != c_in:
         raise ValueError(f"conv1x1 input channels {x.shape[-1]} != {c_in}")
-    return x @ k.T + b
+    y = x @ k.T
+    return np.add(y, b, out=y)
 
 
 def conv1x1_backward(dy: np.ndarray, x: np.ndarray, k: Param, b: Param) -> np.ndarray:
@@ -319,7 +331,8 @@ def adam_step(
     scratch buffers. Per element it evaluates, in this order,
     m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*g**2,
     value = value - (lr * m/(1-beta1**t)) / (sqrt(v/(1-beta2**t)) + epsilon),
-    so the bits equal the whole-array expressions.
+    so the bits equal the whole-array expressions. A restricted ``Param``
+    updates a copy of its columns and writes only them back to ``value``.
     """
     if t < 1:
         raise ValueError("Adam step index t must be >= 1")
@@ -329,11 +342,14 @@ def adam_step(
             raise FloatingPointError(f"non-finite gradient in parameter {p.name!r}")
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
-    size = min(_ADAM_BLOCK, max((p.value.size for p in plist), default=0))
+    size = min(_ADAM_BLOCK, max((p.grad.size for p in plist), default=0))
     buf_a = np.empty(size)
     buf_b = np.empty(size)
     for p in plist:
-        w_all, g_all = p.value.reshape(-1), p.grad.reshape(-1)
+        # np.take, not value[:, cols]: that copy is not C-contiguous, so its
+        # reshape(-1) would copy again and the update would be lost.
+        live = p.value if p.cols is None else np.take(p.value, p.cols, axis=-1)
+        w_all, g_all = live.reshape(-1), p.grad.reshape(-1)
         m_all, v_all = p.adam_m.reshape(-1), p.adam_v.reshape(-1)
         for lo in range(0, w_all.size, _ADAM_BLOCK):
             w, g = w_all[lo : lo + _ADAM_BLOCK], g_all[lo : lo + _ADAM_BLOCK]
@@ -354,6 +370,8 @@ def adam_step(
             a /= b
             w -= a
             g.fill(0.0)
+        if p.cols is not None:
+            p.value[..., p.cols] = live
 
 
 def glorot_uniform(rng: Rng, n_out: int, n_in: int) -> np.ndarray:

@@ -218,7 +218,7 @@ class WorldSpec:
                 raise WorldConfigError(
                     f"waypoint {wi} zone map shape {wp.zone_map.shape} != grid {shape}"
                 )
-        for rule in self.rules:
+        for ri, rule in enumerate(self.rules):
             if len(rule.weights) != len(self.waypoints):
                 raise WorldConfigError(
                     f"rule for {rule.category!r} has {len(rule.weights)} weights "
@@ -226,7 +226,7 @@ class WorldSpec:
                 )
             for wi, wp in enumerate(self.waypoints):
                 if rule.weights[wi] > 0 and rule.count_max > 0:
-                    if not self.rule_cells(rule, wi):
+                    if not self.rule_cells(ri, wi):
                         raise WorldConfigError(
                             f"rule for {rule.category!r} allows zones {rule.allowed_zones} "
                             f"but waypoint {wi} has no such cells"
@@ -237,13 +237,13 @@ class WorldSpec:
             if zone not in _ZONE_IDS:
                 raise WorldConfigError(f"rare list references unknown zone {zone!r}")
 
-    def rule_cells(self, rule: PlacementRule, waypoint_index: int) -> list[tuple[int, int]]:
-        """Cells where a rule may place objects at a waypoint, row-major."""
-        key = (rule, waypoint_index)
+    def rule_cells(self, rule_index: int, waypoint_index: int) -> list[tuple[int, int]]:
+        """Cells where ``rules[rule_index]`` may place objects at a waypoint, row-major."""
+        key = (rule_index, waypoint_index)
         if key not in self._cells:
             wp = self.waypoints[waypoint_index]
             mask = np.zeros_like(wp.zone_map, dtype=bool)
-            for kind in rule.allowed_zones:
+            for kind in self.rules[rule_index].allowed_zones:
                 mask |= wp.zone_map == _ZONE_IDS[kind]
             rows, cols = np.nonzero(mask)
             self._cells[key] = list(zip(rows.tolist(), cols.tolist()))
@@ -496,14 +496,14 @@ def sample_scene(world: WorldSpec, waypoint_index: int, rng: Rng) -> tuple[GridT
 
     data = np.zeros((spec.cells_y, spec.cells_x, N_CATEGORIES), dtype=np.uint8)
     taken = [set() for _ in range(N_CATEGORIES)]  # (row, col) cells set per category
-    for rule in world.rules:
+    for ri, rule in enumerate(world.rules):
         weight = rule.weights[waypoint_index]
         drawn = rule.count_min + rng.randint(rule.count_max - rule.count_min + 1)
         count = int(round(weight * drawn))
         if count <= 0:
             continue
         cat = CATEGORY_IDS[rule.category]
-        free = [rc for rc in world.rule_cells(rule, waypoint_index) if rc not in taken[cat]]
+        free = [rc for rc in world.rule_cells(ri, waypoint_index) if rc not in taken[cat]]
         for r, c in rng.sample_without_replacement(free, min(count, len(free))):
             taken[cat].add((r, c))
             data[r, c, cat] = 1

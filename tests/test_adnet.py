@@ -386,6 +386,22 @@ class TestLoss:
         with pytest.raises(FloatingPointError, match="regularizer"):
             loss(np.array([1.0]), np.array([0.5]), np.array([np.inf]), np.zeros(1))
 
+    def test_reconstruction_term_is_bit_equal_to_the_two_log_form(self):
+        """On binary x, the summands log(x_hat) on occupied cells and
+        log1p(-x_hat) elsewhere are x*log(x_hat) + (1-x)*log1p(-x_hat)."""
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            b, d = int(rng.integers(1, 70)), int(rng.integers(1, 300))
+            x = (rng.random((b, d)) < rng.random()).astype(np.float64)
+            x_hat = rng.random((b, d)) ** rng.uniform(0.2, 5.0)  # edges too
+            x_hat[rng.random((b, d)) < 0.02] = 0.0
+            x_hat[rng.random((b, d)) < 0.02] = 1.0
+            kept = x_hat.copy()
+            xh = np.clip(x_hat, adnet._LOSS_CLIP, 1.0 - adnet._LOSS_CLIP)
+            want = float(-np.sum(x * np.log(xh) + (1.0 - x) * np.log1p(-xh)) / b)
+            assert loss(x, x_hat, np.zeros(2), np.zeros(2)).rec == want
+            assert x_hat.tobytes() == kept.tobytes()  # the caller's array is not written
+
 
 class TestFullModelGradients:
     def test_analytic_gradients_match_finite_differences(self):
@@ -409,7 +425,7 @@ def reference_backward(config: ModelConfig, params, cache: dict) -> None:
     dlogits = (cache["x_hat4"] - cache["x4"]) / b
     dconv_in = nn.conv1x1_backward(dlogits, cache["conv_in"], params["out.k"], params["out.b"])
     dgrid4 = dconv_in[..., : config.n_o] if config.use_copy_crop else dconv_in
-    dh3_pre = nn.relu_backward(dgrid4.reshape(b, -1), cache["h3_pre"])
+    dh3_pre = nn.relu_backward(dgrid4.reshape(b, -1), cache["h3"])
     ddec_in = nn.dense_backward(dh3_pre, cache["dec_in"], params["dec.w"], params["dec.b"])
     dz = ddec_in[:, : config.n_h] if config.use_gps else ddec_in
     dmu, dlog_var = nn.reparameterize_backward(dz, cache["log_var"], cache["eps"])
@@ -437,6 +453,37 @@ class TestBackwardReference:
             run(config, params, cache)
             grads[run] = {p.name: p.grad.tobytes() for p in params}
         assert grads[adnet.backward] == grads[reference_backward]
+
+    @pytest.mark.parametrize("batch", [1, 8, 36, 48, 64, 120])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_live_column_gradients_are_bit_equal_to_the_reference(self, variant, batch):
+        """With enc.w restricted to the input columns that the batch sets, its
+        gradient is the reference's at those columns, every other gradient is
+        the reference's, and the reference leaves the other columns as they
+        were. Batches of 36 rows and more are where dh1_pre.T @ x[:, live]
+        would differ."""
+        config = ModelConfig(variant)
+        x, gps, eps = random_batch(config, batch, seed=batch)
+        x[:, Rng(7).uniform(config.hidden3) >= 0.2] = 0.0  # columns no row sets
+        live = np.flatnonzero(x.any(axis=0))
+        assert 0 < live.size < config.hidden3
+        ref, got = init_params(config, 4), init_params(config, 4)
+        got["enc.w"].restrict(live)
+        for p in ref:
+            p.grad[...] = np.random.default_rng(len(p.name)).standard_normal(p.grad.shape)
+        for p in got:
+            p.grad[...] = ref[p.name].grad[:, live] if p.name == "enc.w" else ref[p.name].grad
+        before = ref["enc.w"].grad.copy()
+        for run, params in ((reference_backward, ref), (adnet.backward, got)):
+            _, _, _, cache = adnet._forward_cached(config, params.values, x, gps, eps)
+            run(config, params, cache)
+        want = np.ascontiguousarray(ref["enc.w"].grad[:, live])
+        assert got["enc.w"].grad.tobytes() == want.tobytes()
+        dead = np.setdiff1d(np.arange(config.hidden3), live)
+        assert ref["enc.w"].grad[:, dead].tobytes() == before[:, dead].tobytes()
+        for p in got:
+            if p.name != "enc.w":
+                assert p.grad.tobytes() == ref[p.name].grad.tobytes(), p.name
 
 
 def _binary_dataset(n: int, width: int, seed: int, patterns: int = 4) -> Dataset:
@@ -495,6 +542,26 @@ class TestTraining:
         first = hist_a[0]  # wall seconds are not part of equality
         assert first == adnet.EpochStats(first.train_loss, first.val_loss, first.val_mse, 1e9)
         assert all(np.array_equal(ck_a.values[k], ck_b.values[k]) for k in ck_a.values)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_columns_no_training_row_sets_keep_their_initial_weights(self, variant):
+        """enc.w trains only the input columns that some training row sets;
+        a column that only the validation set uses stays untrained too."""
+        config = tiny_config(variant)
+        train_set = _binary_dataset(24, config.hidden3, 7)
+        x = train_set.x.copy()
+        x[:, 5:11] = 0
+        train_set = Dataset(x, train_set.gps)
+        val_set = _binary_dataset(8, config.hidden3, 8)
+        assert val_set.x[:, 5:11].any()
+        tc = TrainConfig(lr=0.01, batch_size=8, max_epochs=3, seed=4)
+        checkpoint, _ = train(config, train_set, val_set, tc)
+        start = init_params(config, tc.seed)["enc.w"].value
+        trained = checkpoint.values["enc.w"]
+        dead = ~x.any(axis=0)
+        assert dead[5:11].all() and not dead.all()
+        assert trained[:, dead].tobytes() == start[:, dead].tobytes()
+        assert (trained[:, ~dead] != start[:, ~dead]).any(axis=0).all()
 
     def test_different_seeds_differ(self):
         config = tiny_config("vae")

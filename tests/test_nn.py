@@ -641,6 +641,69 @@ class TestAdamInPlace:
         assert peak < 1_000_000
 
 
+def restricted_param(shape: tuple[int, int], n_live: int, seed: int):
+    """A ParamSet of one parameter trained on n_live random increasing
+    columns, its live gradient and moments random (v >= 0)."""
+    rng = np.random.default_rng(seed)
+    ps = ParamSet()
+    p = ps.add("w", rng.standard_normal(shape))
+    cols = np.sort(rng.choice(shape[1], n_live, replace=False))
+    p.restrict(cols)
+    random_param_state(ps, seed)
+    return ps, p, cols
+
+
+# The first two span several Adam blocks (the second is enc.w's shape with
+# the 340 columns the default world ever sets).
+RESTRICTED = [((160, 700), 300), ((128, 2048), 340), ((3, 5), 2), ((1, 4), 4)]
+
+
+class TestAdamColumnRestricted:
+    """A parameter that trains only some columns of its last axis."""
+
+    @pytest.mark.parametrize("shape,n_live", RESTRICTED)
+    @pytest.mark.parametrize("t", [1, 7])
+    def test_bit_equal_to_the_full_array_with_zero_dead_gradients(self, shape, n_live, t):
+        ps, p, cols = restricted_param(shape, n_live, seed=t)
+        assert p.grad.shape == p.adam_m.shape == p.adam_v.shape == (shape[0], n_live)
+        full = [np.zeros(shape) for _ in range(3)]
+        for dst, src in zip(full, (p.grad, p.adam_m, p.adam_v)):
+            dst[:, cols] = src
+        value, m, v = reference_adam(p.value.copy(), *full, 0.01, 0.9, 0.999, 1e-8, t)
+        arrays = (p.value, p.grad, p.adam_m, p.adam_v)
+        adam_step(ps, lr=0.01, t=t)
+        assert all(a is b for a, b in zip((p.value, p.grad, p.adam_m, p.adam_v), arrays))
+        assert p.value.tobytes() == value.tobytes()
+        assert p.adam_m.tobytes() == np.ascontiguousarray(m[:, cols]).tobytes()
+        assert p.adam_v.tobytes() == np.ascontiguousarray(v[:, cols]).tobytes()
+        assert not p.grad.any()
+
+    def test_columns_outside_the_index_are_never_written(self):
+        """Dead columns hold a signalling NaN, which any arithmetic would
+        quiet: after several steps their bytes are as they were."""
+        ps, p, cols = restricted_param((128, 2048), 340, seed=3)
+        dead = np.setdiff1d(np.arange(2048), cols)
+        p.value[:, dead] = np.array(0x7FF0000000000001, dtype=np.uint64).view(np.float64)
+        before = p.value.copy()
+        for t in range(1, 4):
+            p.grad[...] = np.random.default_rng(t).standard_normal(p.grad.shape)
+            adam_step(ps, t=t)
+        assert p.value[:, dead].tobytes() == before[:, dead].tobytes()
+        assert (p.value[:, cols] != before[:, cols]).all()
+
+    def test_non_finite_live_gradient_changes_nothing(self):
+        ps, p, _ = restricted_param((40, 1000), 200, seed=4)
+        other = ps.add("z", np.ones(7))
+        other.grad[...] = 1.0
+        p.grad[-1, -1] = np.inf
+        before = {q.name: [a.copy() for a in (q.value, q.grad, q.adam_m, q.adam_v)] for q in ps}
+        with pytest.raises(FloatingPointError, match="'w'"):
+            adam_step(ps, t=2)
+        for q in ps:
+            for got, want in zip((q.value, q.grad, q.adam_m, q.adam_v), before[q.name]):
+                assert got.tobytes() == want.tobytes(), q.name
+
+
 class TestGlorot:
     def test_bounds_and_spread(self):
         w = glorot_uniform(Rng(0), 64, 32)

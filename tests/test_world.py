@@ -66,11 +66,11 @@ def toy_world() -> WorldSpec:
 def rule_reachable_pairs(world: WorldSpec) -> set[tuple[int, int, int]]:
     """Every (category, row, col) some placement rule can occupy at some waypoint."""
     reachable = set()
-    for rule in world.rules:
+    for ri, rule in enumerate(world.rules):
         cat = CATEGORY_IDS[rule.category]
         for wi in range(len(world.waypoints)):
             if rule.weights[wi] > 0 and rule.count_max > 0:
-                for r, c in world.rule_cells(rule, wi):
+                for r, c in world.rule_cells(ri, wi):
                     reachable.add((cat, r, c))
     return reachable
 
@@ -484,6 +484,33 @@ class TestBuildDataset:
         pinned = "5f8f5519bb4c2eb36e9235ef3f71b7e742b73fc3498550fbf5ee7461cc97c795"
         assert parameter_digest(digest_b_checkpoint.values) == pinned
         assert parameter_digest(loaded.values) == pinned
+
+    def test_every_variant_trains_to_the_pinned_parameter_bytes(self, tmp_path):
+        """Digest (b)'s 3-epoch training for all four variants, hashed as in
+        the test above: each wiring's gradients and updates, pinned across
+        versions. The uav_adnet value is the one pinned there."""
+        build_dataset(WORLD, 60, str(tmp_path), seed=5)
+        train_set, val_set = (
+            Dataset.from_scenes(load_scenes(str(tmp_path / f"{split}.jsonl"), WORLD.grid))
+            for split in ("train", "val")
+        )
+        digests = {}
+        for variant in adnet.VARIANTS:
+            checkpoint, _ = adnet.train(
+                ModelConfig(variant), train_set, val_set, TrainConfig(max_epochs=3, seed=5)
+            )
+            h = hashlib.sha256()
+            for name in sorted(checkpoint.values):
+                arr = checkpoint.values[name]
+                h.update(json.dumps([name, list(arr.shape)]).encode("ascii"))
+                h.update(arr.astype("<f8").tobytes())
+            digests[variant] = h.hexdigest()
+        assert digests == {
+            "uav_adnet": "5f8f5519bb4c2eb36e9235ef3f71b7e742b73fc3498550fbf5ee7461cc97c795",
+            "uav_adnet_wo_gps": "a9dced1e1950d57556a258b78f202888c27fef71eebeba66feaa95dce7d8cab5",
+            "cvae": "dcfdba5554add3de841b91b1da7efa6f88191472d9d80f1c5450ede58c4ac3c5",
+            "vae": "07b4d44d1c1e7fe2de156500be10995514da9cb554bfd3ee89911bf109a8b290",
+        }
 
     def test_tiny_datasets_are_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least 10"):
