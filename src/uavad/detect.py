@@ -10,10 +10,9 @@ cells — diagnostics, not detections.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from functools import partial
-from operator import itemgetter
+from functools import cache, cached_property
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -46,32 +45,60 @@ class AnomalyCell(NamedTuple):
     reconstruction_prob: float
 
 
-_new_cell = partial(tuple.__new__, AnomalyCell)
-_prob = itemgetter(3)
-
-# A report line ends with its two cell lists, each cell formatted from its
-# 4-tuple. The category names are plain ASCII identifiers, so a quoted %s is
-# their JSON text, and %s of a finite float (or np.float64) is its shortest
-# round-trip repr, as json.dumps writes it.
-_CELL = '{"category": "%s", "row": %d, "col": %d, "reconstruction_prob": %s}'
+# A report line ends with its two cell lists. The category names are plain
+# ASCII identifiers, so a quoted %s is their JSON text, and repr of a finite
+# float is its shortest round-trip text, as json.dumps writes it.
+_PREFIX = '{"category": "%s", "row": %d, "col": %d, "reconstruction_prob": '
 _TAIL = ', "anomalies": [%s], "hallucinated": [%s]}\n'
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnomalyReport:
-    anomalies: tuple[AnomalyCell, ...]
-    hallucinated: tuple[AnomalyCell, ...]
+    """One scene's (rows, cols, categories) reconstruction probabilities and
+    the *missing* and *added* masks of ``detection_masks``. Its cells are
+    built when first read; reports with equal headers and cells are equal."""
+
+    probs: np.ndarray
+    missing: np.ndarray
+    added: np.ndarray
     threshold: float
     model_variant: str
     gps: tuple[float, float] | None
 
+    @cached_property
+    def anomalies(self) -> tuple[AnomalyCell, ...]:
+        return _cells(self.missing, self.probs)
+
+    @cached_property
+    def hallucinated(self) -> tuple[AnomalyCell, ...]:
+        return _cells(self.added, self.probs)
+
+    @property
+    def score(self) -> float:
+        """The lowest reconstruction probability among occupied cells (the
+        missing ones and those kept but not added), 1.0 for an empty scene:
+        the scene has an anomaly exactly when ``score < threshold``."""
+        occupied = self.missing | (~self.added & (self.probs >= self.threshold))
+        return float(self.probs.min(initial=1.0, where=occupied))
+
     def flagged(self) -> set[tuple[str, int, int]]:
         return {(a.category, a.row, a.col) for a in self.anomalies}
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, AnomalyReport) and _compared(self) == _compared(other)
 
-def _check_threshold(threshold: float) -> None:
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold {threshold} is not a number in [0, 1]")
+
+_compared = attrgetter("threshold", "model_variant", "gps", "anomalies", "hallucinated")
+
+
+def _check_threshold(threshold: float) -> float:
+    """The threshold as a report stores it: a NumPy scalar becomes its Python
+    number. Raises ValueError for a bool, NaN or a number outside [0, 1]."""
+    if isinstance(threshold, np.generic):
+        threshold = threshold.item()
+    if isinstance(threshold, bool) or not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold {threshold!r} is not a number in [0, 1]")
+    return threshold
 
 
 def detection_masks(
@@ -82,10 +109,9 @@ def detection_masks(
     Returns the *missing* mask (occupied cells with ``prob < threshold``:
     the anomalies) and the *added* mask (empty cells with
     ``prob >= threshold``: the hallucinations). Raises ValueError for a
-    threshold that is NaN or outside [0, 1].
+    threshold that is a bool, NaN or outside [0, 1].
     """
-    _check_threshold(threshold)
-    kept = probs >= threshold
+    kept = probs >= _check_threshold(threshold)
     occupied = x != 0
     return occupied & ~kept, ~occupied & kept
 
@@ -94,8 +120,7 @@ def _cells(mask: np.ndarray, probs: np.ndarray) -> tuple[AnomalyCell, ...]:
     """The cells set in a (rows, cols, categories) mask, in (row, col, name) order."""
     rows, cols, k = np.nonzero(mask[..., _BY_NAME])
     cats = _BY_NAME[k]
-    # AnomalyCell._make's construction, without the generated __new__ frame per cell.
-    return tuple(map(_new_cell, zip(
+    return tuple(map(AnomalyCell._make, zip(
         _NAMES[cats].tolist(), rows.tolist(), cols.tolist(), probs[rows, cols, cats].tolist(),
     )))
 
@@ -117,13 +142,13 @@ def detect(
         raise ValueError(f"variant {config.variant!r} requires a gps label")
     if not config.use_gps and gps is not None:
         raise ValueError(f"variant {config.variant!r} takes no gps label")
+    threshold = _check_threshold(threshold)
 
     gps_deg = np.array([[gps.latitude, gps.longitude]]) if gps is not None else None
     probs = checkpoint.reconstruct(x.data.reshape(1, -1), gps_deg).reshape(x.data.shape)
-    missing, added = detection_masks(x.data, probs, threshold)
     return AnomalyReport(
-        anomalies=_cells(missing, probs),
-        hallucinated=_cells(added, probs),
+        probs,
+        *detection_masks(x.data, probs, threshold),
         threshold=threshold,
         model_variant=config.variant,
         gps=(gps.latitude, gps.longitude) if gps is not None else None,
@@ -143,6 +168,32 @@ def detect_batch(checkpoint: Checkpoint, path: str, threshold: float = 0.5) -> l
     return [detect(checkpoint, g, gps if config.use_gps else None, threshold) for g, gps in scenes]
 
 
+@cache
+def _layout(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The flat cells of a (rows, cols, categories) grid in (row, col, name)
+    order, and per flat cell its report text up to the probability, led by
+    the ``}, `` that closes the cell before it."""
+    order = np.arange(np.prod(shape)).reshape(shape)[..., _BY_NAME].ravel()
+    text = ["}, " + _PREFIX % (CATEGORIES[k], r, c) for r, c, k in np.ndindex(shape)]
+    return order, np.array(text, dtype=object)
+
+
+def _cell_list(mask: np.ndarray, probs: np.ndarray) -> str:
+    """The JSON text of the cells set in ``mask``, inside their list's brackets.
+    Raises ValueError when one of their probabilities is not finite."""
+    order, text = _layout(mask.shape)
+    cells = order[mask.ravel()[order]]
+    p = probs.ravel()[cells]
+    if not np.isfinite(p).all():
+        raise ValueError("a reconstruction_prob is not finite")
+    # Each cell's text, then its probability, in one join: no string is
+    # concatenated per cell. The [3:] drops the first cell's "}, ".
+    parts = [""] * (2 * cells.size)
+    parts[::2] = text[cells].tolist()
+    parts[1::2] = map(repr, p.tolist())
+    return ("".join(parts) + "}")[3:]
+
+
 def write_reports(reports: Sequence[AnomalyReport], path: str) -> None:
     """Write one JSON line per report, in order.
 
@@ -157,12 +208,10 @@ def write_reports(reports: Sequence[AnomalyReport], path: str) -> None:
                     "threshold": report.threshold,
                     "gps": list(report.gps) if report.gps is not None else None,
                 }, allow_nan=False)
-                if not all(map(math.isfinite, map(_prob, report.anomalies + report.hallucinated))):
-                    raise ValueError("a reconstruction_prob is not finite")
+                cells = _TAIL % (
+                    _cell_list(report.missing, report.probs), _cell_list(report.added, report.probs),
+                )
             except ValueError as e:
                 raise ValueError(f"report {i}: {e}") from None
             # The header object, reopened to append the two cell lists.
-            f.write(head[:-1] + _TAIL % (
-                ", ".join(map(_CELL.__mod__, report.anomalies)),
-                ", ".join(map(_CELL.__mod__, report.hallucinated)),
-            ))
+            f.write(head[:-1] + cells)

@@ -228,6 +228,7 @@ class TestDetect:
         lines = out.read_text().splitlines()
         assert len(lines) == 6
         assert json.loads(lines[0])["model_variant"] == "uav_adnet"
+        assert summary["anomaly_cells"] == sum(len(json.loads(line)["anomalies"]) for line in lines)
 
     def test_accepts_benchmark_files(self, pipeline, tmp_path):
         out = tmp_path / "reports.jsonl"

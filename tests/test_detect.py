@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from uavad.adnet import (
     VARIANTS,
@@ -17,7 +18,10 @@ from uavad.adnet import (
     expected_param_shapes,
     init_params,
 )
-from uavad.detect import AnomalyCell, AnomalyReport, detect, detect_batch, write_reports
+from uavad import detect as detect_mod
+from uavad.detect import (
+    AnomalyCell, AnomalyReport, detect, detect_batch, detection_masks, write_reports,
+)
 from uavad.evaluate import reconstruction_metrics
 from uavad.grid import CATEGORIES, CATEGORY_IDS, N_CATEGORIES, GpsLabel, GridSpec, GridTensor
 from uavad.nn import Rng
@@ -96,6 +100,23 @@ class TestDetect:
         scene = GridTensor(ck.config.grid).with_cell(0, 0, 0)
         with pytest.raises(ValueError, match="threshold"):
             detect(ck, scene, threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [True, False, np.bool_(True)])
+    def test_bool_threshold_is_rejected(self, threshold):
+        ck = constant_checkpoint({})
+        scene = GridTensor(ck.config.grid).with_cell(0, 0, 0)
+        with pytest.raises(ValueError, match="threshold"):
+            detect(ck, scene, threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [np.float16(0.5), np.float32(0.5), np.float64(0.5)])
+    def test_numpy_threshold_is_stored_as_a_python_float(self, tmp_path, threshold):
+        ck = constant_checkpoint({"car": -2.0})
+        scene = GridTensor(ck.config.grid).with_cell(3, 4, CATEGORY_IDS["car"])
+        report = detect(ck, scene, threshold=threshold)
+        assert type(report.threshold) is float
+        assert report == detect(ck, scene, threshold=0.5)
+        write_reports([report], str(tmp_path / "reports.jsonl"))
+        assert json.loads((tmp_path / "reports.jsonl").read_text())["threshold"] == 0.5
 
     def test_anomalies_are_a_subset_of_occupied_cells(self):
         world = default_world()
@@ -179,12 +200,25 @@ class TestDetectBatch:
         reports = detect_batch(random_checkpoint("uav_adnet_wo_gps"), path)
         assert all(r.gps is None for r in reports)
 
-    @pytest.mark.parametrize("threshold", [math.nan, 1.5])
+    @pytest.mark.parametrize("threshold", [math.nan, 1.5, True])
     def test_bad_threshold_is_rejected_on_an_empty_file(self, tmp_path, threshold):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         with pytest.raises(ValueError, match="threshold"):
             detect_batch(random_checkpoint("vae"), str(path), threshold)
+
+    def test_batch_and_writer_build_no_cells(self, tmp_path, monkeypatch):
+        """Reports are written from their arrays: per-cell objects stay off
+        the detect_batch + write_reports path."""
+        _, path = self.write_scenes(tmp_path)
+
+        def no_cells(*_):
+            raise AssertionError("a report built its cells")
+
+        monkeypatch.setattr(detect_mod, "_cells", no_cells)
+        reports = detect_batch(random_checkpoint("uav_adnet", seed=1), path)
+        write_reports(reports, str(tmp_path / "reports.jsonl"))
+        assert len((tmp_path / "reports.jsonl").read_text().splitlines()) == len(reports)
 
     def test_bad_records_carry_line_numbers(self, tmp_path):
         path = tmp_path / "scenes.jsonl"
@@ -246,8 +280,8 @@ class TestReference:
 
 
     def test_cells_are_anomaly_cells_equal_to_direct_construction(self):
-        """_cells builds its tuples without AnomalyCell's own __new__: they
-        must still be AnomalyCells, equal to the directly built reference."""
+        """The cells a report builds from its arrays are AnomalyCells, equal
+        to the directly built reference."""
         ck = random_checkpoint("uav_adnet", seed=7)
         grid, gps = sample_dataset(default_world(), 1, seed=8)[0]
         probs = ck.reconstruct(grid.data.reshape(1, -1), [[gps.latitude, gps.longitude]])
@@ -257,6 +291,61 @@ class TestReference:
             assert type(cell) is AnomalyCell
             assert list(cell._asdict()) == ["category", "row", "col", "reconstruction_prob"]
         assert (report.anomalies, report.hallucinated) == reference_cells(grid, probs[0], 0.5)
+
+
+class TestReport:
+    def test_reports_with_the_same_header_and_cells_are_equal(self):
+        """Probabilities outside the cells do not take part in ==."""
+        cells = (AnomalyCell("car", 1, 2, 0.25),)
+        report = grid_report(cells, (), 0.5, "vae", None)
+        probs = np.where(report.missing, report.probs, 0.75)
+        assert report == AnomalyReport(probs, report.missing, report.added, 0.5, "vae", None)
+        assert report != grid_report(cells, (), 0.5, "cvae", None)
+        assert report != grid_report((), cells, 0.5, "vae", None)
+        assert report != grid_report((AnomalyCell("car", 1, 2, 0.375),), (), 0.5, "vae", None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=arrays(np.uint8, (3, 3, N_CATEGORIES), elements=st.integers(0, 1)),
+        probs=arrays(np.float64, (3, 3, N_CATEGORIES), elements=st.one_of(
+            st.floats(0, 1), st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        )),
+        threshold=st.one_of(st.floats(0, 1), st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+    )
+    def test_scene_has_an_anomaly_exactly_when_its_score_is_below_the_threshold(
+        self, x, probs, threshold
+    ):
+        report = AnomalyReport(probs, *detection_masks(x, probs, threshold), threshold, "vae", None)
+        assert report.score == min(probs[x != 0].tolist(), default=1.0)
+        assert (report.score < threshold) == bool(report.anomalies)
+
+    def test_detected_scene_score_is_its_lowest_occupied_probability(self):
+        ck = random_checkpoint("uav_adnet", seed=3)
+        for grid, gps in sample_dataset(default_world(), 4, seed=12):
+            probs = ck.reconstruct(grid.data.reshape(1, -1), [[gps.latitude, gps.longitude]])
+            report = detect(ck, grid, gps)
+            assert report.score == probs[0][grid.data.reshape(-1) != 0].min()
+            assert (report.score < 0.5) == bool(report.anomalies)
+
+    def test_empty_scene_scores_one(self):
+        ck = constant_checkpoint({c: -10.0 for c in CATEGORIES})
+        report = detect(ck, GridTensor(ck.config.grid), threshold=1.0)
+        assert report.score == 1.0
+        assert report.anomalies == ()
+
+
+def grid_report(anomalies, hallucinated, threshold, model_variant, gps) -> AnomalyReport:
+    """A report whose arrays hold the given cells: each probability at its
+    cell and the cell set in its mask. Every other probability is NaN, which
+    the writer must not read."""
+    shape = (GridSpec().cells_y, GridSpec().cells_x, N_CATEGORIES)
+    probs = np.full(shape, math.nan)
+    masks = np.zeros((2, *shape), dtype=bool)
+    for mask, cells in zip(masks, (anomalies, hallucinated)):
+        for cell in cells:
+            probs[cell.row, cell.col, CATEGORY_IDS[cell.category]] = cell.reconstruction_prob
+            mask[cell.row, cell.col, CATEGORY_IDS[cell.category]] = True
+    return AnomalyReport(probs, *masks, threshold, model_variant, gps)
 
 
 def dict_encoded_line(report: AnomalyReport) -> str:
@@ -270,38 +359,57 @@ def dict_encoded_line(report: AnomalyReport) -> str:
     }) + "\n"
 
 
+def split_cells(placed) -> tuple[tuple[AnomalyCell, ...], tuple[AnomalyCell, ...]]:
+    """(anomalies, hallucinated) from (row, col, name, prob, hallucinated)
+    draws at distinct cells, each list in (row, col, name) order."""
+    cells = ([], [])
+    for row, col, name, prob, hallucinated in sorted(placed, key=lambda c: c[:3]):
+        cells[hallucinated].append(AnomalyCell(name, row, col, prob))
+    return tuple(cells[0]), tuple(cells[1])
+
+
 EDGE_PROBS = (5e-324, 1e-300, 1 - 2**-53, 0.5, 1.0)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-CELLS = st.lists(st.builds(
-    AnomalyCell,
-    st.sampled_from(CATEGORIES),
+CELLS = st.lists(st.tuples(
     st.integers(0, GridSpec().cells_y - 1),
     st.integers(0, GridSpec().cells_x - 1),
+    st.sampled_from(CATEGORIES),
     st.one_of(FINITE, FINITE.map(np.float64), st.sampled_from(EDGE_PROBS)),
-), max_size=12).map(tuple)
-REPORTS = st.builds(
-    AnomalyReport,
-    anomalies=CELLS,
-    hallucinated=CELLS,
-    threshold=st.sampled_from([0.0, 0.5, 1.0, 1]),
-    model_variant=st.sampled_from(VARIANTS),
-    gps=st.one_of(st.none(), st.tuples(FINITE, FINITE)),
+    st.booleans(),
+), max_size=24, unique_by=lambda c: c[:3]).map(split_cells)
+# The arguments of grid_report: the cells, then the header fields.
+REPORTS = st.tuples(
+    CELLS,
+    st.sampled_from([0.0, 0.5, 1.0, 1]),
+    st.sampled_from(VARIANTS),
+    st.one_of(st.none(), st.tuples(FINITE, FINITE)),
 )
-# Every run also writes the edge probabilities as Python floats and as np.float64.
-EDGE_REPORT = AnomalyReport(
-    anomalies=tuple(AnomalyCell("car", 0, 1, p) for p in EDGE_PROBS),
-    hallucinated=tuple(AnomalyCell("van", 15, 15, np.float64(p)) for p in EDGE_PROBS),
+# Every run also writes the edge probabilities.
+EDGE_REPORT = grid_report(
+    anomalies=tuple(AnomalyCell("car", 0, col, p) for col, p in enumerate(EDGE_PROBS)),
+    hallucinated=tuple(AnomalyCell("van", 15, col, p) for col, p in enumerate(EDGE_PROBS, 8)),
     threshold=1,
     model_variant="uav_adnet",
     gps=(41.1, 29.0),
 )
 
 
+def task2_file(tmp_path) -> str:
+    """Digest (a)'s dataset with its test split injected with task 2."""
+    w = default_world()
+    build_dataset(w, 60, str(tmp_path), seed=5)
+    test = load_scenes(str(tmp_path / "test.jsonl"), w.grid)
+    write_benchmark(build_benchmark(w, test, 2, Rng(2)), str(tmp_path / "task2.jsonl"))
+    return str(tmp_path / "task2.jsonl")
+
+
 class TestReportSerialization:
     @settings(max_examples=300, deadline=None)
-    @given(reports=st.lists(REPORTS, max_size=4))
-    def test_lines_match_the_dict_encoder_byte_for_byte(self, tmp_path_factory, reports):
-        reports = [*reports, EDGE_REPORT]
+    @given(drawn=st.lists(REPORTS, max_size=4))
+    def test_lines_match_the_dict_encoder_byte_for_byte(self, tmp_path_factory, drawn):
+        reports = [*(grid_report(*cells, *header) for cells, *header in drawn), EDGE_REPORT]
+        for report, (cells, *_) in zip(reports, drawn):
+            assert (report.anomalies, report.hallucinated) == cells
         path = tmp_path_factory.mktemp("reports") / "reports.jsonl"
         write_reports(reports, str(path))
         assert path.read_bytes() == "".join(map(dict_encoded_line, reports)).encode()
@@ -318,10 +426,10 @@ class TestReportSerialization:
         replacing the file, instead of writing NaN or Infinity."""
         cells = (AnomalyCell("car", 1, 2, 0.25), AnomalyCell("bus", 3, 4, value))
         bad = {
-            "anomalies": AnomalyReport(cells, (), 0.5, "vae", None),
-            "hallucinated": AnomalyReport((), cells, 0.5, "vae", None),
-            "threshold": AnomalyReport((), (), value, "vae", None),
-            "gps": AnomalyReport((), (), 0.5, "uav_adnet", (41.1, value)),
+            "anomalies": grid_report(cells, (), 0.5, "vae", None),
+            "hallucinated": grid_report((), cells, 0.5, "vae", None),
+            "threshold": grid_report((), (), value, "vae", None),
+            "gps": grid_report((), (), 0.5, "uav_adnet", (41.1, value)),
         }[field]
         path = tmp_path / "reports.jsonl"
         path.write_bytes(b"old\n")
@@ -331,7 +439,7 @@ class TestReportSerialization:
         assert [p.name for p in tmp_path.iterdir()] == ["reports.jsonl"]
 
     def test_written_reports_are_json_lines(self, tmp_path):
-        report = AnomalyReport(
+        report = grid_report(
             anomalies=(AnomalyCell("car", 1, 2, 0.125),),
             hallucinated=(AnomalyCell("bus", 3, 4, 0.875),),
             threshold=0.5,
@@ -352,7 +460,7 @@ class TestReportSerialization:
         assert doc["hallucinated"][0]["category"] == "bus"
 
     def test_missing_gps_serializes_as_null(self, tmp_path):
-        report = AnomalyReport((), (), 0.5, "vae", None)
+        report = grid_report((), (), 0.5, "vae", None)
         path = tmp_path / "reports.jsonl"
         write_reports([report], str(path))
         assert json.loads(path.read_text())["gps"] is None
@@ -361,12 +469,22 @@ class TestReportSerialization:
         """The report bytes of criterion 8's untrained checkpoint on digest
         (a)'s dataset, injected with task 2: cell order, probabilities and
         the report format, pinned across versions."""
-        w = default_world()
-        build_dataset(w, 60, str(tmp_path), seed=5)
-        test = load_scenes(str(tmp_path / "test.jsonl"), w.grid)
-        write_benchmark(build_benchmark(w, test, 2, Rng(2)), str(tmp_path / "task2.jsonl"))
-        reports = detect_batch(random_checkpoint("uav_adnet"), str(tmp_path / "task2.jsonl"), 0.5)
+        reports = detect_batch(random_checkpoint("uav_adnet"), task2_file(tmp_path), 0.5)
         write_reports(reports, str(tmp_path / "reports.jsonl"))
         assert hashlib.sha256((tmp_path / "reports.jsonl").read_bytes()).hexdigest() == (
             "26780c270f3648f8f665711c12d25713604f9a32ee8154315aeaf227e084a1a1"
+        )
+
+    def test_reports_of_every_variant_and_threshold_match_the_pinned_digest(self, tmp_path):
+        """As above for the untrained checkpoint of each variant at three
+        thresholds: one digest over the twelve report files in turn."""
+        path = task2_file(tmp_path)
+        digest = hashlib.sha256()
+        for variant in VARIANTS:
+            ck = random_checkpoint(variant)
+            for threshold in (0.2, 0.5, 0.9):
+                write_reports(detect_batch(ck, path, threshold), str(tmp_path / "reports.jsonl"))
+                digest.update((tmp_path / "reports.jsonl").read_bytes())
+        assert digest.hexdigest() == (
+            "d625d677da8846310a24884838a50216a3d7879ccc52aa33b3ccef51ccaf0359"
         )
