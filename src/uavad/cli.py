@@ -140,7 +140,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     ckpt = adnet.load_checkpoint(args.ckpt)
     reports = detect_mod.detect_batch(ckpt, args.input, args.threshold)
     detect_mod.write_reports(reports, args.out)
-    flagged = sum(int(np.count_nonzero(r.missing)) for r in reports)
+    flagged = sum(r.missing.index.size for r in reports)
     print(json.dumps({"reports": len(reports), "anomaly_cells": flagged, "out": args.out}))
     return EXIT_OK
 

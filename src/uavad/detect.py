@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property
-from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -25,6 +24,7 @@ from .grid import (
 __all__ = [
     "AnomalyCell",
     "AnomalyReport",
+    "CellArrays",
     "detection_masks",
     "detect",
     "detect_batch",
@@ -45,6 +45,18 @@ class AnomalyCell(NamedTuple):
     reconstruction_prob: float
 
 
+class CellArrays(NamedTuple):
+    """Cells of a (rows, cols, categories) grid in (row, col, name) order:
+    their flat indices into the grid and their reconstruction probabilities."""
+
+    index: np.ndarray
+    prob: np.ndarray
+
+
+# Every empty cell list shares these; frombuffer over bytes is read-only.
+_NO_CELLS = CellArrays(np.frombuffer(b"", np.intp), np.frombuffer(b""))
+
+
 # A report line ends with its two cell lists. The category names are plain
 # ASCII identifiers, so a quoted %s is their JSON text, and repr of a finite
 # float is its shortest round-trip text, as json.dumps writes it.
@@ -54,41 +66,35 @@ _TAIL = ', "anomalies": [%s], "hallucinated": [%s]}\n'
 
 @dataclass(frozen=True, eq=False)
 class AnomalyReport:
-    """One scene's (rows, cols, categories) reconstruction probabilities and
-    the *missing* and *added* masks of ``detection_masks``. Its cells are
-    built when first read; reports with equal headers and cells are equal."""
+    """One scene's anomaly (*missing*) and hallucinated (*added*) cells as
+    read-only arrays over a ``shape`` grid; the AnomalyCell tuples are built
+    when first read. ``score`` is the lowest reconstruction probability among
+    occupied cells, 1.0 for an empty scene: the scene has an anomaly exactly
+    when ``score < threshold``. Reports with equal headers and cells are equal."""
 
-    probs: np.ndarray
-    missing: np.ndarray
-    added: np.ndarray
+    shape: tuple[int, int, int]
+    missing: CellArrays
+    added: CellArrays
+    score: float
     threshold: float
     model_variant: str
     gps: tuple[float, float] | None
 
     @cached_property
     def anomalies(self) -> tuple[AnomalyCell, ...]:
-        return _cells(self.missing, self.probs)
+        return _cells(self.shape, self.missing)
 
     @cached_property
     def hallucinated(self) -> tuple[AnomalyCell, ...]:
-        return _cells(self.added, self.probs)
-
-    @property
-    def score(self) -> float:
-        """The lowest reconstruction probability among occupied cells (the
-        missing ones and those kept but not added), 1.0 for an empty scene:
-        the scene has an anomaly exactly when ``score < threshold``."""
-        occupied = self.missing | (~self.added & (self.probs >= self.threshold))
-        return float(self.probs.min(initial=1.0, where=occupied))
+        return _cells(self.shape, self.added)
 
     def flagged(self) -> set[tuple[str, int, int]]:
         return {(a.category, a.row, a.col) for a in self.anomalies}
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, AnomalyReport) and _compared(self) == _compared(other)
-
-
-_compared = attrgetter("threshold", "model_variant", "gps", "anomalies", "hallucinated")
+        return isinstance(other, AnomalyReport) and (
+            self.threshold, self.model_variant, self.gps, self.anomalies, self.hallucinated
+        ) == (other.threshold, other.model_variant, other.gps, other.anomalies, other.hallucinated)
 
 
 def _check_threshold(threshold: float) -> float:
@@ -116,12 +122,22 @@ def detection_masks(
     return occupied & ~kept, ~occupied & kept
 
 
-def _cells(mask: np.ndarray, probs: np.ndarray) -> tuple[AnomalyCell, ...]:
-    """The cells set in a (rows, cols, categories) mask, in (row, col, name) order."""
+def _select(mask: np.ndarray, probs: np.ndarray) -> CellArrays:
+    """The cells set in a (rows, cols, categories) mask, as read-only arrays."""
     rows, cols, k = np.nonzero(mask[..., _BY_NAME])
-    cats = _BY_NAME[k]
+    if not rows.size:
+        return _NO_CELLS
+    index = np.ravel_multi_index((rows, cols, _BY_NAME[k]), mask.shape)
+    prob = probs.reshape(-1)[index]
+    index.flags.writeable = prob.flags.writeable = False
+    return CellArrays(index, prob)
+
+
+def _cells(shape: tuple[int, ...], cells: CellArrays) -> tuple[AnomalyCell, ...]:
+    """The AnomalyCells of ``cells`` over a ``shape`` grid, in their order."""
+    rows, cols, cats = np.unravel_index(cells.index, shape)
     return tuple(map(AnomalyCell._make, zip(
-        _NAMES[cats].tolist(), rows.tolist(), cols.tolist(), probs[rows, cols, cats].tolist(),
+        _NAMES[cats].tolist(), rows.tolist(), cols.tolist(), cells.prob.tolist(),
     )))
 
 
@@ -146,9 +162,12 @@ def detect(
 
     gps_deg = np.array([[gps.latitude, gps.longitude]]) if gps is not None else None
     probs = checkpoint.reconstruct(x.data.reshape(1, -1), gps_deg).reshape(x.data.shape)
+    missing, added = detection_masks(x.data, probs, threshold)
     return AnomalyReport(
-        probs,
-        *detection_masks(x.data, probs, threshold),
+        x.data.shape,
+        _select(missing, probs),
+        _select(added, probs),
+        score=float(probs.min(initial=1.0, where=x.data != 0)),
         threshold=threshold,
         model_variant=config.variant,
         gps=(gps.latitude, gps.longitude) if gps is not None else None,
@@ -169,28 +188,24 @@ def detect_batch(checkpoint: Checkpoint, path: str, threshold: float = 0.5) -> l
 
 
 @cache
-def _layout(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The flat cells of a (rows, cols, categories) grid in (row, col, name)
-    order, and per flat cell its report text up to the probability, led by
-    the ``}, `` that closes the cell before it."""
-    order = np.arange(np.prod(shape)).reshape(shape)[..., _BY_NAME].ravel()
-    text = ["}, " + _PREFIX % (CATEGORIES[k], r, c) for r, c, k in np.ndindex(shape)]
-    return order, np.array(text, dtype=object)
+def _layout(shape: tuple[int, ...]) -> np.ndarray:
+    """Per flat cell of a (rows, cols, categories) grid, its report text up
+    to the probability, led by the ``}, `` that closes the cell before it."""
+    return np.array(
+        ["}, " + _PREFIX % (CATEGORIES[k], r, c) for r, c, k in np.ndindex(shape)], dtype=object
+    )
 
 
-def _cell_list(mask: np.ndarray, probs: np.ndarray) -> str:
-    """The JSON text of the cells set in ``mask``, inside their list's brackets.
-    Raises ValueError when one of their probabilities is not finite."""
-    order, text = _layout(mask.shape)
-    cells = order[mask.ravel()[order]]
-    p = probs.ravel()[cells]
-    if not np.isfinite(p).all():
+def _cell_list(shape: tuple[int, ...], cells: CellArrays) -> str:
+    """The JSON text of the cells, inside their list's brackets. Raises
+    ValueError when one of their probabilities is not finite."""
+    if not np.isfinite(cells.prob).all():
         raise ValueError("a reconstruction_prob is not finite")
     # Each cell's text, then its probability, in one join: no string is
     # concatenated per cell. The [3:] drops the first cell's "}, ".
-    parts = [""] * (2 * cells.size)
-    parts[::2] = text[cells].tolist()
-    parts[1::2] = map(repr, p.tolist())
+    parts = [""] * (2 * cells.index.size)
+    parts[::2] = _layout(shape)[cells.index].tolist()
+    parts[1::2] = map(repr, cells.prob.tolist())
     return ("".join(parts) + "}")[3:]
 
 
@@ -209,7 +224,7 @@ def write_reports(reports: Sequence[AnomalyReport], path: str) -> None:
                     "gps": list(report.gps) if report.gps is not None else None,
                 }, allow_nan=False)
                 cells = _TAIL % (
-                    _cell_list(report.missing, report.probs), _cell_list(report.added, report.probs),
+                    _cell_list(report.shape, report.missing), _cell_list(report.shape, report.added),
                 )
             except ValueError as e:
                 raise ValueError(f"report {i}: {e}") from None

@@ -19,9 +19,7 @@ from uavad.adnet import (
     init_params,
 )
 from uavad import detect as detect_mod
-from uavad.detect import (
-    AnomalyCell, AnomalyReport, detect, detect_batch, detection_masks, write_reports,
-)
+from uavad.detect import AnomalyCell, AnomalyReport, CellArrays, detect, detect_batch, write_reports
 from uavad.evaluate import reconstruction_metrics
 from uavad.grid import CATEGORIES, CATEGORY_IDS, N_CATEGORIES, GpsLabel, GridSpec, GridTensor
 from uavad.nn import Rng
@@ -117,6 +115,19 @@ class TestDetect:
         assert report == detect(ck, scene, threshold=0.5)
         write_reports([report], str(tmp_path / "reports.jsonl"))
         assert json.loads((tmp_path / "reports.jsonl").read_text())["threshold"] == 0.5
+
+    def test_report_arrays_are_read_only(self):
+        """A report's cells are read once and cached: its arrays cannot change under them."""
+        ck = random_checkpoint("uav_adnet", seed=7)
+        grid, gps = sample_dataset(default_world(), 1, seed=8)[0]
+        report = detect(ck, grid, gps)
+        empty = detect(constant_checkpoint({c: -10.0 for c in CATEGORIES}), GridTensor(GridSpec()))
+        for cells in (report.missing, report.added, empty.missing, empty.added):
+            assert cells.index.size == cells.prob.size
+            for array in cells:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
 
     def test_anomalies_are_a_subset_of_occupied_cells(self):
         world = default_world()
@@ -293,16 +304,29 @@ class TestReference:
         assert (report.anomalies, report.hallucinated) == reference_cells(grid, probs[0], 0.5)
 
 
+class FixedCheckpoint:
+    """A stand-in checkpoint whose reconstruction of every scene is ``probs``."""
+
+    def __init__(self, probs: np.ndarray):
+        rows, cols, _ = probs.shape
+        self.config = ModelConfig("vae", GridSpec(cells_x=cols, cells_y=rows))
+        self.probs = probs
+
+    def reconstruct(self, x, gps):
+        return self.probs.reshape(1, -1)
+
+
 class TestReport:
     def test_reports_with_the_same_header_and_cells_are_equal(self):
-        """Probabilities outside the cells do not take part in ==."""
+        """The score and the grid shape do not take part in ==."""
         cells = (AnomalyCell("car", 1, 2, 0.25),)
-        report = grid_report(cells, (), 0.5, "vae", None)
-        probs = np.where(report.missing, report.probs, 0.75)
-        assert report == AnomalyReport(probs, report.missing, report.added, 0.5, "vae", None)
-        assert report != grid_report(cells, (), 0.5, "cvae", None)
-        assert report != grid_report((), cells, 0.5, "vae", None)
-        assert report != grid_report((AnomalyCell("car", 1, 2, 0.375),), (), 0.5, "vae", None)
+        report = cell_report(cells, (), 0.5, "vae", None)
+        assert report == AnomalyReport((20, 20, N_CATEGORIES), cell_arrays(
+            cells, (20, 20, N_CATEGORIES)
+        ), cell_arrays(()), 0.125, 0.5, "vae", None)
+        assert report != cell_report(cells, (), 0.5, "cvae", None)
+        assert report != cell_report((), cells, 0.5, "vae", None)
+        assert report != cell_report((AnomalyCell("car", 1, 2, 0.375),), (), 0.5, "vae", None)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -315,7 +339,8 @@ class TestReport:
     def test_scene_has_an_anomaly_exactly_when_its_score_is_below_the_threshold(
         self, x, probs, threshold
     ):
-        report = AnomalyReport(probs, *detection_masks(x, probs, threshold), threshold, "vae", None)
+        ck = FixedCheckpoint(probs)
+        report = detect(ck, GridTensor(ck.config.grid, x), threshold=threshold)
         assert report.score == min(probs[x != 0].tolist(), default=1.0)
         assert (report.score < threshold) == bool(report.anomalies)
 
@@ -334,18 +359,27 @@ class TestReport:
         assert report.anomalies == ()
 
 
-def grid_report(anomalies, hallucinated, threshold, model_variant, gps) -> AnomalyReport:
-    """A report whose arrays hold the given cells: each probability at its
-    cell and the cell set in its mask. Every other probability is NaN, which
-    the writer must not read."""
-    shape = (GridSpec().cells_y, GridSpec().cells_x, N_CATEGORIES)
-    probs = np.full(shape, math.nan)
-    masks = np.zeros((2, *shape), dtype=bool)
-    for mask, cells in zip(masks, (anomalies, hallucinated)):
-        for cell in cells:
-            probs[cell.row, cell.col, CATEGORY_IDS[cell.category]] = cell.reconstruction_prob
-            mask[cell.row, cell.col, CATEGORY_IDS[cell.category]] = True
-    return AnomalyReport(probs, *masks, threshold, model_variant, gps)
+GRID_SHAPE = (GridSpec().cells_y, GridSpec().cells_x, N_CATEGORIES)
+
+
+def cell_arrays(cells, shape=GRID_SHAPE) -> CellArrays:
+    """The arrays of the given cells, in the order given."""
+    return CellArrays(
+        np.array([np.ravel_multi_index(
+            (c.row, c.col, CATEGORY_IDS[c.category]), shape
+        ) for c in cells], dtype=np.intp),
+        np.array([c.reconstruction_prob for c in cells], dtype=np.float64),
+    )
+
+
+def cell_report(anomalies, hallucinated, threshold, model_variant, gps) -> AnomalyReport:
+    """A report of the given cells over a default grid; its score is the
+    lowest anomaly probability, as if no other cell were occupied."""
+    score = min((c.reconstruction_prob for c in anomalies), default=1.0)
+    return AnomalyReport(
+        GRID_SHAPE, cell_arrays(anomalies), cell_arrays(hallucinated),
+        score, threshold, model_variant, gps,
+    )
 
 
 def dict_encoded_line(report: AnomalyReport) -> str:
@@ -377,7 +411,7 @@ CELLS = st.lists(st.tuples(
     st.one_of(FINITE, FINITE.map(np.float64), st.sampled_from(EDGE_PROBS)),
     st.booleans(),
 ), max_size=24, unique_by=lambda c: c[:3]).map(split_cells)
-# The arguments of grid_report: the cells, then the header fields.
+# The arguments of cell_report: the cells, then the header fields.
 REPORTS = st.tuples(
     CELLS,
     st.sampled_from([0.0, 0.5, 1.0, 1]),
@@ -385,7 +419,7 @@ REPORTS = st.tuples(
     st.one_of(st.none(), st.tuples(FINITE, FINITE)),
 )
 # Every run also writes the edge probabilities.
-EDGE_REPORT = grid_report(
+EDGE_REPORT = cell_report(
     anomalies=tuple(AnomalyCell("car", 0, col, p) for col, p in enumerate(EDGE_PROBS)),
     hallucinated=tuple(AnomalyCell("van", 15, col, p) for col, p in enumerate(EDGE_PROBS, 8)),
     threshold=1,
@@ -407,7 +441,7 @@ class TestReportSerialization:
     @settings(max_examples=300, deadline=None)
     @given(drawn=st.lists(REPORTS, max_size=4))
     def test_lines_match_the_dict_encoder_byte_for_byte(self, tmp_path_factory, drawn):
-        reports = [*(grid_report(*cells, *header) for cells, *header in drawn), EDGE_REPORT]
+        reports = [*(cell_report(*cells, *header) for cells, *header in drawn), EDGE_REPORT]
         for report, (cells, *_) in zip(reports, drawn):
             assert (report.anomalies, report.hallucinated) == cells
         path = tmp_path_factory.mktemp("reports") / "reports.jsonl"
@@ -426,10 +460,10 @@ class TestReportSerialization:
         replacing the file, instead of writing NaN or Infinity."""
         cells = (AnomalyCell("car", 1, 2, 0.25), AnomalyCell("bus", 3, 4, value))
         bad = {
-            "anomalies": grid_report(cells, (), 0.5, "vae", None),
-            "hallucinated": grid_report((), cells, 0.5, "vae", None),
-            "threshold": grid_report((), (), value, "vae", None),
-            "gps": grid_report((), (), 0.5, "uav_adnet", (41.1, value)),
+            "anomalies": cell_report(cells, (), 0.5, "vae", None),
+            "hallucinated": cell_report((), cells, 0.5, "vae", None),
+            "threshold": cell_report((), (), value, "vae", None),
+            "gps": cell_report((), (), 0.5, "uav_adnet", (41.1, value)),
         }[field]
         path = tmp_path / "reports.jsonl"
         path.write_bytes(b"old\n")
@@ -439,7 +473,7 @@ class TestReportSerialization:
         assert [p.name for p in tmp_path.iterdir()] == ["reports.jsonl"]
 
     def test_written_reports_are_json_lines(self, tmp_path):
-        report = grid_report(
+        report = cell_report(
             anomalies=(AnomalyCell("car", 1, 2, 0.125),),
             hallucinated=(AnomalyCell("bus", 3, 4, 0.875),),
             threshold=0.5,
@@ -460,7 +494,7 @@ class TestReportSerialization:
         assert doc["hallucinated"][0]["category"] == "bus"
 
     def test_missing_gps_serializes_as_null(self, tmp_path):
-        report = grid_report((), (), 0.5, "vae", None)
+        report = cell_report((), (), 0.5, "vae", None)
         path = tmp_path / "reports.jsonl"
         write_reports([report], str(path))
         assert json.loads(path.read_text())["gps"] is None
