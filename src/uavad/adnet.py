@@ -56,6 +56,7 @@ __all__ = [
     "TrainConfig",
     "EpochStats",
     "Dataset",
+    "Scratch",
     "Checkpoint",
     "CheckpointError",
     "CheckpointVersionError",
@@ -284,16 +285,51 @@ def _as_batch(arr: np.ndarray | None, width: int, what: str) -> np.ndarray:
     return a
 
 
+class Scratch:
+    """Activation buffers that a sequence of inference passes reuses.
+
+    ``take(name, shape)`` returns a float64 view of the leading elements of
+    buffer ``name``: the same memory on every call, grown (its contents not
+    kept) when a larger shape is asked for. A view holds valid data only
+    until the next ``take`` of its name, so nothing that outlives a pass may
+    be a view. The buffers are freed with the ``Scratch``.
+    """
+
+    def __init__(self) -> None:
+        self._flat: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+
+def _buffer(scratch: Scratch | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Scratch buffer ``name``, or a fresh array when there is no scratch."""
+    return np.empty(shape) if scratch is None else scratch.take(name, shape)
+
+
 def _forward_cached(
     config: ModelConfig,
     values: Mapping[str, np.ndarray],
     x: np.ndarray,
     gps: np.ndarray | None,
     eps: np.ndarray,
+    scratch: Scratch | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """Batched forward pass keeping the activations needed by backward()."""
+    """Batched forward pass keeping the activations needed by backward().
+
+    With a ``scratch``, ``h3``, the copy-crop ``conv_in`` and the logits are
+    written into its buffers, so the cache is valid only until the next pass
+    on the same scratch. The probabilities go to ``out`` ((b, D), a fresh
+    array when None).
+    """
     b = x.shape[0]
     rows, cols, n_o = config.grid.cells_y, config.grid.cells_x, config.n_o
+    shape4 = (b, rows, cols, n_o)
 
     h1_pre = dense_forward(x, values["enc.w"], values["enc.b"])
     h1 = relu_forward(h1_pre)
@@ -301,14 +337,28 @@ def _forward_cached(
     log_var = dense_forward(h1, values["logvar.w"], values["logvar.b"])
     z = reparameterize_forward(mu, log_var, eps)
     dec_in = concat_forward(z, gps) if config.use_gps else z
-    h3 = dense_forward(dec_in, values["dec.w"], values["dec.b"])
+    h3 = dense_forward(
+        dec_in, values["dec.w"], values["dec.b"], out=_buffer(scratch, "h3", (b, config.hidden3))
+    )
     np.maximum(h3, 0.0, out=h3)  # the decoder ReLU, in place
 
-    grid4 = h3.reshape(b, rows, cols, n_o)
-    x4 = x.reshape(b, rows, cols, n_o)
-    conv_in = concat_forward(grid4, x4) if config.use_copy_crop else grid4
-    logits = conv1x1_forward(conv_in, values["out.k"], values["out.b"])
-    x_hat4 = sigmoid_forward(logits)
+    grid4 = h3.reshape(shape4)
+    x4 = x.reshape(shape4)
+    if config.use_copy_crop:
+        conv_shape = (b, rows, cols, 2 * n_o)
+        conv_in = concat_forward(grid4, x4, out=_buffer(scratch, "conv_in", conv_shape))
+    else:
+        conv_in = grid4
+    logits = conv1x1_forward(
+        conv_in, values["out.k"], values["out.b"], out=_buffer(scratch, "logits", shape4)
+    )
+    # With a scratch, exp(-|l|) overwrites the logits, which nothing reads
+    # afterwards; without one it gets its own array, as in training.
+    x_hat4 = sigmoid_forward(
+        logits,
+        out=None if out is None else out.reshape(shape4),
+        work=_buffer(scratch, "logits", shape4),
+    )
     x_hat = x_hat4.reshape(x.shape)
 
     cache = {
@@ -333,6 +383,9 @@ def forward(
     x: np.ndarray,
     gps: np.ndarray | None = None,
     eps: np.ndarray | None = None,
+    *,
+    scratch: Scratch | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reconstruction probabilities plus latent statistics.
 
@@ -341,7 +394,9 @@ def forward(
     binary vector (or a batch of them). ``gps`` is the normalized
     two-component location input, required exactly when the variant uses
     GPS. ``eps`` is the latent noise; None means zeros, the
-    deterministic posterior-mean mode used at inference.
+    deterministic posterior-mean mode used at inference. ``scratch`` holds
+    the large intermediate activations and ``out`` (n, D) receives the
+    probabilities; see ``_forward_cached``.
     """
     single = np.asarray(x).ndim == 1
     xb = _as_batch(x, config.hidden3, "input vector")
@@ -362,7 +417,7 @@ def forward(
         if eb.shape[0] != xb.shape[0]:
             raise ValueError("latent noise batch size does not match input batch size")
 
-    x_hat, mu, log_var, _ = _forward_cached(config, values, xb, gb, eb)
+    x_hat, mu, log_var, _ = _forward_cached(config, values, xb, gb, eb, scratch, out)
     if single:
         return x_hat[0], mu[0], log_var[0]
     return x_hat, mu, log_var
@@ -638,29 +693,38 @@ class Checkpoint:
         self.values = values
         self.training_meta = dict(training_meta or {})
 
-    def reconstruct(self, x: np.ndarray, gps_deg: np.ndarray | None = None) -> np.ndarray:
+    def reconstruct(
+        self, x: np.ndarray, gps_deg: np.ndarray | None = None, scratch: Scratch | None = None
+    ) -> np.ndarray:
         """Posterior-mean reconstruction probabilities, shape (n, D).
 
         ``x`` holds n flattened binary scenes as rows and ``gps_deg`` their
         (n, 2) latitude/longitude in degrees, which only the GPS variants
-        read. Rows run through ``forward`` in chunks of 512.
+        read. Rows run through ``forward`` in chunks of 512, each writing its
+        rows of the returned array. A ``scratch`` shared by a sequence of
+        calls holds their float64 input rows and large activations, so that
+        only the returned array is new.
         """
         x = np.asarray(x)
         if x.ndim != 2:
             raise ValueError(f"expected a batch of flattened scenes, got shape {x.shape}")
+        if x.shape[1] != self.config.hidden3:
+            raise ValueError(
+                f"input vector must have {self.config.hidden3} components, got shape {x.shape}"
+            )
         g = None
         if self.config.use_gps:
             if gps_deg is None:
                 raise ValueError(f"variant {self.config.variant!r} requires gps inputs")
             g = self.gps_normalization.normalize_array(gps_deg)
         chunk = 512
-        if x.shape[0] <= chunk:
-            return forward(self.config, self.values, x.astype(np.float64), g, None)[0]
-        out = np.empty((x.shape[0], self.config.hidden3))
+        out = np.empty(x.shape)
         for lo in range(0, x.shape[0], chunk):
+            rows = x[lo : lo + chunk]
+            xb = _buffer(scratch, "x", rows.shape)
+            np.copyto(xb, rows)
             gb = g[lo : lo + chunk] if g is not None else None
-            xb = x[lo : lo + chunk].astype(np.float64)
-            out[lo : lo + chunk], _, _ = forward(self.config, self.values, xb, gb, None)
+            forward(self.config, self.values, xb, gb, scratch=scratch, out=out[lo : lo + chunk])
         return out
 
 

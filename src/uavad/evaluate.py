@@ -10,10 +10,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .adnet import VARIANTS, Checkpoint, Dataset
+from .adnet import VARIANTS, Checkpoint, Dataset, Scratch
 from .adnet import forward  # noqa: F401  (perfbench/spans.py traces evaluate.forward)
 from .detect import detection_masks
-from .grid import CATEGORY_IDS, GpsLabel, GridTensor, atomic_write
+from .grid import CATEGORY_IDS, N_CATEGORIES, GpsLabel, GridTensor, atomic_write
 from .world import AnomalyCase, WorldSpec, load_scenes, read_benchmark
 
 __all__ = [
@@ -65,7 +65,63 @@ def mse(x: np.ndarray, x_hat: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # Batched model evaluation
+#
+# Each public metric flattens its scenes and calls an internal that takes
+# Dataset rows and an optional Scratch; run_benchmark flattens each scene
+# set once and shares one Scratch across all of its reconstructions.
 # ---------------------------------------------------------------------------
+
+
+def _counts(
+    checkpoint: Checkpoint,
+    data: Dataset,
+    gps: np.ndarray,
+    threshold: float,
+    scratch: Scratch | None,
+) -> MetricCounts:
+    missing, added = detection_masks(
+        data.x, checkpoint.reconstruct(data.x, gps, scratch), threshold
+    )
+    fn = int(missing.sum())
+    fp = int(added.sum())
+    occupied = int(data.x.sum())
+    return MetricCounts(tp=occupied - fn, fp=fp, fn=fn, tn=data.x.size - occupied - fp)
+
+
+def _injected_cells(
+    records: Sequence[tuple[GridTensor, GpsLabel, AnomalyCase]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (row, col, category) index arrays of the records' injected cells."""
+    cases = [case for _, _, case in records]
+    return (
+        np.array([c.row for c in cases], dtype=np.intp),
+        np.array([c.col for c in cases], dtype=np.intp),
+        np.array([CATEGORY_IDS[c.category] for c in cases], dtype=np.intp),
+    )
+
+
+def _hit_rate(
+    checkpoint: Checkpoint,
+    data: Dataset,
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray],
+    threshold: float,
+    scratch: Scratch | None,
+) -> float:
+    """Fraction of ``data``'s rows whose injected cell, given per row by the
+    (row, col, category) arrays ``cells``, detection flags as missing."""
+    missing, _ = detection_masks(
+        data.x, checkpoint.reconstruct(data.x, data.gps, scratch), threshold
+    )
+    grid = checkpoint.config.grid
+    missing = missing.reshape(-1, grid.cells_y, grid.cells_x, checkpoint.config.n_o)
+    return int(np.count_nonzero(missing[(np.arange(data.n), *cells)])) / data.n
+
+
+def _mse(checkpoint: Checkpoint, data: Dataset, scratch: Scratch | None) -> float:
+    """``mse(data.x, reconstruction)``, computed in the reconstruction's array."""
+    diff = checkpoint.reconstruct(data.x, data.gps, scratch)
+    np.subtract(data.x, diff, out=diff)
+    return float(np.mean(np.square(diff, out=diff)))
 
 
 def reconstruction_metrics(
@@ -86,11 +142,7 @@ def reconstruction_metrics(
         if len(gps_labels) != len(scenes):
             raise ValueError("gps override length does not match scenes")
         gps = np.array([[g.latitude, g.longitude] for g in gps_labels], dtype=np.float64)
-    missing, added = detection_masks(data.x, checkpoint.reconstruct(data.x, gps), threshold)
-    fn = int(missing.sum())
-    fp = int(added.sum())
-    occupied = int(data.x.sum())
-    counts = MetricCounts(tp=occupied - fn, fp=fp, fn=fn, tn=data.x.size - occupied - fp)
+    counts = _counts(checkpoint, data, gps, threshold, None)
     return counts, prf1(counts)
 
 
@@ -107,21 +159,13 @@ def task_accuracy(
     if not records:
         raise ValueError("no benchmark records to score")
     data = Dataset.from_scenes((g, gps) for g, gps, _ in records)
-    missing, _ = detection_masks(data.x, checkpoint.reconstruct(data.x, data.gps), threshold)
-    rows, cols, cats = checkpoint.config.grid.cells_y, checkpoint.config.grid.cells_x, checkpoint.config.n_o
-    missing = missing.reshape(-1, rows, cols, cats)
-    correct = 0
-    for i, (_, _, case) in enumerate(records):
-        if missing[i, case.row, case.col, CATEGORY_IDS[case.category]]:
-            correct += 1
-    return correct / len(records)
+    return _hit_rate(checkpoint, data, _injected_cells(records), threshold, None)
 
 
 def mse_on_scenes(
     checkpoint: Checkpoint, scenes: Sequence[tuple[GridTensor, GpsLabel]]
 ) -> float:
-    data = Dataset.from_scenes(scenes)
-    return mse(data.x, checkpoint.reconstruct(data.x, data.gps))
+    return _mse(checkpoint, Dataset.from_scenes(scenes), None)
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +184,20 @@ def run_benchmark(
     """Reconstruction metrics plus per-task accuracy for every variant.
 
     ``data_dir`` must hold val.jsonl and test.jsonl; ``bench_dir`` must hold
-    task1.jsonl, task2.jsonl, task3.jsonl. Writes a JSON result document
-    when ``out_path`` is given.
+    task1.jsonl, task2.jsonl, task3.jsonl. Every checkpoint must be for
+    ``world.grid`` with ``N_CATEGORIES`` channels. Writes a JSON result
+    document when ``out_path`` is given.
     """
     for variant in VARIANTS:
         if variant not in checkpoints:
             raise ValueError(f"missing checkpoint for variant {variant!r}")
+        config = checkpoints[variant].config
+        if config.grid != world.grid or config.n_o != N_CATEGORIES:
+            raise ValueError(
+                f"checkpoint for variant {variant!r} has grid {config.grid} with "
+                f"{config.n_o} channels; the world has grid {world.grid} with "
+                f"{N_CATEGORIES} channels"
+            )
 
     val_scenes = load_scenes(os.path.join(data_dir, "val.jsonl"), world.grid)
     test_scenes = load_scenes(os.path.join(data_dir, "test.jsonl"), world.grid)
@@ -153,6 +205,9 @@ def run_benchmark(
         f"task{k}": read_benchmark(os.path.join(bench_dir, f"task{k}.jsonl"), world.grid)
         for k in (1, 2, 3)
     }
+    for name, records in tasks.items():
+        if not records:
+            raise ValueError(f"{name}: no benchmark records to score")
 
     result: dict = {
         "threshold": threshold,
@@ -163,17 +218,24 @@ def run_benchmark(
         },
         "variants": {},
     }
+    val_data = Dataset.from_scenes(val_scenes)
+    test_data = Dataset.from_scenes(test_scenes)
+    task_data = {
+        name: (Dataset.from_scenes((g, gps) for g, gps, _ in records), _injected_cells(records))
+        for name, records in tasks.items()
+    }
+    scratch = Scratch()
     for variant in VARIANTS:
         ckpt = checkpoints[variant]
-        _, (precision, recall, f1) = reconstruction_metrics(ckpt, test_scenes, threshold)
+        precision, recall, f1 = prf1(_counts(ckpt, test_data, test_data.gps, threshold, scratch))
         entry = {
             "precision": precision,
             "recall": recall,
             "f1": f1,
-            "val_mse": mse_on_scenes(ckpt, val_scenes),
+            "val_mse": _mse(ckpt, val_data, scratch),
         }
-        for name, records in tasks.items():
-            entry[f"{name}_acc"] = task_accuracy(ckpt, records, threshold)
+        for name, (data, cells) in task_data.items():
+            entry[f"{name}_acc"] = _hit_rate(ckpt, data, cells, threshold, scratch)
         result["variants"][variant] = entry
         logger.info(
             "%s: f1 %.4f task1 %.4f task2 %.4f task3 %.4f",

@@ -2,11 +2,12 @@
 Adam, and a seedable platform-independent random generator.
 
 All arrays are float64 numpy arrays. Layer functions accept an arbitrary
-number of leading batch dimensions. Forward passes take parameter arrays;
-backward passes take ``Param`` entries, accumulate parameter gradients into
-``Param.grad`` and return the gradient with respect to the layer input.
-Every backward pass is checked against central finite differences in the
-test suite.
+number of leading batch dimensions. Forward passes take parameter arrays
+(dense, 1x1 conv, concat and sigmoid also an ``out=`` array to write their
+result into, with the bits of a fresh one); backward passes take ``Param``
+entries, accumulate parameter gradients into ``Param.grad`` and return the
+gradient with respect to the layer input. Every backward pass is checked
+against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -235,11 +236,13 @@ class ParamSet:
 # ---------------------------------------------------------------------------
 
 
-def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def dense_forward(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     n_out, n_in = w.shape
     if x.shape[-1] != n_in:
         raise ValueError(f"dense input width {x.shape[-1]} != {n_in}")
-    y = x @ w.T
+    y = np.matmul(x, w.T, out=out)
     return np.add(y, b, out=y)
 
 
@@ -259,27 +262,35 @@ def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dy * (x > 0.0)
 
 
-def sigmoid_forward(x: np.ndarray) -> np.ndarray:
+def sigmoid_forward(
+    x: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
     """Numerically stable logistic; output stays inside the open interval (0, 1).
 
     With e = exp(-|x|), x >= 0 gives 1 / (1 + e) and x < 0 gives e / (1 + e):
     the same exp argument and division, so the same bits, as evaluating
     1 / (1 + exp(-x)) and exp(x) / (1 + exp(x)) on the two halves separately.
+    The numerator is max(x >= 0, e), as 1.0 or 0.0: e <= 1, and a NaN x gives
+    a NaN e, which max keeps. ``e`` is built in ``work`` (a fresh array when
+    None), which may be ``x`` itself when the caller no longer needs it.
     """
-    e = np.abs(x)
+    out = np.greater_equal(x, 0.0, out=np.empty(x.shape) if out is None else out)
+    e = np.abs(x, out=work)
     np.exp(np.negative(e, out=e), out=e)
-    out = np.where(x >= 0, 1.0, e)
+    np.maximum(out, e, out=out)
     e += 1.0
     out /= e
     return np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
 
 
-def conv1x1_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
+def conv1x1_forward(
+    x: np.ndarray, k: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Per-pixel linear map across channels: y[..., o] = sum_c k[o, c] x[..., c] + b[o]."""
     c_out, c_in = k.shape
     if x.shape[-1] != c_in:
         raise ValueError(f"conv1x1 input channels {x.shape[-1]} != {c_in}")
-    y = x @ k.T
+    y = np.matmul(x, k.T, out=out)
     return np.add(y, b, out=y)
 
 
@@ -287,9 +298,9 @@ def conv1x1_backward(dy: np.ndarray, x: np.ndarray, k: Param, b: Param) -> np.nd
     return dense_backward(dy, x, k, b)
 
 
-def concat_forward(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def concat_forward(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Join along the last (feature) axis."""
-    return np.concatenate([a, b], axis=-1)
+    return np.concatenate([a, b], axis=-1, out=out)
 
 
 def reparameterize_forward(mu: np.ndarray, log_var: np.ndarray, eps: np.ndarray) -> np.ndarray:

@@ -717,6 +717,30 @@ class TestCheckpointPersistence:
             if not config.use_gps:
                 assert np.array_equal(ck.reconstruct(x, None), probs)
 
+    def test_one_scratch_serves_a_sequence_of_calls(self):
+        """One Scratch shared by calls that grow and shrink (513 rows is two
+        chunks) gives each call the bits of a call without one, and no
+        result aliases a scratch buffer or keeps stale rows: every earlier
+        result is unchanged after the later calls."""
+        rng = Rng(21)
+        for variant in VARIANTS:
+            config = ModelConfig(variant)
+            ck = Checkpoint(
+                config, GpsNormalization(41.1, 29.0), init_params(config, 3).copy_values()
+            )
+            scratch = adnet.Scratch()
+            results = []
+            for n in (120, 40, 1, 513, 39, 120):
+                x = (rng.uniform((n, config.hidden3)) < 0.05).astype(np.uint8)
+                gps = np.column_stack(
+                    [41.1 + rng.gaussian(n) * 1e-4, 29.0 + rng.gaussian(n) * 1e-4]
+                )
+                got = ck.reconstruct(x, gps, scratch)
+                assert got.tobytes() == ck.reconstruct(x, gps).tobytes(), (variant, n)
+                results.append((got, got.tobytes()))
+            for got, kept in results:
+                assert got.tobytes() == kept, variant
+
     def test_reconstruct_requires_gps_for_gps_variants(self):
         ck = tiny_checkpoint("uav_adnet")
         with pytest.raises(ValueError, match="gps"):

@@ -347,6 +347,24 @@ class TestEval:
         assert "trained on different data" in caplog.text
         assert "vae=" + "0" * 64 in caplog.text
 
+    def test_checkpoint_for_another_grid_is_a_config_error(self, pipeline, tmp_path, caplog):
+        """Same cell counts, other image size: eval names the variant and
+        writes nothing."""
+        ckpts = dict(pipeline["ckpts"])
+        doc = json.loads(open(ckpts["vae"], encoding="utf-8").read())
+        doc["config"]["grid"]["image_width"] = 540
+        ckpts["vae"] = str(tmp_path / "vae.json")
+        (tmp_path / "vae.json").write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        with caplog.at_level(logging.ERROR):
+            code = main(
+                ["eval", "--data", str(pipeline["data"]), "--bench", str(pipeline["bench"]),
+                 "--out", str(out), "--ckpts", *ckpts.values()]
+            )
+        assert code == EXIT_CONFIG
+        assert "variant 'vae'" in caplog.text
+        assert not out.exists()
+
     def test_duplicate_variants_are_a_config_error(self, pipeline, tmp_path):
         ckpts = pipeline["ckpts"]
         code = main(

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from uavad import evaluate
 from uavad.adnet import (
     Checkpoint,
+    Dataset,
     GpsNormalization,
     ModelConfig,
     VARIANTS,
@@ -276,6 +278,43 @@ class TestRunBenchmark:
         data_dir, _ = artifacts
         with pytest.raises(FileNotFoundError, match="task1"):
             run_benchmark(WORLD, data_dir, self.checkpoints(0.0), str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [GridSpec(image_width=540), GridSpec(cells_x=4, cells_y=4)],
+        ids=["same-cells", "other-cells"],
+    )
+    def test_checkpoint_for_another_grid_is_rejected_before_reading(self, grid, tmp_path):
+        """A checkpoint whose grid differs from the world's is named, even when
+        its cell counts match (it would otherwise score silently), and no
+        file is read: the directories here do not exist."""
+        checkpoints = self.checkpoints(0.0)
+        config = ModelConfig("cvae", grid=grid)
+        checkpoints["cvae"] = Checkpoint(
+            config, GpsNormalization(41.1, 29.0), init_params(config, 0).copy_values()
+        )
+        absent = str(tmp_path / "absent")
+        with pytest.raises(ValueError, match="variant 'cvae' has grid"):
+            run_benchmark(WORLD, absent, checkpoints, absent)
+
+    def test_flattens_each_scene_set_once(self, artifacts, monkeypatch):
+        """Five scene sets (val, test, three task files) are flattened once
+        each, whatever the number of variants scored on them."""
+        data_dir, bench_dir = artifacts
+        from_scenes = Dataset.from_scenes
+        calls = []
+
+        def counting(scenes):
+            calls.append(1)
+            return from_scenes(scenes)
+
+        monkeypatch.setattr(Dataset, "from_scenes", staticmethod(counting))
+        for variants in (VARIANTS[:1], VARIANTS):
+            monkeypatch.setattr(evaluate, "VARIANTS", variants)
+            calls.clear()
+            result = run_benchmark(WORLD, data_dir, self.checkpoints(-2.0), bench_dir)
+            assert list(result["variants"]) == list(variants)
+            assert len(calls) == 5
 
     def test_format_table_lists_every_variant(self, artifacts):
         data_dir, bench_dir = artifacts

@@ -1,5 +1,6 @@
 """Tests for the hand-written layers, optimizer, and counter-based RNG."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -386,6 +387,21 @@ class TestActivations:
         assert_same_bits(sigmoid_forward(x), reference_sigmoid(x))
         assert x.tobytes() == before
 
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 37.0, -37.0, 709.8, -709.8]),
+            np.array([745.2, -745.2, 1e6, -1e6, np.inf, -np.inf, np.nan, 0.5, -2.0]),
+        ],
+    )
+    def test_sigmoid_into_given_arrays_with_x_as_work_has_the_same_bits(self, x):
+        """Writing to ``out`` and building exp(-|x|) over x itself, as
+        inference does, changes no bit of the result."""
+        want = reference_sigmoid(x)
+        out, work = np.empty_like(x), x.copy()
+        assert sigmoid_forward(work, out=out, work=work) is out
+        assert_same_bits(out, want)
+
     @settings(max_examples=200, deadline=None)
     @given(x=hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, max_side=6), elements=st.floats()))
     def test_sigmoid_matches_the_two_branch_form_on_any_floats(self, x):
@@ -445,6 +461,30 @@ class TestConcat:
         assert y.shape == (4, 5)
         np.testing.assert_array_equal(y[:, :3], a)
         np.testing.assert_array_equal(y[:, 3:], b)
+
+
+class TestOutArguments:
+    def test_forward_kernels_write_the_same_bits_into_out(self):
+        """dense, 1x1 conv and concat give a fresh result's bits when writing
+        into a view of a larger buffer, as an inference scratch makes them."""
+        rng = np.random.default_rng(9)
+        h3 = rng.standard_normal((120, 16, 16, 8))
+        x4 = (rng.random((120, 16, 16, 8)) < 0.1).astype(np.float64)
+        cases = [
+            (dense_forward,
+             (rng.standard_normal((120, 34)), rng.standard_normal((2048, 34)),
+              rng.standard_normal(2048)), (120, 2048)),
+            (concat_forward, (h3, x4), (120, 16, 16, 16)),
+            (conv1x1_forward,
+             (np.concatenate([h3, x4], axis=-1), rng.standard_normal((8, 16)),
+              rng.standard_normal(8)), (120, 16, 16, 8)),
+        ]
+        buf = np.empty(200 * 16 * 16 * 16)
+        for fn, args, shape in cases:
+            out = buf[: math.prod(shape)].reshape(shape)
+            out.fill(np.nan)
+            assert fn(*args, out=out) is out
+            assert out.tobytes() == fn(*args).tobytes(), fn.__name__
 
 
 class TestReparameterize:

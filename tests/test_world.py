@@ -10,6 +10,7 @@ import pytest
 
 from uavad import adnet
 from uavad.adnet import Dataset, ModelConfig, TrainConfig, save_checkpoint
+from uavad.evaluate import run_benchmark
 from uavad.grid import CATEGORIES, CATEGORY_IDS, GpsLabel, GridSpec, GridTensor
 from uavad.nn import Rng
 from uavad.world import (
@@ -511,6 +512,30 @@ class TestBuildDataset:
             "cvae": "dcfdba5554add3de841b91b1da7efa6f88191472d9d80f1c5450ede58c4ac3c5",
             "vae": "07b4d44d1c1e7fe2de156500be10995514da9cb554bfd3ee89911bf109a8b290",
         }
+
+    def test_evaluation_matches_the_pinned_digest(self, tmp_path):
+        """run_benchmark's result document on digest (b)'s data and task
+        files of its test split, scored by 3-epoch checkpoints of all four
+        variants: the inference bits, the detection rule and the metrics,
+        pinned across versions."""
+        build_dataset(WORLD, 60, str(tmp_path), seed=5)
+        train_set, val_set = (
+            Dataset.from_scenes(load_scenes(str(tmp_path / f"{split}.jsonl"), WORLD.grid))
+            for split in ("train", "val")
+        )
+        test = load_scenes(str(tmp_path / "test.jsonl"), WORLD.grid)
+        for task in (1, 2, 3):
+            records = build_benchmark(WORLD, test, task, Rng(50 + task))
+            write_benchmark(records, str(tmp_path / f"task{task}.jsonl"))
+        checkpoints = {
+            variant: adnet.train(
+                ModelConfig(variant), train_set, val_set, TrainConfig(max_epochs=3, seed=5)
+            )[0]
+            for variant in adnet.VARIANTS
+        }
+        result = run_benchmark(WORLD, str(tmp_path), checkpoints, str(tmp_path))
+        digest = hashlib.sha256(json.dumps(result, sort_keys=True).encode("utf-8")).hexdigest()
+        assert digest == "ec84b444a374d5c5f85ae0b2453ffc638cf005f887816455f77e57f62012f5bf"
 
     def test_tiny_datasets_are_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least 10"):
