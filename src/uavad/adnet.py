@@ -286,7 +286,9 @@ def _as_batch(arr: np.ndarray | None, width: int, what: str) -> np.ndarray:
 
 
 class Scratch:
-    """Activation buffers that a sequence of inference passes reuses.
+    """Activation buffers that a sequence of passes reuses: the inference
+    passes of ``evaluate.run_benchmark``, or every training step and
+    validation pass of one ``train`` call.
 
     ``take(name, shape)`` returns a float64 view of the leading elements of
     buffer ``name``: the same memory on every call, grown (its contents not
@@ -353,7 +355,7 @@ def _forward_cached(
         conv_in, values["out.k"], values["out.b"], out=_buffer(scratch, "logits", shape4)
     )
     # With a scratch, exp(-|l|) overwrites the logits, which nothing reads
-    # afterwards; without one it gets its own array, as in training.
+    # afterwards; without one it gets its own array.
     x_hat4 = sigmoid_forward(
         logits,
         out=None if out is None else out.reshape(shape4),
@@ -448,22 +450,28 @@ def loss(
     return LossBreakdown(total=rec + reg, rec=rec, reg=reg)
 
 
-def backward(config: ModelConfig, params: ParamSet, cache: dict) -> None:
+def backward(
+    config: ModelConfig, params: ParamSet, cache: dict, scratch: Scratch | None = None
+) -> None:
     """Accumulate total-loss gradients for the batch held in ``cache``.
 
     The cross-entropy gradient is fused through the sigmoid
     (dL/dlogits = (x_hat - x) / batch), avoiding division by probabilities
-    near 0 or 1.
+    near 0 or 1. With a ``scratch``, the logit gradient and the decoder's
+    gradient go into its buffers.
     """
     b = cache["x"].shape[0]
-    n_o = config.n_o
+    x_hat4 = cache["x_hat4"]
 
-    dlogits = cache["x_hat4"] - cache["x4"]
+    dlogits = np.subtract(x_hat4, cache["x4"], out=_buffer(scratch, "dlogits", x_hat4.shape))
     dlogits /= b
-    dconv_in = conv1x1_backward(dlogits, cache["conv_in"], params["out.k"], params["out.b"])
-    dgrid4 = dconv_in[..., :n_o] if config.use_copy_crop else dconv_in
-    dh3 = dgrid4.reshape(b, -1)
-    dh3_pre = relu_backward(dh3, cache["h3"])  # h3 > 0 exactly where h3_pre > 0
+    # Only the decoder's channels: the copy-crop input's gradient is not needed.
+    dgrid4 = conv1x1_backward(
+        dlogits, cache["conv_in"], params["out.k"], params["out.b"], config.n_o,
+        out=_buffer(scratch, "dgrid", x_hat4.shape),
+    )
+    dh3_pre = dgrid4.reshape(b, -1)
+    dh3_pre *= cache["h3"] > 0.0  # the ReLU mask; h3 > 0 exactly where h3_pre > 0
     ddec_in = dense_backward(dh3_pre, cache["dec_in"], params["dec.w"], params["dec.b"])
     dz = ddec_in[:, : config.n_h] if config.use_gps else ddec_in
 
@@ -491,19 +499,26 @@ def _validation_stats(
     values: Mapping[str, np.ndarray],
     x: np.ndarray,
     gps: np.ndarray | None,
+    scratch: Scratch | None = None,
 ) -> tuple[float, float]:
-    """(mean total loss, mean squared error) with zero latent noise."""
+    """(mean total loss, mean squared error) with zero latent noise; the
+    rows and activations go into ``scratch`` (fresh arrays when None)."""
     chunk = 256
     n = x.shape[0]
     loss_sum = 0.0
     sq_sum = 0.0
     for lo in range(0, n, chunk):
-        xb = x[lo : lo + chunk].astype(np.float64)
+        rows = x[lo : lo + chunk]
+        xb = _buffer(scratch, "x", rows.shape)
+        np.copyto(xb, rows)
         gb = gps[lo : lo + chunk] if gps is not None else None
-        x_hat, mu, log_var = forward(config, values, xb, gb, None)
+        x_hat, mu, log_var = forward(
+            config, values, xb, gb, None, scratch=scratch, out=_buffer(scratch, "x_hat", xb.shape)
+        )
         lb = loss(xb, x_hat, mu, log_var)
         loss_sum += lb.total * xb.shape[0]
-        sq_sum += float(np.sum((x_hat - xb) ** 2))
+        sq = np.square(np.subtract(x_hat, xb, out=x_hat), out=x_hat)
+        sq_sum += float(np.sum(sq))
     return loss_sum / n, sq_sum / (n * x.shape[1])
 
 
@@ -519,6 +534,10 @@ def train(
     runs with zero noise. Training stops once the validation loss has not
     improved for ``tc.patience`` consecutive epochs; the returned checkpoint
     holds the best-validation parameters.
+
+    One ``Scratch`` serves every step and validation pass: the batch rows,
+    the large activations and the large gradients of every step go into the
+    same memory. The best parameters are copied into arrays allocated once.
     """
     if train_set.n == 0 or val_set.n == 0:
         raise ValueError("train and validation sets must be non-empty")
@@ -548,6 +567,7 @@ def train(
     history: list[EpochStats] = []
     best_val = np.inf
     best_values = params.copy_values()
+    scratch = Scratch()
     epochs_since_best = 0
     step = 0
 
@@ -558,13 +578,16 @@ def train(
         loss_sum = 0.0
         for bi, lo in enumerate(range(0, n, tc.batch_size)):
             idx = perm[lo : lo + tc.batch_size]
-            xb = x_train[idx].astype(np.float64)
+            xb = scratch.take("x", (idx.size, config.hidden3))
+            np.copyto(xb, x_train[idx])
             gb = g_train[idx] if g_train is not None else None
             eb = eps_all[idx]
             try:
-                x_hat, mu, log_var, cache = _forward_cached(config, params.values, xb, gb, eb)
+                x_hat, mu, log_var, cache = _forward_cached(
+                    config, params.values, xb, gb, eb, scratch, scratch.take("x_hat", xb.shape)
+                )
                 lb = loss(xb, x_hat, mu, log_var)
-                backward(config, params, cache)
+                backward(config, params, cache, scratch)
                 step += 1
                 adam_step(params, tc.lr, t=step)
             except FloatingPointError as e:
@@ -572,7 +595,7 @@ def train(
             loss_sum += lb.total * xb.shape[0]
 
         train_loss = loss_sum / n
-        val_loss, val_mse = _validation_stats(config, params.values, x_val, g_val)
+        val_loss, val_mse = _validation_stats(config, params.values, x_val, g_val, scratch)
         history.append(EpochStats(
             train_loss, val_loss, val_mse, wall_s=time.perf_counter() - started
         ))
@@ -587,7 +610,8 @@ def train(
 
         if val_loss < best_val:
             best_val = val_loss
-            best_values = params.copy_values()
+            for name, value in params.values.items():
+                np.copyto(best_values[name], value)
             epochs_since_best = 0
         else:
             epochs_since_best += 1
@@ -732,21 +756,24 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
     """Write ``checkpoint`` to ``path`` as JSON, through ``atomic_write``: on
     failure ``path`` is left as it was. Each parameter's ``data`` is the
     base64 of its little-endian float64 bytes."""
-    params = {}
-    for name in sorted(checkpoint.values):
-        arr = np.ascontiguousarray(checkpoint.values[name], dtype="<f8")
-        params[name] = {"shape": list(arr.shape), "data": base64.b64encode(arr).decode("ascii")}
-    doc = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "config": checkpoint.config.to_dict(),
-        "gps_normalization": checkpoint.gps_normalization.to_dict(),
-        "params": params,
-        "training_meta": checkpoint.training_meta,
-    }
-    # json.dumps runs the C encoder; json.dump would stream through the
-    # pure-Python one. The bytes are the same.
+    # The text of json.dumps of the whole document, written in pieces. Every
+    # field but the base64 goes through json.dumps (the C encoder; json.dump
+    # would run the pure-Python one); the base64 needs no escaping, so it is
+    # written as it is rather than scanned again by the encoder.
+    dumps = json.dumps
+    head = (
+        f'{{"format_version": {dumps(CHECKPOINT_FORMAT_VERSION)}, '
+        f'"config": {dumps(checkpoint.config.to_dict())}, '
+        f'"gps_normalization": {dumps(checkpoint.gps_normalization.to_dict())}, "params": {{'
+    )
     with atomic_write(path) as f:
-        f.write(json.dumps(doc))
+        f.write(head)
+        for i, name in enumerate(sorted(checkpoint.values)):
+            arr = np.ascontiguousarray(checkpoint.values[name], dtype="<f8")
+            f.write(f'{", " if i else ""}{dumps(name)}: {{"shape": {dumps(list(arr.shape))}, "data": "')
+            f.write(base64.b64encode(arr).decode("ascii"))
+            f.write('"}')
+        f.write(f'}}, "training_meta": {dumps(checkpoint.training_meta)}}}')
 
 
 def load_checkpoint(path: str) -> Checkpoint:

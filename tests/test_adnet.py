@@ -1,6 +1,7 @@
 """Tests for the autoencoder variants: wiring, loss, gradients, training, checkpoints."""
 
 import base64
+import dataclasses
 import json
 import math
 import os
@@ -486,6 +487,28 @@ class TestBackwardReference:
                 assert p.grad.tobytes() == ref[p.name].grad.tobytes(), p.name
 
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_scratch_across_batches_is_bit_equal_to_the_reference(self, variant):
+        """As in train: one Scratch serves the forward pass and backward of
+        batches of 64, 48, 8 and 64 rows in turn, each accumulating on the
+        last batch's gradients; after every batch they have the bits of the
+        reference's, run without a scratch."""
+        config = ModelConfig(variant)
+        scratch = adnet.Scratch()
+        ref, got = init_params(config, 4), init_params(config, 4)
+        for i, batch in enumerate((64, 48, 8, 64)):
+            x, gps, eps = random_batch(config, batch, seed=30 + i)
+            _, _, _, cache = adnet._forward_cached(config, ref.values, x, gps, eps)
+            reference_backward(config, ref, cache)
+            xb = scratch.take("x", x.shape)
+            np.copyto(xb, x)
+            x_hat = scratch.take("x_hat", x.shape)
+            _, _, _, cache = adnet._forward_cached(config, got.values, xb, gps, eps, scratch, x_hat)
+            adnet.backward(config, got, cache, scratch)
+            for p in got:
+                assert p.grad.tobytes() == ref[p.name].grad.tobytes(), (batch, p.name)
+
+
 def _binary_dataset(n: int, width: int, seed: int, patterns: int = 4) -> Dataset:
     """n samples cycling over a few fixed binary patterns, with jittered GPS."""
     rng = Rng(seed)
@@ -596,6 +619,21 @@ class TestTraining:
         assert checkpoint.training_meta["best_val_loss"] == pytest.approx(
             history[0].val_loss, abs=0.0
         )
+
+    def test_checkpoint_holds_the_best_epochs_parameters(self):
+        """On the hostile validation set the first epoch stays the best, so
+        the checkpoint holds the bits of a one-epoch run with the same seed,
+        not the parameters that two more epochs of training moved on."""
+        config = tiny_config("vae")
+        d = config.hidden3
+        train_set = Dataset(np.zeros((24, d), dtype=np.uint8), np.zeros((24, 2)))
+        val_set = Dataset(np.ones((8, d), dtype=np.uint8), np.zeros((8, 2)))
+        tc = TrainConfig(lr=0.01, batch_size=8, max_epochs=30, patience=2, seed=0)
+        checkpoint, history = train(config, train_set, val_set, tc)
+        assert len(history) == 3
+        first, _ = train(config, train_set, val_set, dataclasses.replace(tc, max_epochs=1))
+        for name, value in first.values.items():
+            assert checkpoint.values[name].tobytes() == value.tobytes(), name
 
     def test_numeric_failures_name_epoch_and_batch(self, monkeypatch):
         config = tiny_config("vae")

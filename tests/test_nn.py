@@ -451,6 +451,40 @@ class TestConv1x1:
         )
         assert worst < GRAD_TOL, f"conv1x1 gradient error {worst}"
 
+    @pytest.mark.parametrize("batch", [1, 8, 9, 64, 513])
+    def test_blocked_kernels_have_the_bits_of_the_batched_forms(self, batch):
+        """256 pixels per scene, so batches of 8, 9, 64 and 513 end on and
+        cross the forward GEMM's block edges. With and without out=: the
+        forward has the bits of one 4-D matmul, the einsum bias gradient
+        those of sum(axis=0), and the input gradient of the first 8 channels
+        those of the same channels of the full one, itself the 4-D matmul."""
+        rng = np.random.default_rng(batch)
+        x = rng.standard_normal((batch, 16, 16, 16))
+        dy = rng.standard_normal((batch, 16, 16, 8)) * 1e-3
+        k_value, b_value = rng.standard_normal((8, 16)), rng.standard_normal(8)
+
+        want = np.matmul(x, k_value.T)
+        want += b_value
+        assert conv1x1_forward(x, k_value, b_value).tobytes() == want.tobytes()
+        out = np.full(want.shape, np.nan)
+        assert conv1x1_forward(x, k_value, b_value, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
+        dy2 = dy.reshape(-1, 8)
+        want_k, want_b = np.zeros((8, 16)), np.zeros(8)
+        want_k += dy2.T @ x.reshape(-1, 16)
+        want_b += dy2.sum(axis=0)
+        full = np.matmul(dy, k_value)
+        for n_in, use_out in ((None, False), (8, False), (8, True)):
+            ps = ParamSet()
+            k, b = ps.add("k", k_value), ps.add("b", b_value)
+            out = np.full((batch, 16, 16, n_in or 16), np.nan) if use_out else None
+            got = conv1x1_backward(dy, x, k, b, n_in, out=out)
+            assert out is None or got is out
+            assert got.tobytes() == np.ascontiguousarray(full[..., : n_in or 16]).tobytes()
+            assert k.grad.tobytes() == want_k.tobytes()
+            assert b.grad.tobytes() == want_b.tobytes()
+
 
 class TestConcat:
     def test_round_trip(self):
