@@ -321,26 +321,34 @@ def _forward_cached(
     eps: np.ndarray,
     scratch: Scratch | None = None,
     out: np.ndarray | None = None,
+    *,
+    row_invariant: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Batched forward pass keeping the activations needed by backward().
 
     With a ``scratch``, ``h3``, the copy-crop ``conv_in`` and the logits are
     written into its buffers, so the cache is valid only until the next pass
     on the same scratch. The probabilities go to ``out`` ((b, D), a fresh
-    array when None).
+    array when None). ``row_invariant`` runs the dense layers in their
+    row-invariant form (see ``dense_forward``): each row then gets the bits
+    it gets in a batch of one. The 1x1 conv and the sigmoid need no such
+    form, since their bits for a row do not depend on the batch.
     """
     b = x.shape[0]
     rows, cols, n_o = config.grid.cells_y, config.grid.cells_x, config.n_o
     shape4 = (b, rows, cols, n_o)
 
-    h1_pre = dense_forward(x, values["enc.w"], values["enc.b"])
+    h1_pre = dense_forward(x, values["enc.w"], values["enc.b"], row_invariant=row_invariant)
     h1 = relu_forward(h1_pre)
-    mu = dense_forward(h1, values["mu.w"], values["mu.b"])
-    log_var = dense_forward(h1, values["logvar.w"], values["logvar.b"])
+    mu = dense_forward(h1, values["mu.w"], values["mu.b"], row_invariant=row_invariant)
+    log_var = dense_forward(
+        h1, values["logvar.w"], values["logvar.b"], row_invariant=row_invariant
+    )
     z = reparameterize_forward(mu, log_var, eps)
     dec_in = concat_forward(z, gps) if config.use_gps else z
     h3 = dense_forward(
-        dec_in, values["dec.w"], values["dec.b"], out=_buffer(scratch, "h3", (b, config.hidden3))
+        dec_in, values["dec.w"], values["dec.b"], out=_buffer(scratch, "h3", (b, config.hidden3)),
+        row_invariant=row_invariant,
     )
     np.maximum(h3, 0.0, out=h3)  # the decoder ReLU, in place
 
@@ -388,6 +396,7 @@ def forward(
     *,
     scratch: Scratch | None = None,
     out: np.ndarray | None = None,
+    row_invariant: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reconstruction probabilities plus latent statistics.
 
@@ -398,7 +407,7 @@ def forward(
     GPS. ``eps`` is the latent noise; None means zeros, the
     deterministic posterior-mean mode used at inference. ``scratch`` holds
     the large intermediate activations and ``out`` (n, D) receives the
-    probabilities; see ``_forward_cached``.
+    probabilities; see ``_forward_cached``, also for ``row_invariant``.
     """
     single = np.asarray(x).ndim == 1
     xb = _as_batch(x, config.hidden3, "input vector")
@@ -419,7 +428,9 @@ def forward(
         if eb.shape[0] != xb.shape[0]:
             raise ValueError("latent noise batch size does not match input batch size")
 
-    x_hat, mu, log_var, _ = _forward_cached(config, values, xb, gb, eb, scratch, out)
+    x_hat, mu, log_var, _ = _forward_cached(
+        config, values, xb, gb, eb, scratch, out, row_invariant=row_invariant
+    )
     if single:
         return x_hat[0], mu[0], log_var[0]
     return x_hat, mu, log_var
@@ -718,7 +729,12 @@ class Checkpoint:
         self.training_meta = dict(training_meta or {})
 
     def reconstruct(
-        self, x: np.ndarray, gps_deg: np.ndarray | None = None, scratch: Scratch | None = None
+        self,
+        x: np.ndarray,
+        gps_deg: np.ndarray | None = None,
+        scratch: Scratch | None = None,
+        *,
+        row_invariant: bool = False,
     ) -> np.ndarray:
         """Posterior-mean reconstruction probabilities, shape (n, D).
 
@@ -728,6 +744,13 @@ class Checkpoint:
         rows of the returned array. A ``scratch`` shared by a sequence of
         calls holds their float64 input rows and large activations, so that
         only the returned array is new.
+
+        By default each chunk runs as one GEMM per dense layer, and a row's
+        bits can depend on the rows that share its chunk. ``row_invariant``
+        gives every row the bits of a call on that row alone, at ~1.6× the
+        cost per row (see ``nn.dense_forward``). Those bits rest on how NumPy
+        dispatches a stacked matmul; ``training_meta["numpy_version"]``
+        names the version a checkpoint was trained with.
         """
         x = np.asarray(x)
         if x.ndim != 2:
@@ -748,7 +771,10 @@ class Checkpoint:
             xb = _buffer(scratch, "x", rows.shape)
             np.copyto(xb, rows)
             gb = g[lo : lo + chunk] if g is not None else None
-            forward(self.config, self.values, xb, gb, scratch=scratch, out=out[lo : lo + chunk])
+            forward(
+                self.config, self.values, xb, gb,
+                scratch=scratch, out=out[lo : lo + chunk], row_invariant=row_invariant,
+            )
         return out
 
 

@@ -10,15 +10,18 @@ cells — diagnostics, not detections.
 from __future__ import annotations
 
 import json
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .adnet import Checkpoint
+from .adnet import Checkpoint, ModelConfig, Scratch
 from .grid import (
-    CATEGORIES, GpsLabel, GridTensor, N_CATEGORIES, atomic_write, read_jsonl, record_to_scene,
+    CATEGORIES, GpsLabel, GridSpec, GridTensor, N_CATEGORIES, atomic_write, read_jsonl,
+    record_to_scene,
 )
 
 __all__ = [
@@ -36,6 +39,9 @@ __all__ = [
 _BY_NAME = np.argsort(CATEGORIES)
 # An object array, so every cell shares the one str of its category's name.
 _NAMES = np.array(CATEGORIES, dtype=object)
+# Records that detect_batch reconstructs and selects cells from together; a
+# large file is read one chunk at a time.
+_CHUNK = 64
 
 
 class AnomalyCell(NamedTuple):
@@ -122,6 +128,14 @@ def detection_masks(
     return occupied & ~kept, ~occupied & kept
 
 
+def _check_grid(config: ModelConfig, spec: GridSpec) -> None:
+    if spec != config.grid or config.n_o != N_CATEGORIES:
+        raise ValueError(
+            f"scene grid {spec} does not match checkpoint grid {config.grid} "
+            f"with {config.n_o} channels"
+        )
+
+
 def _select(mask: np.ndarray, probs: np.ndarray) -> CellArrays:
     """The cells set in a (rows, cols, categories) mask, as read-only arrays."""
     rows, cols, k = np.nonzero(mask[..., _BY_NAME])
@@ -131,6 +145,22 @@ def _select(mask: np.ndarray, probs: np.ndarray) -> CellArrays:
     prob = probs.reshape(-1)[index]
     index.flags.writeable = prob.flags.writeable = False
     return CellArrays(index, prob)
+
+
+def _select_each(mask: np.ndarray, probs: np.ndarray) -> list[CellArrays]:
+    """``_select`` of each scene of an (n, rows, cols, categories) mask: one
+    nonzero over the stack, split per scene. The arrays of the scenes are
+    read-only views of one index and one probability array."""
+    n = mask.shape[0]
+    scene, rows, cols, k = np.nonzero(mask[..., _BY_NAME])
+    index = np.ravel_multi_index((rows, cols, _BY_NAME[k]), mask.shape[1:])
+    prob = probs.reshape(n, -1)[scene, index]
+    index.flags.writeable = prob.flags.writeable = False
+    bounds = np.searchsorted(scene, np.arange(n + 1)).tolist()
+    return [
+        CellArrays(index[lo:hi], prob[lo:hi]) if lo < hi else _NO_CELLS
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 def _cells(shape: tuple[int, ...], cells: CellArrays) -> tuple[AnomalyCell, ...]:
@@ -149,11 +179,7 @@ def detect(
 ) -> AnomalyReport:
     """Flag occupied cells whose reconstruction falls below the threshold."""
     config = checkpoint.config
-    if x.spec != config.grid or config.n_o != N_CATEGORIES:
-        raise ValueError(
-            f"scene grid {x.spec} does not match checkpoint grid {config.grid} "
-            f"with {config.n_o} channels"
-        )
+    _check_grid(config, x.spec)
     if config.use_gps and gps is None:
         raise ValueError(f"variant {config.variant!r} requires a gps label")
     if not config.use_gps and gps is not None:
@@ -161,7 +187,9 @@ def detect(
     threshold = _check_threshold(threshold)
 
     gps_deg = np.array([[gps.latitude, gps.longitude]]) if gps is not None else None
-    probs = checkpoint.reconstruct(x.data.reshape(1, -1), gps_deg).reshape(x.data.shape)
+    probs = checkpoint.reconstruct(
+        x.data.reshape(1, -1), gps_deg, row_invariant=True
+    ).reshape(x.data.shape)
     missing, added = detection_masks(x.data, probs, threshold)
     return AnomalyReport(
         x.data.shape,
@@ -175,16 +203,52 @@ def detect(
 
 
 def detect_batch(checkpoint: Checkpoint, path: str, threshold: float = 0.5) -> list[AnomalyReport]:
-    """One report per scene record, in file order.
+    """One report per scene record, in file order, equal to ``detect`` on
+    that scene: the same cells with the same probability bits.
 
     Accepts plain scene files and injected-anomaly benchmark files alike;
     only the gps and cells fields are read. The threshold is checked
     before the file is read, so an empty file does not hide a bad one.
+    Records are read and reconstructed ``_CHUNK`` at a time, in the
+    row-invariant mode of ``Checkpoint.reconstruct``.
     """
-    _check_threshold(threshold)
+    threshold = _check_threshold(threshold)
     config = checkpoint.config
     scenes = read_jsonl(path, lambda record, _: record_to_scene(record, config.grid))
-    return [detect(checkpoint, g, gps if config.use_gps else None, threshold) for g, gps in scenes]
+    scratch = Scratch()
+    reports: list[AnomalyReport] = []
+    with closing(scenes):
+        while chunk := list(islice(scenes, _CHUNK)):
+            reports += _detect_chunk(checkpoint, chunk, threshold, scratch)
+    return reports
+
+
+def _detect_chunk(
+    checkpoint: Checkpoint,
+    scenes: list[tuple[GridTensor, GpsLabel]],
+    threshold: float,
+    scratch: Scratch,
+) -> list[AnomalyReport]:
+    """The reports of ``detect_batch`` for a chunk of its scenes."""
+    config = checkpoint.config
+    _check_grid(config, scenes[0][0].spec)
+    x = np.stack([g.data for g, _ in scenes])
+    gps = [(p.latitude, p.longitude) for _, p in scenes] if config.use_gps else None
+    probs = checkpoint.reconstruct(
+        x.reshape(len(scenes), -1), gps, scratch, row_invariant=True
+    ).reshape(x.shape)
+    missing, added = detection_masks(x, probs, threshold)
+    scores = probs.min(axis=(1, 2, 3), initial=1.0, where=x != 0).tolist()
+    return [
+        AnomalyReport(
+            x.shape[1:], m, a, score=score, threshold=threshold,
+            model_variant=config.variant, gps=g,
+        )
+        for m, a, score, g in zip(
+            _select_each(missing, probs), _select_each(added, probs), scores,
+            gps or [None] * len(scenes),
+        )
+    ]
 
 
 @cache

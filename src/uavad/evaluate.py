@@ -153,8 +153,10 @@ def task_accuracy(
 ) -> float:
     """Fraction of injected cells that detection flags as missing.
 
-    Matches scoring a full detection report per scene, without building
-    the reports.
+    Scores what a detection report per scene would flag, without building
+    the reports. ``detect`` and ``detect_batch`` give each scene the bits of
+    a one-row reconstruction, while this runs 512-row GEMM batches: the two
+    agree except where a probability lies within ~3e-16 of the threshold.
     """
     if not records:
         raise ValueError("no benchmark records to score")

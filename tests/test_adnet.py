@@ -38,6 +38,7 @@ from uavad.adnet import (
 )
 from uavad.grid import GpsLabel, GridSpec, GridTensor
 from uavad.nn import Rng, adam_step
+from uavad.world import default_world, sample_dataset
 
 
 def tiny_config(variant: str) -> ModelConfig:
@@ -778,6 +779,31 @@ class TestCheckpointPersistence:
                 results.append((got, got.tobytes()))
             for got, kept in results:
                 assert got.tobytes() == kept, variant
+
+    @pytest.mark.parametrize("epochs", [0, 3], ids=["untrained", "trained-3-epochs"])
+    def test_row_invariant_rows_have_the_bits_of_single_row_calls(self, epochs):
+        """600 world scenes (two 512-row chunks) in the row-invariant mode,
+        with and without a scratch, equal 600 one-row calls bit for bit: on
+        the untrained checkpoint of acceptance criterion 8 and on a
+        ``uav_adnet`` trained for a few epochs."""
+        config = ModelConfig("uav_adnet")
+        w = default_world()
+        if epochs:
+            tc = TrainConfig(max_epochs=epochs, seed=4)
+            ck, _ = train(config, Dataset.from_scenes(sample_dataset(w, 600, seed=5)),
+                          Dataset.from_scenes(sample_dataset(w, 60, seed=6)), tc)
+        else:
+            ck = Checkpoint(
+                config, GpsNormalization(41.1, 29.0), init_params(config, 0).copy_values()
+            )
+        data = Dataset.from_scenes(sample_dataset(w, 600, seed=7))
+        single = np.concatenate(
+            [ck.reconstruct(data.x[i : i + 1], data.gps[i : i + 1]) for i in range(data.n)]
+        )
+        scratch = adnet.Scratch()
+        for s in (None, scratch, scratch):
+            got = ck.reconstruct(data.x, data.gps, s, row_invariant=True)
+            assert got.tobytes() == single.tobytes()
 
     def test_reconstruct_requires_gps_for_gps_variants(self):
         ck = tiny_checkpoint("uav_adnet")

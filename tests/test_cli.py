@@ -257,6 +257,23 @@ class TestDetect:
         assert code == EXIT_CONFIG
         assert not (tmp_path / "o").exists()
 
+    def test_bad_record_in_a_later_chunk_exits_two_naming_its_line(
+        self, pipeline, tmp_path, caplog
+    ):
+        lines = (pipeline["data"] / "test.jsonl").read_text().splitlines()
+        bad = json.loads(lines[0])
+        bad["cells"] = [["car", 99, 0]]
+        scenes = tmp_path / "scenes.jsonl"
+        scenes.write_text("\n".join((lines * 12)[:69] + [json.dumps(bad)] + lines) + "\n")
+        with caplog.at_level(logging.ERROR):
+            code = main(
+                ["detect", "--ckpt", pipeline["ckpts"]["uav_adnet"],
+                 "--in", str(scenes), "--out", str(tmp_path / "o")]
+            )
+        assert code == EXIT_CONFIG
+        assert f"{scenes}: line 70:" in caplog.text
+        assert not (tmp_path / "o").exists()
+
     def test_missing_checkpoint_is_a_config_error(self, pipeline, tmp_path):
         code = main(
             ["detect", "--ckpt", str(tmp_path / "absent.json"),

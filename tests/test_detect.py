@@ -196,6 +196,32 @@ class TestDetectBatch:
         for (grid, gps), report in zip(scenes, reports):
             assert report == detect(ck, grid, gps)
 
+    def test_every_chunk_matches_single_scene_calls(self, tmp_path, monkeypatch):
+        """130 scenes are read in chunks of 64, 64 and 2. Every report, for
+        each variant, equals detect on its scene, and its score and cell
+        arrays have the same bytes."""
+        scenes, path = self.write_scenes(tmp_path, n=130, seed=13)
+        for variant in VARIANTS:
+            ck = random_checkpoint(variant)
+            rows = []
+            reconstruct = ck.reconstruct
+
+            def counting(x, *args, **kwargs):
+                rows.append(x.shape[0])
+                return reconstruct(x, *args, **kwargs)
+
+            monkeypatch.setattr(ck, "reconstruct", counting)
+            reports = detect_batch(ck, path)
+            assert rows == [64, 64, 2], variant
+            assert len(reports) == len(scenes)
+            for (grid, gps), report in zip(scenes, reports):
+                single = detect(ck, grid, gps if ck.config.use_gps else None)
+                assert report == single, variant
+                assert np.float64(report.score).tobytes() == np.float64(single.score).tobytes()
+                for got, want in ((report.missing, single.missing), (report.added, single.added)):
+                    assert got.index.tobytes() == want.index.tobytes(), variant
+                    assert got.prob.tobytes() == want.prob.tobytes(), variant
+
     def test_batch_accepts_injected_benchmark_files(self, tmp_path):
         """Benchmark files carry extra fields; the detector ignores them."""
         world = default_world()
@@ -239,6 +265,26 @@ class TestDetectBatch:
             path.write_text(good + "\n" + bad + "\n")
             with pytest.raises(ValueError, match="line 2"):
                 detect_batch(random_checkpoint("vae"), str(path))
+
+    def test_bad_record_in_a_later_chunk_carries_its_line_number(self, tmp_path):
+        """Line 70 is read with the second chunk, after the first has been
+        reconstructed."""
+        path = tmp_path / "scenes.jsonl"
+        good = json.dumps({"gps": [41.1, 29.0], "cells": [["car", 1, 2]]})
+        bad = json.dumps({"gps": [41.1, 29.0], "cells": [["car", 99, 0]]})
+        path.write_text("\n".join([good] * 69 + [bad] + [good] * 5) + "\n")
+        with pytest.raises(ValueError, match=r"line 70\b"):
+            detect_batch(random_checkpoint("uav_adnet"), str(path))
+
+    def test_checkpoint_with_other_channels_is_rejected_as_detect_rejects_it(self, tmp_path):
+        _, path = self.write_scenes(tmp_path)
+        config = ModelConfig("vae", n_o=N_CATEGORIES - 1)
+        ck = Checkpoint(config, GpsNormalization(41.1, 29.0), init_params(config, 0).copy_values())
+        with pytest.raises(ValueError) as single:
+            detect(ck, GridTensor(GridSpec()))
+        with pytest.raises(ValueError) as batch:
+            detect_batch(ck, path)
+        assert str(batch.value) == str(single.value)
 
 
 def reference_cells(grid: GridTensor, probs: np.ndarray, threshold: float):
@@ -312,7 +358,7 @@ class FixedCheckpoint:
         self.config = ModelConfig("vae", GridSpec(cells_x=cols, cells_y=rows))
         self.probs = probs
 
-    def reconstruct(self, x, gps):
+    def reconstruct(self, x, gps, **_):
         return self.probs.reshape(1, -1)
 
 

@@ -333,6 +333,27 @@ class TestDense:
         with pytest.raises(ValueError, match="width"):
             dense_forward(np.zeros((1, 4)), w.value, b.value)
 
+    @pytest.mark.parametrize("n_in, n_out", [(2048, 128), (128, 32), (34, 2048)])
+    def test_row_invariant_rows_have_the_bits_of_single_row_calls(self, n_in, n_out):
+        """The model's three dense shapes: each row of a row-invariant batch,
+        with or without ``out=``, equals the default form on that row alone."""
+        rng = np.random.default_rng(n_in + n_out)
+        w = rng.standard_normal((n_out, n_in))
+        b = rng.standard_normal(n_out)
+        buf = np.empty(65 * n_out + 3)
+        for n in (1, 2, 7, 64, 65):
+            if n_in == 2048:  # binary occupancy rows, as the encoder reads
+                x = (rng.random((n, n_in)) < 0.1).astype(np.float64)
+            else:
+                x = rng.standard_normal((n, n_in))
+            single = np.concatenate([dense_forward(x[i : i + 1], w, b) for i in range(n)])
+            fresh = dense_forward(x, w, b, row_invariant=True)
+            out = buf[3 : 3 + n * n_out].reshape(n, n_out)
+            out.fill(np.nan)
+            assert dense_forward(x, w, b, out, row_invariant=True) is out
+            assert fresh.tobytes() == single.tobytes(), n
+            assert out.tobytes() == single.tobytes(), n
+
 
 def reference_sigmoid(x: np.ndarray) -> np.ndarray:
     """The masked two-branch logistic that sigmoid_forward must reproduce."""
