@@ -213,12 +213,18 @@ class Dataset:
     gps: np.ndarray  # (n, 2) float64 latitude/longitude
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=np.uint8)
+        x = np.asarray(self.x)
         gps = np.asarray(self.gps, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError("dataset x must be two-dimensional")
-        if not (x <= 1).all():  # x is uint8 here, so this is the binary check
+        # Checked before the cast to uint8, which would turn 0.5 into 0.
+        if x.dtype == np.uint8:
+            binary = x.max(initial=0) <= 1
+        else:
+            binary = ((x == 0) | (x == 1)).all()
+        if not binary:
             raise ValueError("dataset x must be binary")
+        x = x.astype(np.uint8, copy=False)
         if gps.shape != (x.shape[0], 2):
             raise ValueError(f"gps shape {gps.shape} does not match {x.shape[0]} samples")
         object.__setattr__(self, "x", x)
@@ -266,13 +272,9 @@ def init_params(config: ModelConfig, rng: Rng | int) -> ParamSet:
     if isinstance(rng, int):
         rng = Rng(rng)
     shapes = expected_param_shapes(config)
-    params = ParamSet()
+    params = ParamSet(shapes)
     for name in ("enc.w", "mu.w", "logvar.w", "dec.w", "out.k"):
-        n_out, n_in = shapes[name]
-        params.add(name, glorot_uniform(rng, n_out, n_in))
-    for name, shape in shapes.items():
-        if name not in params.values:
-            params.add(name, np.zeros(shape))
+        glorot_uniform(rng, *shapes[name], out=params.values[name])
     return params
 
 
@@ -322,6 +324,7 @@ def _forward_cached(
     scratch: Scratch | None = None,
     out: np.ndarray | None = None,
     *,
+    x_enc: np.ndarray | None = None,
     row_invariant: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Batched forward pass keeping the activations needed by backward().
@@ -329,16 +332,19 @@ def _forward_cached(
     With a ``scratch``, ``h3``, the copy-crop ``conv_in`` and the logits are
     written into its buffers, so the cache is valid only until the next pass
     on the same scratch. The probabilities go to ``out`` ((b, D), a fresh
-    array when None). ``row_invariant`` runs the dense layers in their
-    row-invariant form (see ``dense_forward``): each row then gets the bits
-    it gets in a batch of one. The 1x1 conv and the sigmoid need no such
-    form, since their bits for a row do not depend on the batch.
+    array when None). ``x_enc`` is what the encoder reads: the columns of
+    ``x`` that ``values["enc.w"]`` holds, in its order (``x`` itself when
+    None, for a full-width ``enc.w``). ``row_invariant`` runs the dense
+    layers in their row-invariant form (see ``dense_forward``): each row then
+    gets the bits it gets in a batch of one. The 1x1 conv and the sigmoid
+    need no such form, since their bits for a row do not depend on the batch.
     """
     b = x.shape[0]
     rows, cols, n_o = config.grid.cells_y, config.grid.cells_x, config.n_o
     shape4 = (b, rows, cols, n_o)
 
-    h1_pre = dense_forward(x, values["enc.w"], values["enc.b"], row_invariant=row_invariant)
+    x_enc = x if x_enc is None else x_enc
+    h1_pre = dense_forward(x_enc, values["enc.w"], values["enc.b"], row_invariant=row_invariant)
     h1 = relu_forward(h1_pre)
     mu = dense_forward(h1, values["mu.w"], values["mu.b"], row_invariant=row_invariant)
     log_var = dense_forward(
@@ -373,6 +379,7 @@ def _forward_cached(
 
     cache = {
         "x": x,
+        "x_enc": x_enc,
         "h1_pre": h1_pre,
         "h1": h1,
         "mu": mu,
@@ -468,8 +475,10 @@ def backward(
 
     The cross-entropy gradient is fused through the sigmoid
     (dL/dlogits = (x_hat - x) / batch), avoiding division by probabilities
-    near 0 or 1. With a ``scratch``, the logit gradient and the decoder's
-    gradient go into its buffers.
+    near 0 or 1. ``enc.w``'s gradient is taken against the encoder input
+    the forward pass read (``x_enc``), so it has ``enc.w``'s shape, full
+    width or a column block. With a ``scratch``, the logit gradient and the
+    decoder's gradient go into its buffers.
     """
     b = cache["x"].shape[0]
     x_hat4 = cache["x_hat4"]
@@ -495,8 +504,7 @@ def backward(
     dh1_pre = relu_backward(dh1, cache["h1_pre"])
     # dense_backward for the encoder, less its input gradient, which nothing
     # reads; (x.T @ dh1_pre).T has the bits of dh1_pre.T @ x, per column too.
-    x, cols = cache["x"], params["enc.w"].cols
-    params["enc.w"].grad += ((x if cols is None else x[:, cols]).T @ dh1_pre).T
+    params["enc.w"].grad += (cache["x_enc"].T @ dh1_pre).T
     params["enc.b"].grad += dh1_pre.sum(axis=0)
 
 
@@ -546,6 +554,15 @@ def train(
     improved for ``tc.patience`` consecutive epochs; the returned checkpoint
     holds the best-validation parameters.
 
+    ``enc.w`` trains as its block of live columns, those that some training
+    row sets: no other column gets a gradient. The encoder of each step
+    reads just those columns of its rows, gathered once per call as uint8.
+    The parameters are drawn by ``init_params`` as for a full-width model;
+    the block is written back into the full ``enc.w`` after every epoch,
+    and validation and the checkpoint read that full array. A column that
+    no training row sets keeps its initial weights, so an anomalous input
+    there still meets them.
+
     One ``Scratch`` serves every step and validation pass: the batch rows,
     the large activations and the large gradients of every step go into the
     same memory. The best parameters are copied into arrays allocated once.
@@ -556,12 +573,17 @@ def train(
         raise ValueError("dataset vector length does not match model configuration")
 
     rng = Rng(tc.seed)
-    params = init_params(config, rng)
-    # An input cell that no training row sets gives its enc.w column no gradient.
-    params["enc.w"].restrict(np.flatnonzero(train_set.x.any(axis=0)))
+    # Of the full-width store that init_params draws, only enc.w is kept.
+    drawn = init_params(config, rng).values
+    live = np.flatnonzero(train_set.x.any(axis=0))
+    enc_w = drawn["enc.w"].copy()
+    params = ParamSet.from_values({**drawn, "enc.w": enc_w[:, live]})
+    del drawn
+    values = {**params.values, "enc.w": enc_w}  # what validation and the checkpoint read
     gn = tc.gps_normalization or GpsNormalization.fit(train_set.gps)
 
     x_train = train_set.x
+    x_live = x_train[:, live]
     x_val = val_set.x
     g_train = gn.normalize_array(train_set.gps) if config.use_gps else None
     g_val = gn.normalize_array(val_set.gps) if config.use_gps else None
@@ -577,7 +599,7 @@ def train(
 
     history: list[EpochStats] = []
     best_val = np.inf
-    best_values = params.copy_values()
+    best_values = {name: value.copy() for name, value in values.items()}
     scratch = Scratch()
     epochs_since_best = 0
     step = 0
@@ -591,11 +613,14 @@ def train(
             idx = perm[lo : lo + tc.batch_size]
             xb = scratch.take("x", (idx.size, config.hidden3))
             np.copyto(xb, x_train[idx])
+            xb_live = scratch.take("x_live", (idx.size, live.size))
+            np.copyto(xb_live, x_live[idx])
             gb = g_train[idx] if g_train is not None else None
             eb = eps_all[idx]
             try:
                 x_hat, mu, log_var, cache = _forward_cached(
-                    config, params.values, xb, gb, eb, scratch, scratch.take("x_hat", xb.shape)
+                    config, params.values, xb, gb, eb, scratch, scratch.take("x_hat", xb.shape),
+                    x_enc=xb_live,
                 )
                 lb = loss(xb, x_hat, mu, log_var)
                 backward(config, params, cache, scratch)
@@ -606,7 +631,8 @@ def train(
             loss_sum += lb.total * xb.shape[0]
 
         train_loss = loss_sum / n
-        val_loss, val_mse = _validation_stats(config, params.values, x_val, g_val, scratch)
+        enc_w[:, live] = params.values["enc.w"]
+        val_loss, val_mse = _validation_stats(config, values, x_val, g_val, scratch)
         history.append(EpochStats(
             train_loss, val_loss, val_mse, wall_s=time.perf_counter() - started
         ))
@@ -621,7 +647,7 @@ def train(
 
         if val_loss < best_val:
             best_val = val_loss
-            for name, value in params.values.items():
+            for name, value in values.items():
                 np.copyto(best_values[name], value)
             epochs_since_best = 0
         else:

@@ -12,8 +12,10 @@ against central finite differences in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+import math
+import mmap
+from dataclasses import dataclass
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -179,66 +181,72 @@ class Rng:
 # ---------------------------------------------------------------------------
 
 
+def _lazy_zeros(n: int) -> np.ndarray:
+    """n float64 zeros on fresh anonymous pages, which take memory only once
+    written. ``np.zeros`` of a few MB may instead clear reused heap memory,
+    which puts every page in memory at once."""
+    return np.frombuffer(mmap.mmap(-1, max(8 * n, 1), flags=mmap.MAP_PRIVATE), np.float64, n)
+
+
 @dataclass
 class Param:
+    """One parameter: C-contiguous views into its ``ParamSet``'s flat vectors."""
+
     name: str
     value: np.ndarray
-    cols: np.ndarray | None = field(init=False)  # see restrict
-    flat: np.ndarray | None = field(init=False)  # cols' elements in value.reshape(-1)
-    grad: np.ndarray = field(init=False)
-    adam_m: np.ndarray = field(init=False)
-    adam_v: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        # C order, so that reshape(-1) in adam_step is a view, never a copy.
-        self.value = np.asarray(self.value, dtype=np.float64, order="C")
-        self.restrict(None)
-
-    def restrict(self, cols: np.ndarray | None) -> None:
-        """Train only columns ``cols`` (increasing) of the last axis; None: all.
-        ``grad``, ``adam_m`` and ``adam_v`` restart at zero, holding just those
-        columns. A column left out must be one whose gradient is always zero."""
-        self.cols = cols
-        width = self.value.shape[-1]
-        self.flat = None if cols is None else (
-            np.arange(0, self.value.size, width)[:, None] + cols
-        ).reshape(-1)
-        shape = self.value.shape if cols is None else (*self.value.shape[:-1], len(cols))
-        self.grad = np.zeros(shape)
-        self.adam_m = np.zeros(shape)
-        self.adam_v = np.zeros(shape)
+    grad: np.ndarray
+    adam_m: np.ndarray
+    adam_v: np.ndarray
 
 
 class ParamSet:
-    """Named parameter collection with per-entry gradient and Adam state.
+    """Named parameters in one flat store.
 
-    ``values`` maps each name to that parameter's live ``value`` array (the
-    same object, which ``adam_step`` updates in place): it is what the
+    Four contiguous float64 vectors hold every value, gradient and Adam
+    moment: ``value``, ``grad``, ``adam_m`` and ``adam_v``. Each ``Param``'s
+    arrays are reshaped views into them, laid out in canonical (sorted) name
+    order, so one sweep over a vector reaches every parameter. A new store
+    holds zeros for each name in ``shapes``; ``from_values`` copies arrays
+    in. ``values`` maps each name to that parameter's live ``value`` array
+    (the same object, which ``adam_step`` updates in place): it is what the
     forward pass reads.
     """
 
-    def __init__(self):
+    def __init__(self, shapes: Mapping[str, tuple[int, ...]]):
+        names = sorted(shapes)
+        size = sum(math.prod(shapes[name]) for name in names)
+        # The values are written at once; the gradients and moments only if
+        # the store trains, which a store drawn for inference never does.
+        self.value = np.zeros(size)
+        self.grad, self.adam_m, self.adam_v = (_lazy_zeros(size) for _ in range(3))
         self._params: dict[str, Param] = {}
-        self.values: dict[str, np.ndarray] = {}
+        lo = 0
+        for name in names:
+            hi = lo + math.prod(shapes[name])
+            self._params[name] = Param(name, *(
+                flat[lo:hi].reshape(shapes[name])
+                for flat in (self.value, self.grad, self.adam_m, self.adam_v)
+            ))
+            lo = hi
+        self.values: dict[str, np.ndarray] = {n: p.value for n, p in self._params.items()}
 
-    def add(self, name: str, value: np.ndarray) -> Param:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        p = Param(name, value)
-        self._params[name] = p
-        self.values[name] = p.value
-        return p
+    @classmethod
+    def from_values(cls, values: Mapping[str, np.ndarray]) -> "ParamSet":
+        """A store whose values are copies of ``values``' arrays."""
+        params = cls({name: np.shape(value) for name, value in values.items()})
+        for name, value in values.items():
+            params.values[name][...] = value
+        return params
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
 
     def __iter__(self) -> Iterator[Param]:
-        # Canonical name order, used for checkpoints and Adam sweeps.
-        return iter(sorted(self._params.values(), key=lambda p: p.name))
+        # Canonical name order: the order of the flat store.
+        return iter(self._params.values())
 
     def zero_grads(self) -> None:
-        for p in self._params.values():
-            p.grad.fill(0.0)
+        self.grad.fill(0.0)
 
     def copy_values(self) -> dict[str, np.ndarray]:
         return {name: p.value.copy() for name, p in self._params.items()}
@@ -397,65 +405,56 @@ def adam_step(
 ) -> None:
     """Adam update with bias correction; zeroes gradients afterwards.
 
-    Every gradient is checked to be finite before anything changes, so a
+    The flat gradient is checked to be finite before anything changes, so a
     non-finite gradient raises ``FloatingPointError`` naming the first bad
     parameter and leaves all parameters and moments as they were. The update
-    then runs in place on ``value``, ``adam_m`` and ``adam_v`` (the arrays
-    stay the same objects), in blocks of ``_ADAM_BLOCK`` elements with two
-    scratch buffers. Per element it evaluates, in this order,
+    then sweeps the flat store in place (every array stays the same object),
+    in blocks of ``_ADAM_BLOCK`` elements with two scratch buffers. Per
+    element it evaluates, in this order,
     m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*g**2,
     value = value - (lr * m/(1-beta1**t)) / (sqrt(v/(1-beta2**t)) + epsilon),
-    so the bits equal the whole-array expressions. A restricted ``Param``
-    updates a copy of its columns, gathered through ``Param.flat``, and
-    scatters only them back to ``value``.
+    so the bits equal the whole-array expressions on each parameter.
     """
     if t < 1:
         raise ValueError("Adam step index t must be >= 1")
-    plist = list(params)
-    for p in plist:
-        if not np.isfinite(p.grad).all():
-            raise FloatingPointError(f"non-finite gradient in parameter {p.name!r}")
+    if not np.isfinite(params.grad).all():
+        bad = next(p.name for p in params if not np.isfinite(p.grad).all())
+        raise FloatingPointError(f"non-finite gradient in parameter {bad!r}")
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
-    size = min(_ADAM_BLOCK, max((p.grad.size for p in plist), default=0))
+    w_all, g_all, m_all, v_all = params.value, params.grad, params.adam_m, params.adam_v
+    size = min(_ADAM_BLOCK, w_all.size)
     buf_a = np.empty(size)
     buf_b = np.empty(size)
-    for p in plist:
-        # A view of value (C-contiguous), or for a restricted Param a copy
-        # of its live elements, scattered back after the update.
-        w_all = p.value.reshape(-1)
-        if p.flat is not None:
-            w_all = np.take(w_all, p.flat)
-        g_all = p.grad.reshape(-1)
-        m_all, v_all = p.adam_m.reshape(-1), p.adam_v.reshape(-1)
-        for lo in range(0, w_all.size, _ADAM_BLOCK):
-            w, g = w_all[lo : lo + _ADAM_BLOCK], g_all[lo : lo + _ADAM_BLOCK]
-            m, v = m_all[lo : lo + _ADAM_BLOCK], v_all[lo : lo + _ADAM_BLOCK]
-            a, b = buf_a[: w.size], buf_b[: w.size]
-            np.multiply(g, 1.0 - beta1, out=a)
-            m *= beta1
-            m += a
-            np.square(g, out=a)
-            a *= 1.0 - beta2
-            v *= beta2
-            v += a
-            np.divide(m, c1, out=a)
-            a *= lr
-            np.divide(v, c2, out=b)
-            np.sqrt(b, out=b)
-            b += epsilon
-            a /= b
-            w -= a
-            g.fill(0.0)
-        if p.flat is not None:
-            p.value.reshape(-1)[p.flat] = w_all
+    for lo in range(0, w_all.size, _ADAM_BLOCK):
+        w, g = w_all[lo : lo + _ADAM_BLOCK], g_all[lo : lo + _ADAM_BLOCK]
+        m, v = m_all[lo : lo + _ADAM_BLOCK], v_all[lo : lo + _ADAM_BLOCK]
+        a, b = buf_a[: w.size], buf_b[: w.size]
+        np.multiply(g, 1.0 - beta1, out=a)
+        m *= beta1
+        m += a
+        np.square(g, out=a)
+        a *= 1.0 - beta2
+        v *= beta2
+        v += a
+        np.divide(m, c1, out=a)
+        a *= lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += epsilon
+        a /= b
+        w -= a
+        g.fill(0.0)
 
 
-def glorot_uniform(rng: Rng, n_out: int, n_in: int) -> np.ndarray:
-    """Uniform in +-sqrt(6 / (fan_in + fan_out))."""
+def glorot_uniform(
+    rng: Rng, n_out: int, n_in: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Uniform in +-sqrt(6 / (fan_in + fan_out)), written into ``out`` (of
+    shape (n_out, n_in)) when given."""
     limit = np.sqrt(6.0 / (n_in + n_out))
     w = rng.uniform((n_out, n_in))
-    w *= 2.0
+    w = np.multiply(w, 2.0, out=w if out is None else out)
     w -= 1.0
     w *= limit
     return w

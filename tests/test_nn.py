@@ -242,24 +242,40 @@ class TestRngStreams:
 
 class TestParamSet:
     def test_iteration_in_name_order(self):
-        ps = ParamSet()
-        ps.add("b", np.zeros(2))
-        ps.add("a", np.zeros(2))
+        ps = ParamSet.from_values({"b": np.zeros(2), "a": np.zeros(2)})
         assert [p.name for p in ps] == ["a", "b"]
 
-    def test_duplicate_name_rejected(self):
-        ps = ParamSet()
-        ps.add("w", np.zeros(2))
-        with pytest.raises(ValueError, match="duplicate"):
-            ps.add("w", np.zeros(2))
+    def test_every_array_is_a_view_of_its_flat_vector(self):
+        """Each parameter's value, gradient and moments are views into the
+        four flat vectors, laid out in name order; the values start as
+        copies of the given arrays."""
+        given = {"z": np.arange(3.0), "a": np.arange(6.0).reshape(2, 3), "m": np.ones((0, 4))}
+        ps = ParamSet.from_values(given)
+        flats = ("value", "grad", "adam_m", "adam_v")
+        assert all(getattr(ps, f).shape == (9,) for f in flats)
+        assert ps.value.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 0.0, 1.0, 2.0]
+        lo = 0
+        for p in ps:
+            assert ps.values[p.name] is p.value
+            for f in flats:
+                arr = getattr(p, f)
+                assert arr.shape == given[p.name].shape and arr.flags.c_contiguous
+                assert arr.size == 0 or np.shares_memory(arr, getattr(ps, f)), (p.name, f)
+                arr[...] = 7.0  # a write through the view lands in its slice
+                assert (getattr(ps, f)[lo : lo + arr.size] == 7.0).all()
+            assert not np.shares_memory(p.value, given[p.name])
+            lo += p.value.size
+        ps.zero_grads()
+        assert not ps.grad.any()
+        zeros = ParamSet({"w": (2, 3), "b": (2,)})
+        assert zeros["w"].value.shape == (2, 3) and zeros.value.shape == (8,)
+        assert not any(getattr(zeros, f).any() for f in flats)
 
     def test_value_round_trip(self):
-        ps = ParamSet()
-        ps.add("w", np.arange(6.0).reshape(2, 3))
+        ps = ParamSet.from_values({"w": np.arange(6.0).reshape(2, 3)})
         snapshot = ps.copy_values()
         ps["w"].value += 1.0
-        restored = ParamSet()
-        restored.add("w", snapshot["w"])
+        restored = ParamSet.from_values(snapshot)
         assert np.array_equal(restored["w"].value, np.arange(6.0).reshape(2, 3))
 
 
@@ -292,17 +308,16 @@ def check_layer_gradients(forward, backward, params, inputs, seed):
 class TestDense:
     def test_forward_matches_matmul(self):
         """y = x @ W.T + b with W stored as (n_out, n_in)."""
-        ps = ParamSet()
-        w = ps.add("w", np.arange(6.0).reshape(2, 3))  # rows [0,1,2], [3,4,5]
-        b = ps.add("b", np.array([1.0, -1.0]))
+        # w's rows are [0,1,2] and [3,4,5].
+        ps = ParamSet.from_values({"w": np.arange(6.0).reshape(2, 3), "b": np.array([1.0, -1.0])})
+        w, b = ps["w"], ps["b"]
         x = np.array([[1.0, 0.0, 2.0]])
         np.testing.assert_allclose(dense_forward(x, w.value, b.value), [[5.0, 12.0]])
 
     def test_gradients(self):
         rng = np.random.default_rng(0)
-        ps = ParamSet()
-        w = ps.add("w", rng.standard_normal((4, 7)))
-        b = ps.add("b", rng.standard_normal(4))
+        ps = ParamSet.from_values({"w": rng.standard_normal((4, 7)), "b": rng.standard_normal(4)})
+        w, b = ps["w"], ps["b"]
         x = rng.standard_normal((5, 7))
         worst = check_layer_gradients(
             lambda: dense_forward(x, w.value, b.value),
@@ -316,9 +331,8 @@ class TestDense:
     def test_gradients_accumulate(self):
         """Two backward passes add into .grad rather than overwriting it."""
         rng = np.random.default_rng(2)
-        ps = ParamSet()
-        w = ps.add("w", rng.standard_normal((3, 3)))
-        b = ps.add("b", np.zeros(3))
+        ps = ParamSet.from_values({"w": rng.standard_normal((3, 3)), "b": np.zeros(3)})
+        w, b = ps["w"], ps["b"]
         x = rng.standard_normal((2, 3))
         dy = rng.standard_normal((2, 3))
         dense_backward(dy, x, w, b)
@@ -327,9 +341,8 @@ class TestDense:
         np.testing.assert_allclose(w.grad, 2.0 * once)
 
     def test_width_mismatch_rejected(self):
-        ps = ParamSet()
-        w = ps.add("w", np.zeros((2, 3)))
-        b = ps.add("b", np.zeros(2))
+        ps = ParamSet.from_values({"w": np.zeros((2, 3)), "b": np.zeros(2)})
+        w, b = ps["w"], ps["b"]
         with pytest.raises(ValueError, match="width"):
             dense_forward(np.zeros((1, 4)), w.value, b.value)
 
@@ -444,9 +457,8 @@ class TestConv1x1:
     def test_equivalent_to_per_pixel_dense(self):
         """A 1x1 convolution is one dense map applied at every pixel."""
         rng = np.random.default_rng(5)
-        ps = ParamSet()
-        k = ps.add("k", rng.standard_normal((3, 6)))
-        b = ps.add("b", rng.standard_normal(3))
+        ps = ParamSet.from_values({"k": rng.standard_normal((3, 6)), "b": rng.standard_normal(3)})
+        k, b = ps["k"], ps["b"]
         x = rng.standard_normal((2, 4, 4, 6))
         y = conv1x1_forward(x, k.value, b.value)
         assert y.shape == (2, 4, 4, 3)
@@ -459,9 +471,8 @@ class TestConv1x1:
 
     def test_gradients(self):
         rng = np.random.default_rng(6)
-        ps = ParamSet()
-        k = ps.add("k", rng.standard_normal((2, 5)))
-        b = ps.add("b", rng.standard_normal(2))
+        ps = ParamSet.from_values({"k": rng.standard_normal((2, 5)), "b": rng.standard_normal(2)})
+        k, b = ps["k"], ps["b"]
         x = rng.standard_normal((3, 2, 2, 5))
         worst = check_layer_gradients(
             lambda: conv1x1_forward(x, k.value, b.value),
@@ -497,8 +508,8 @@ class TestConv1x1:
         want_b += dy2.sum(axis=0)
         full = np.matmul(dy, k_value)
         for n_in, use_out in ((None, False), (8, False), (8, True)):
-            ps = ParamSet()
-            k, b = ps.add("k", k_value), ps.add("b", b_value)
+            ps = ParamSet.from_values({"k": k_value, "b": b_value})
+            k, b = ps["k"], ps["b"]
             out = np.full((batch, 16, 16, n_in or 16), np.nan) if use_out else None
             got = conv1x1_backward(dy, x, k, b, n_in, out=out)
             assert out is None or got is out
@@ -572,8 +583,8 @@ class TestReparameterize:
 class TestAdam:
     def test_first_step_closed_form(self):
         """Step 1 with gradient g moves by -lr * g / (|g| + eps) exactly."""
-        ps = ParamSet()
-        p = ps.add("w", np.array([1.0, -2.0, 3.0]))
+        ps = ParamSet.from_values({"w": np.array([1.0, -2.0, 3.0])})
+        p = ps["w"]
         g = np.array([0.5, -4.0, 1e-3])
         p.grad[:] = g
         lr, eps = 0.01, 1e-8
@@ -582,21 +593,21 @@ class TestAdam:
         np.testing.assert_allclose(p.value, expected, rtol=1e-12)
 
     def test_zero_gradient_is_a_fixed_point(self):
-        ps = ParamSet()
-        p = ps.add("w", np.array([1.0, 2.0]))
+        ps = ParamSet.from_values({"w": np.array([1.0, 2.0])})
+        p = ps["w"]
         adam_step(ps, t=1)
         np.testing.assert_array_equal(p.value, [1.0, 2.0])
 
     def test_zero_lr_freezes_values(self):
-        ps = ParamSet()
-        p = ps.add("w", np.array([1.0]))
+        ps = ParamSet.from_values({"w": np.array([1.0])})
+        p = ps["w"]
         p.grad[:] = 5.0
         adam_step(ps, lr=0.0, t=1)
         np.testing.assert_array_equal(p.value, [1.0])
 
     def test_grads_zeroed_after_step(self):
-        ps = ParamSet()
-        p = ps.add("w", np.array([1.0]))
+        ps = ParamSet.from_values({"w": np.array([1.0])})
+        p = ps["w"]
         p.grad[:] = 3.0
         adam_step(ps, t=1)
         np.testing.assert_array_equal(p.grad, [0.0])
@@ -607,8 +618,8 @@ class TestAdam:
         Near the minimum Adam hops around at roughly lr-sized steps, so the
         check is a large relative reduction rather than exact convergence.
         """
-        ps = ParamSet()
-        p = ps.add("w", np.array([0.0]))
+        ps = ParamSet.from_values({"w": np.array([0.0])})
+        p = ps["w"]
         losses = []
         for t in range(1, 201):
             losses.append(0.5 * float((p.value[0] - 5.0) ** 2))
@@ -619,15 +630,14 @@ class TestAdam:
         assert losses[0] > losses[50] > losses[199]
 
     def test_nonfinite_gradient_names_parameter(self):
-        ps = ParamSet()
-        p = ps.add("enc.w", np.array([1.0]))
+        ps = ParamSet.from_values({"enc.w": np.array([1.0])})
+        p = ps["enc.w"]
         p.grad[:] = np.nan
         with pytest.raises(FloatingPointError, match="enc.w"):
             adam_step(ps, t=1)
 
     def test_step_index_must_be_positive(self):
-        ps = ParamSet()
-        ps.add("w", np.array([1.0]))
+        ps = ParamSet.from_values({"w": np.array([1.0])})
         with pytest.raises(ValueError):
             adam_step(ps, t=0)
 
@@ -654,12 +664,16 @@ B = _ADAM_BLOCK
 # Around one block, and 2.5 blocks, whose last block is partial.
 ADAM_SIZES_1D = [(1,), (3,), (B - 1,), (B,), (B + 1,), (5 * B // 2,)]
 ADAM_SIZES_2D = [(1, 1), (1, 3), (127, 129), (128, 128), (113, 145), (160, 256)]
+# A 3x3 parameter that the first block boundary cuts after its fourth element.
+ADAM_SIZES_CUT = [(1,), (3, 3), (B - 4,)]
 
 
 class TestAdamInPlace:
     """The blocked in-place update against the whole-array formula."""
 
-    @pytest.mark.parametrize("shapes", [ADAM_SIZES_1D, ADAM_SIZES_2D], ids=["1d", "2d"])
+    @pytest.mark.parametrize(
+        "shapes", [ADAM_SIZES_1D, ADAM_SIZES_2D, ADAM_SIZES_CUT], ids=["1d", "2d", "cut"]
+    )
     @pytest.mark.parametrize("t", [1, 2, 50])
     @pytest.mark.parametrize(
         "hyper",
@@ -667,11 +681,15 @@ class TestAdamInPlace:
         ids=["default", "custom"],
     )
     def test_bit_equal_to_the_whole_array_formula(self, shapes, t, hyper):
-        ps = ParamSet()
-        # Names put the largest parameter first, so that smaller ones reuse
-        # slices of the scratch buffers sized for it.
-        for i, shape in enumerate(reversed(shapes)):
-            ps.add(f"p{i}", np.random.default_rng(i).standard_normal(shape))
+        ps = ParamSet.from_values({
+            f"p{i}": np.random.default_rng(i).standard_normal(shape)
+            for i, shape in enumerate(reversed(shapes))
+        })
+        # The sweep runs over the flat store: some block boundary falls
+        # strictly inside a parameter, so one parameter spans two blocks.
+        starts = np.cumsum([p.value.size for p in ps])
+        assert any(lo < k < hi for lo, hi in zip([0, *starts], starts)
+                   for k in range(B, ps.value.size, B))
         random_param_state(ps, seed=t)
         want = {
             p.name: reference_adam(p.value, p.grad, p.adam_m, p.adam_v, t=t, **hyper) for p in ps
@@ -687,8 +705,8 @@ class TestAdamInPlace:
             assert not p.grad.any(), p.name
 
     def test_arrays_are_updated_in_place(self):
-        ps = ParamSet()
-        p = ps.add("w", np.ones((4, B // 3)))
+        ps = ParamSet.from_values({"w": np.ones((4, B // 3))})
+        p = ps["w"]
         random_param_state(ps, seed=0)
         arrays = (p.value, p.grad, p.adam_m, p.adam_v)
         before = p.value.copy()
@@ -697,9 +715,9 @@ class TestAdamInPlace:
         assert not np.array_equal(p.value, before)
 
     def test_non_contiguous_input_is_still_updated(self):
-        ps = ParamSet()
         source = np.arange(12.0).reshape(3, 4)
-        p = ps.add("w", source.T)
+        ps = ParamSet.from_values({"w": source.T})
+        p = ps["w"]
         assert p.value.flags.c_contiguous
         assert all(a.flags.c_contiguous for a in (p.grad, p.adam_m, p.adam_v))
         p.grad[...] = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
@@ -710,9 +728,10 @@ class TestAdamInPlace:
         np.testing.assert_array_equal(source, np.arange(12.0).reshape(3, 4))
 
     def test_non_finite_last_gradient_changes_nothing(self):
-        ps = ParamSet()
-        for name, shape in (("a", (B + 5,)), ("b", (3, 4)), ("z", (7,))):
-            ps.add(name, np.random.default_rng(len(name)).standard_normal(shape))
+        ps = ParamSet.from_values({
+            name: np.random.default_rng(len(name)).standard_normal(shape)
+            for name, shape in (("a", (B + 5,)), ("b", (3, 4)), ("z", (7,)))
+        })
         random_param_state(ps, seed=1)
         ps["z"].grad[-1] = np.nan
         before = {p.name: [a.copy() for a in (p.value, p.grad, p.adam_m, p.adam_v)] for p in ps}
@@ -736,69 +755,6 @@ class TestAdamInPlace:
         assert peak < 1_000_000
 
 
-def restricted_param(shape: tuple[int, int], n_live: int, seed: int):
-    """A ParamSet of one parameter trained on n_live random increasing
-    columns, its live gradient and moments random (v >= 0)."""
-    rng = np.random.default_rng(seed)
-    ps = ParamSet()
-    p = ps.add("w", rng.standard_normal(shape))
-    cols = np.sort(rng.choice(shape[1], n_live, replace=False))
-    p.restrict(cols)
-    random_param_state(ps, seed)
-    return ps, p, cols
-
-
-# The first two span several Adam blocks (the second is enc.w's shape with
-# the 340 columns the default world ever sets).
-RESTRICTED = [((160, 700), 300), ((128, 2048), 340), ((3, 5), 2), ((1, 4), 4)]
-
-
-class TestAdamColumnRestricted:
-    """A parameter that trains only some columns of its last axis."""
-
-    @pytest.mark.parametrize("shape,n_live", RESTRICTED)
-    @pytest.mark.parametrize("t", [1, 7])
-    def test_bit_equal_to_the_full_array_with_zero_dead_gradients(self, shape, n_live, t):
-        ps, p, cols = restricted_param(shape, n_live, seed=t)
-        assert p.grad.shape == p.adam_m.shape == p.adam_v.shape == (shape[0], n_live)
-        full = [np.zeros(shape) for _ in range(3)]
-        for dst, src in zip(full, (p.grad, p.adam_m, p.adam_v)):
-            dst[:, cols] = src
-        value, m, v = reference_adam(p.value.copy(), *full, 0.01, 0.9, 0.999, 1e-8, t)
-        arrays = (p.value, p.grad, p.adam_m, p.adam_v)
-        adam_step(ps, lr=0.01, t=t)
-        assert all(a is b for a, b in zip((p.value, p.grad, p.adam_m, p.adam_v), arrays))
-        assert p.value.tobytes() == value.tobytes()
-        assert p.adam_m.tobytes() == np.ascontiguousarray(m[:, cols]).tobytes()
-        assert p.adam_v.tobytes() == np.ascontiguousarray(v[:, cols]).tobytes()
-        assert not p.grad.any()
-
-    def test_columns_outside_the_index_are_never_written(self):
-        """Dead columns hold a signalling NaN, which any arithmetic would
-        quiet: after several steps their bytes are as they were."""
-        ps, p, cols = restricted_param((128, 2048), 340, seed=3)
-        dead = np.setdiff1d(np.arange(2048), cols)
-        p.value[:, dead] = np.array(0x7FF0000000000001, dtype=np.uint64).view(np.float64)
-        before = p.value.copy()
-        for t in range(1, 4):
-            p.grad[...] = np.random.default_rng(t).standard_normal(p.grad.shape)
-            adam_step(ps, t=t)
-        assert p.value[:, dead].tobytes() == before[:, dead].tobytes()
-        assert (p.value[:, cols] != before[:, cols]).all()
-
-    def test_non_finite_live_gradient_changes_nothing(self):
-        ps, p, _ = restricted_param((40, 1000), 200, seed=4)
-        other = ps.add("z", np.ones(7))
-        other.grad[...] = 1.0
-        p.grad[-1, -1] = np.inf
-        before = {q.name: [a.copy() for a in (q.value, q.grad, q.adam_m, q.adam_v)] for q in ps}
-        with pytest.raises(FloatingPointError, match="'w'"):
-            adam_step(ps, t=2)
-        for q in ps:
-            for got, want in zip((q.value, q.grad, q.adam_m, q.adam_v), before[q.name]):
-                assert got.tobytes() == want.tobytes(), q.name
-
-
 class TestGlorot:
     def test_bounds_and_spread(self):
         w = glorot_uniform(Rng(0), 64, 32)
@@ -807,6 +763,11 @@ class TestGlorot:
         assert np.all(np.abs(w) <= limit)
         assert w.std() > limit / 4  # actually spread out, not collapsed
         assert abs(w.mean()) < limit / 10
+
+    def test_draw_into_out_has_the_bits_of_a_fresh_draw(self):
+        out = np.full((64, 32), np.nan)
+        assert glorot_uniform(Rng(0), 64, 32, out=out) is out
+        assert out.tobytes() == glorot_uniform(Rng(0), 64, 32).tobytes()
 
 
 class TestGradientChecking:

@@ -463,7 +463,7 @@ class TestBuildDataset:
         path = tmp_path / "checkpoint.json"
         save_checkpoint(digest_b_checkpoint, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "fc0f61c8358c2d2ae4f4603bfd597f3b25d1dc1fb37389105876441a13256501"
+            "93b9e54693677166e4ec5e8e29cf2f0d8240432914da34d994e1d5eb658bbaa0"
         )
 
     def test_parameter_bytes_match_the_pinned_digest(self, digest_b_checkpoint, tmp_path):
@@ -482,7 +482,7 @@ class TestBuildDataset:
         path = tmp_path / "checkpoint.json"
         save_checkpoint(digest_b_checkpoint, str(path))
         loaded = adnet.load_checkpoint(str(path))
-        pinned = "5f8f5519bb4c2eb36e9235ef3f71b7e742b73fc3498550fbf5ee7461cc97c795"
+        pinned = "b36a7ab4a375d4330748a018ed003a7d7ebd39f571a6f53eb8dd98ad36af69d4"
         assert parameter_digest(digest_b_checkpoint.values) == pinned
         assert parameter_digest(loaded.values) == pinned
 
@@ -507,10 +507,10 @@ class TestBuildDataset:
                 h.update(arr.astype("<f8").tobytes())
             digests[variant] = h.hexdigest()
         assert digests == {
-            "uav_adnet": "5f8f5519bb4c2eb36e9235ef3f71b7e742b73fc3498550fbf5ee7461cc97c795",
-            "uav_adnet_wo_gps": "a9dced1e1950d57556a258b78f202888c27fef71eebeba66feaa95dce7d8cab5",
-            "cvae": "dcfdba5554add3de841b91b1da7efa6f88191472d9d80f1c5450ede58c4ac3c5",
-            "vae": "07b4d44d1c1e7fe2de156500be10995514da9cb554bfd3ee89911bf109a8b290",
+            "uav_adnet": "b36a7ab4a375d4330748a018ed003a7d7ebd39f571a6f53eb8dd98ad36af69d4",
+            "uav_adnet_wo_gps": "67889fe62ed76fffe9689971a81f13913121c047226ec5904e261384f461e1cc",
+            "cvae": "d1ac38dd56f9f157e33524494742bac91a534fb62b2b8ece21392167110d4559",
+            "vae": "d69e45c76849692a14f8315136718d2d49d233673028f0001a9ccfdf560d0526",
         }
 
     def test_evaluation_matches_the_pinned_digest(self, tmp_path):
