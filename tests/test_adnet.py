@@ -457,16 +457,18 @@ class TestBackwardReference:
             grads[run] = {p.name: p.grad.tobytes() for p in params}
         assert grads[adnet.backward] == grads[reference_backward]
 
+    @pytest.mark.parametrize("batch", [1, 8, 36, 48, 64, 120])
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_live_block_step_matches_the_full_width_step(self, variant):
+    def test_live_block_step_matches_the_full_width_step(self, variant, batch):
         """As in train: enc.w as the block of the columns that the batch
         sets, read against those columns of the rows. h1_pre and every
         gradient agree with the full-width step within 1e-12 of the array's
         largest magnitude (a sum that cancels to near 0 has no small error
         relative to itself); the block's gradient with the full one's at
-        those columns."""
+        those columns. The batches span a single row, a short last batch
+        and batches past the 64 rows of a training step."""
         config = ModelConfig(variant)
-        x, gps, eps = random_batch(config, 64, seed=3)
+        x, gps, eps = random_batch(config, batch, seed=batch)
         x[:, Rng(7).uniform(config.hidden3) >= 0.2] = 0.0  # columns no row sets
         live = np.flatnonzero(x.any(axis=0))
         assert 0 < live.size < config.hidden3
