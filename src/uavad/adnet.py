@@ -218,11 +218,7 @@ class Dataset:
         if x.ndim != 2:
             raise ValueError("dataset x must be two-dimensional")
         # Checked before the cast to uint8, which would turn 0.5 into 0.
-        if x.dtype == np.uint8:
-            binary = x.max(initial=0) <= 1
-        else:
-            binary = ((x == 0) | (x == 1)).all()
-        if not binary:
+        if not ((x == 0) | (x == 1)).all():
             raise ValueError("dataset x must be binary")
         x = x.astype(np.uint8, copy=False)
         if gps.shape != (x.shape[0], 2):
@@ -565,7 +561,9 @@ def train(
 
     One ``Scratch`` serves every step and validation pass: the batch rows,
     the large activations and the large gradients of every step go into the
-    same memory. The best parameters are copied into arrays allocated once.
+    same memory. The best epoch's training store is copied into one vector
+    allocated once; the dead columns of ``enc.w`` never change, so its full
+    array is put together only for the returned checkpoint.
     """
     if train_set.n == 0 or val_set.n == 0:
         raise ValueError("train and validation sets must be non-empty")
@@ -579,7 +577,9 @@ def train(
     enc_w = drawn["enc.w"].copy()
     params = ParamSet.from_values({**drawn, "enc.w": enc_w[:, live]})
     del drawn
-    values = {**params.values, "enc.w": enc_w}  # what validation and the checkpoint read
+    values = {**params.values, "enc.w": enc_w}  # what validation reads
+    # enc_w's flat index of each block entry, for the per-epoch write-back.
+    block_cells = (np.arange(config.hidden1)[:, None] * config.hidden3 + live).ravel()
     gn = tc.gps_normalization or GpsNormalization.fit(train_set.gps)
 
     x_train = train_set.x
@@ -599,7 +599,7 @@ def train(
 
     history: list[EpochStats] = []
     best_val = np.inf
-    best_values = {name: value.copy() for name, value in values.items()}
+    best = ParamSet.from_values(params.values)
     scratch = Scratch()
     epochs_since_best = 0
     step = 0
@@ -631,7 +631,7 @@ def train(
             loss_sum += lb.total * xb.shape[0]
 
         train_loss = loss_sum / n
-        enc_w[:, live] = params.values["enc.w"]
+        np.put(enc_w, block_cells, params.values["enc.w"])
         val_loss, val_mse = _validation_stats(config, values, x_val, g_val, scratch)
         history.append(EpochStats(
             train_loss, val_loss, val_mse, wall_s=time.perf_counter() - started
@@ -647,8 +647,7 @@ def train(
 
         if val_loss < best_val:
             best_val = val_loss
-            for name, value in values.items():
-                np.copyto(best_values[name], value)
+            np.copyto(best.value, params.value)
             epochs_since_best = 0
         else:
             epochs_since_best += 1
@@ -656,10 +655,11 @@ def train(
                 logger.info("early stop after epoch %d (no improvement in %d)", epoch, tc.patience)
                 break
 
+    np.put(enc_w, block_cells, best.values["enc.w"])  # the checkpoint's enc.w
     checkpoint = Checkpoint(
         config=config,
         gps_normalization=gn,
-        values=best_values,
+        values={**best.values, "enc.w": enc_w},
         training_meta={
             "epochs_run": len(history),
             "best_val_loss": float(best_val),

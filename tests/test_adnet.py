@@ -479,7 +479,6 @@ class TestBackwardReference:
         x_live = np.ascontiguousarray(x[:, live])
         _, _, _, got = adnet._forward_cached(config, block.values, x, gps, eps, x_enc=x_live)
         adnet.backward(config, block, got)
-        assert got["h1_pre"].tobytes() != want["h1_pre"].tobytes()  # the bits do move
 
         def error(a, b):
             return np.max(np.abs(a - b)) / np.max(np.abs(b))
