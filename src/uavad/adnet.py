@@ -563,7 +563,8 @@ def train(
     the large activations and the large gradients of every step go into the
     same memory. The best epoch's training store is copied into one vector
     allocated once; the dead columns of ``enc.w`` never change, so its full
-    array is put together only for the returned checkpoint.
+    array is put together only for the returned checkpoint, whose arrays are
+    copies of the store restored to the best epoch.
     """
     if train_set.n == 0 or val_set.n == 0:
         raise ValueError("train and validation sets must be non-empty")
@@ -599,7 +600,7 @@ def train(
 
     history: list[EpochStats] = []
     best_val = np.inf
-    best = ParamSet.from_values(params.values)
+    best = params.value.copy()
     scratch = Scratch()
     epochs_since_best = 0
     step = 0
@@ -647,7 +648,7 @@ def train(
 
         if val_loss < best_val:
             best_val = val_loss
-            np.copyto(best.value, params.value)
+            np.copyto(best, params.value)
             epochs_since_best = 0
         else:
             epochs_since_best += 1
@@ -655,11 +656,12 @@ def train(
                 logger.info("early stop after epoch %d (no improvement in %d)", epoch, tc.patience)
                 break
 
-    np.put(enc_w, block_cells, best.values["enc.w"])  # the checkpoint's enc.w
+    np.copyto(params.value, best)
+    np.put(enc_w, block_cells, params.values["enc.w"])
     checkpoint = Checkpoint(
         config=config,
         gps_normalization=gn,
-        values={**best.values, "enc.w": enc_w},
+        values={**params.copy_values(), "enc.w": enc_w},
         training_meta={
             "epochs_run": len(history),
             "best_val_loss": float(best_val),
