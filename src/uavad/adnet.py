@@ -561,10 +561,9 @@ def train(
 
     One ``Scratch`` serves every step and validation pass: the batch rows,
     the large activations and the large gradients of every step go into the
-    same memory. The best epoch's training store is copied into one vector
-    allocated once; the dead columns of ``enc.w`` never change, so its full
-    array is put together only for the returned checkpoint, whose arrays are
-    copies of the store restored to the best epoch.
+    same memory. At a best epoch the training store's values are copied
+    into one vector allocated once. At the end the store is restored from
+    it, and the checkpoint gets copies of its arrays and the full ``enc.w``.
     """
     if train_set.n == 0 or val_set.n == 0:
         raise ValueError("train and validation sets must be non-empty")
@@ -579,7 +578,7 @@ def train(
     params = ParamSet.from_values({**drawn, "enc.w": enc_w[:, live]})
     del drawn
     values = {**params.values, "enc.w": enc_w}  # what validation reads
-    # enc_w's flat index of each block entry, for the per-epoch write-back.
+    # enc_w's flat index of each block entry, where the block is written back.
     block_cells = (np.arange(config.hidden1)[:, None] * config.hidden3 + live).ravel()
     gn = tc.gps_normalization or GpsNormalization.fit(train_set.gps)
 
