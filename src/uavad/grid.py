@@ -20,6 +20,7 @@ Geometry conventions:
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import logging
 import math
@@ -261,19 +262,52 @@ def render_text(g: GridTensor) -> str:
 # Grid dataset record (one scene per line):
 #   {"gps": [lat, lon], "cells": [[category_name, row, col], ...]}
 # with the sparse cell list sorted lexicographically by (name, row, col).
+# ``scene_to_record`` writes this text directly, as ``json.dumps`` would.
 # ---------------------------------------------------------------------------
 
 
-def scene_to_record(g: GridTensor, gps: GpsLabel) -> dict:
-    cells = [
-        [CATEGORIES[cat], row, col] for row, col, cat in g.occupied_cells()
-    ]
-    cells.sort()
-    return {"gps": [gps.latitude, gps.longitude], "cells": cells}
+@functools.cache
+def _cell_texts(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per grid: the position of each tensor cell in record order (category
+    name, row, col), and the JSON text of the cell at each position."""
+    n_y, n_x = spec.cells_y, spec.cells_x
+    names = sorted(range(N_CATEGORIES), key=CATEGORIES.__getitem__)
+    cells = [(cat, row, col) for cat in names for row in range(n_y) for col in range(n_x)]
+    quoted = [json.dumps(name) for name in CATEGORIES]
+    texts = np.array([f"[{quoted[c]}, {r}, {x}]" for c, r, x in cells], dtype=object)
+    position = np.empty(len(cells), dtype=np.intp)
+    position[[(r * n_x + x) * N_CATEGORIES + c for c, r, x in cells]] = np.arange(len(cells))
+    position.flags.writeable = texts.flags.writeable = False  # shared by every caller
+    return position, texts
+
+
+def _number(v: object) -> str:
+    """A GPS coordinate as ``json.dumps`` writes it; a float is its repr."""
+    return repr(v) if type(v) is float else json.dumps(v)
+
+
+def scene_to_record(g: GridTensor, gps: GpsLabel) -> str:
+    """The grid dataset record of a scene as JSON text: the text that
+    ``json.dumps`` writes for ``{"gps": [lat, lon], "cells": [...]}``."""
+    position, texts = _cell_texts(g.spec)
+    order = position[np.flatnonzero(g.data)]
+    order.sort()
+    cells = ", ".join(texts[order].tolist())
+    return f'{{"gps": [{_number(gps.latitude)}, {_number(gps.longitude)}], "cells": [{cells}]}}'
+
+
+def _gps_label(v: object) -> GpsLabel:
+    """A record's ``[lat, lon]`` field. Anything but a list of exactly two
+    JSON numbers (an int or a float, not a bool or a string) raises one of
+    ``RECORD_ERRORS``."""
+    lat, lon = v[0], v[1]
+    if type(v) is not list or len(v) != 2 or not {type(lat), type(lon)} <= {int, float}:
+        raise ValueError(f"gps {v!r} must be a list of exactly two numbers")
+    return GpsLabel(float(lat), float(lon))
 
 
 def record_to_scene(record: dict, spec: GridSpec) -> tuple[GridTensor, GpsLabel]:
-    gps = GpsLabel(float(record["gps"][0]), float(record["gps"][1]))
+    gps = _gps_label(record["gps"])
     data = np.zeros((spec.cells_y, spec.cells_x, N_CATEGORIES), dtype=np.uint8)
     for name, row, col in record["cells"]:
         cat = category_id(name)
@@ -338,7 +372,7 @@ def read_annotations(path: str) -> Iterator[tuple[GridSpec, GpsLabel, list[Bound
             image_width=whole(record["image_width"], "image_width"),
             image_height=whole(record["image_height"], "image_height"),
         )
-        gps = GpsLabel(float(record["gps"][0]), float(record["gps"][1]))
+        gps = _gps_label(record["gps"])
         boxes = []
         for b in record["boxes"]:
             box = BoundingBox(

@@ -239,7 +239,7 @@ class WorldSpec:
 
     def rule_cells(self, rule_index: int, waypoint_index: int) -> list[tuple[int, int]]:
         """Cells where ``rules[rule_index]`` may place objects at a waypoint, row-major."""
-        key = (rule_index, waypoint_index)
+        key = ("rule", rule_index, waypoint_index)
         if key not in self._cells:
             wp = self.waypoints[waypoint_index]
             mask = np.zeros_like(wp.zone_map, dtype=bool)
@@ -247,6 +247,25 @@ class WorldSpec:
                 mask |= wp.zone_map == _ZONE_IDS[kind]
             rows, cols = np.nonzero(mask)
             self._cells[key] = list(zip(rows.tolist(), cols.tolist()))
+        return self._cells[key]
+
+    def _rule_flat_cells(self, rule_index: int, waypoint_index: int) -> list[int]:
+        """``rule_cells`` as flat indices into a scene tensor, in the plane of
+        the rule's category."""
+        key = ("flat", rule_index, waypoint_index)
+        if key not in self._cells:
+            cat = CATEGORY_IDS[self.rules[rule_index].category]
+            self._cells[key] = [
+                (r * self.grid.cells_x + c) * N_CATEGORIES + cat
+                for r, c in self.rule_cells(rule_index, waypoint_index)
+            ]
+        return self._cells[key]
+
+    def _zone_cells(self, waypoint_index: int, kind: str) -> list[tuple[int, int]]:
+        """``Waypoint.cells_of(kind)`` of a waypoint, computed once."""
+        key = ("zone", waypoint_index, kind)
+        if key not in self._cells:
+            self._cells[key] = self.waypoints[waypoint_index].cells_of(kind)
         return self._cells[key]
 
 
@@ -494,20 +513,23 @@ def sample_scene(world: WorldSpec, waypoint_index: int, rng: Rng) -> tuple[GridT
     lon = wp.gps.longitude + wp.gps_jitter * rng.gaussian()
     gps = GpsLabel(lat, lon)
 
-    data = np.zeros((spec.cells_y, spec.cells_x, N_CATEGORIES), dtype=np.uint8)
-    taken = [set() for _ in range(N_CATEGORIES)]  # (row, col) cells set per category
+    placed: list[int] = []  # flat tensor indices of the objects placed so far
+    taken = [set() for _ in range(N_CATEGORIES)]  # the same, per category
     for ri, rule in enumerate(world.rules):
         weight = rule.weights[waypoint_index]
         drawn = rule.count_min + rng.randint(rule.count_max - rule.count_min + 1)
         count = int(round(weight * drawn))
         if count <= 0:
             continue
-        cat = CATEGORY_IDS[rule.category]
-        free = [rc for rc in world.rule_cells(ri, waypoint_index) if rc not in taken[cat]]
-        for r, c in rng.sample_without_replacement(free, min(count, len(free))):
-            taken[cat].add((r, c))
-            data[r, c, cat] = 1
-    return GridTensor(spec, data), gps
+        seen = taken[CATEGORY_IDS[rule.category]]
+        cells = world._rule_flat_cells(ri, waypoint_index)
+        free = [i for i in cells if i not in seen] if seen else cells
+        picked = rng.sample_without_replacement(free, min(count, len(free)))
+        seen.update(picked)
+        placed += picked
+    data = np.zeros(spec.cells_y * spec.cells_x * N_CATEGORIES, dtype=np.uint8)
+    data[placed] = 1
+    return GridTensor(spec, data.reshape(spec.cells_y, spec.cells_x, N_CATEGORIES)), gps
 
 
 def sample_dataset(world: WorldSpec, n: int, seed: int) -> list[tuple[GridTensor, GpsLabel]]:
@@ -547,7 +569,7 @@ def build_dataset(world: WorldSpec, n: int, out_dir: str, seed: int) -> dict:
         path = os.path.join(out_dir, f"{name}.jsonl")
         with atomic_write(path) as f:
             for g, gps in part:
-                f.write(json.dumps(scene_to_record(g, gps)) + "\n")
+                f.write(scene_to_record(g, gps) + "\n")
         files[name] = f"{name}.jsonl"
     manifest = {
         "n_samples": n,
@@ -611,8 +633,7 @@ def _inject(
     pairs = {1: _TASK1_PAIRS, 2: _TASK2_PAIRS, 3: world.rare_list}.get(task)
     if pairs is None:
         raise ValueError(f"unknown task {task}")
-    wp = world.waypoints[waypoint_index]
-    cells = {zone: wp.cells_of(zone) for zone in {zone for _, zone in pairs}}
+    cells = {zone: world._zone_cells(waypoint_index, zone) for zone in {zone for _, zone in pairs}}
     candidates = [
         (cat, r, c)
         for name, zone in pairs
@@ -689,10 +710,9 @@ def write_benchmark(
 ) -> None:
     with atomic_write(path) as f:
         for g, gps, case in records:
-            record = scene_to_record(g, gps)
-            record["task"] = case.task
-            record["injected"] = [case.category, case.row, case.col]
-            f.write(json.dumps(record) + "\n")
+            # The scene's text with the two fields appended before its "}".
+            extra = json.dumps({"task": case.task, "injected": [case.category, case.row, case.col]})
+            f.write(f"{scene_to_record(g, gps)[:-1]}, {extra[1:]}\n")
 
 
 def read_benchmark(path: str, spec: GridSpec) -> list[tuple[GridTensor, GpsLabel, AnomalyCase]]:

@@ -136,7 +136,7 @@ class TestInject:
         world = default_world()
         grid, gps = sample_scene(world, 1, Rng(5))
         path = tmp_path / "w1.jsonl"
-        path.write_text(json.dumps(scene_to_record(grid, gps)) + "\n")
+        path.write_text(scene_to_record(grid, gps) + "\n")
         code = main(
             ["inject", "--data", str(path), "--task", "1", "--out", str(tmp_path / "o.jsonl")]
         )
@@ -435,6 +435,17 @@ class TestRender:
             assert main(["render", "--in", str(path)]) == EXIT_CONFIG
         assert "line 1" in caplog.text
 
+
+    @pytest.mark.parametrize("gps", [["41.1", "29.0"], [True, 29.0], [41.1, 29.0, 7]],
+                             ids=["strings", "bool", "three-numbers"])
+    def test_gps_that_is_not_two_numbers_is_a_config_error_naming_the_line(
+        self, tmp_path, caplog, gps
+    ):
+        path = tmp_path / "scenes.jsonl"
+        path.write_text(json.dumps({"gps": gps, "cells": [["car", 1, 2]]}) + "\n")
+        with caplog.at_level(logging.ERROR):
+            assert main(["render", "--in", str(path)]) == EXIT_CONFIG
+        assert f"{path}: line 1: " in caplog.text and "exactly two numbers" in caplog.text
 
     def test_malformed_json_line_is_a_config_error_naming_the_file(self, tmp_path, caplog):
         path = tmp_path / "scenes.jsonl"

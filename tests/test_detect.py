@@ -185,7 +185,7 @@ class TestDetectBatch:
 
         with open(path, "w", encoding="utf-8") as f:
             for g, gps in scenes:
-                f.write(json.dumps(scene_to_record(g, gps)) + "\n")
+                f.write(scene_to_record(g, gps) + "\n")
         return scenes, str(path)
 
     def test_batch_matches_single_scene_calls(self, tmp_path):

@@ -51,21 +51,21 @@ class Boom(Exception):
     """The failure injected part-way through a write."""
 
 
-def fail_json(monkeypatch, name: str, call: int) -> None:
-    """Make the ``call``-th ``json.<name>`` call raise ``Boom``; a failing
+def fail_call(monkeypatch, owner, name: str, call: int) -> None:
+    """Make the ``call``-th call of ``owner.<name>`` raise ``Boom``; a failing
     ``json.dump`` first writes part of its document."""
-    real = getattr(json, name)
+    real = getattr(owner, name)
     calls = []
 
     def fake(*args, **kwargs):
         calls.append(None)
         if len(calls) < call:
             return real(*args, **kwargs)
-        if name == "dump":
+        if (owner, name) == (json, "dump"):
             args[1].write('{"partial": ')
         raise Boom
 
-    monkeypatch.setattr(json, name, fake)
+    monkeypatch.setattr(owner, name, fake)
 
 
 def _reports(inputs, d, path):
@@ -73,22 +73,22 @@ def _reports(inputs, d, path):
     detect.write_reports(reports, path)
 
 
-# (target file, json function that fails, on which call, the writer)
+# (target file, the function that fails, on which call, the writer)
 WRITERS = {
-    "build_dataset-split": ("train.jsonl", "dumps", 2,
+    "build_dataset-split": ("train.jsonl", (world, "scene_to_record"), 2,
                             lambda inputs, d, p: world.build_dataset(WORLD, 10, d, seed=1)),
-    "build_dataset-manifest": ("manifest.json", "dump", 1,
+    "build_dataset-manifest": ("manifest.json", (json, "dump"), 1,
                                lambda inputs, d, p: world.build_dataset(WORLD, 10, d, seed=1)),
-    "write_benchmark": ("task2.jsonl", "dumps", 2, lambda inputs, d, p: world.write_benchmark(
+    "write_benchmark": ("task2.jsonl", (json, "dumps"), 2, lambda inputs, d, p: world.write_benchmark(
         world.build_benchmark(WORLD, inputs["test"], 2, Rng(0)), p)),
-    "save_world": ("world.json", "dump", 1, lambda inputs, d, p: world.save_world(WORLD, p)),
-    "write_reports": ("reports.jsonl", "dumps", 2, _reports),
-    "run_benchmark": ("result.json", "dump", 1, lambda inputs, d, p: evaluate.run_benchmark(
+    "save_world": ("world.json", (json, "dump"), 1, lambda inputs, d, p: world.save_world(WORLD, p)),
+    "write_reports": ("reports.jsonl", (json, "dumps"), 2, _reports),
+    "run_benchmark": ("result.json", (json, "dump"), 1, lambda inputs, d, p: evaluate.run_benchmark(
         WORLD, inputs["data"], inputs["ckpts"], inputs["bench"], p)),
-    "cli-history": ("ck.json.history.json", "dump", 1, lambda inputs, d, p: cli.main(
+    "cli-history": ("ck.json.history.json", (json, "dump"), 1, lambda inputs, d, p: cli.main(
         ["train", "--variant", "vae", "--data", inputs["data"], "--out",
          os.path.join(d, "ck.json"), "--n-h", "4", "--batch", "8", "--max-epochs", "1"])),
-    "save_checkpoint": ("ck.json", "dumps", 1,
+    "save_checkpoint": ("ck.json", (json, "dumps"), 1,
                         lambda inputs, d, p: save_checkpoint(inputs["ckpts"]["vae"], p)),
 }
 
@@ -98,10 +98,10 @@ class TestAtomicWriters:
     def test_failure_mid_write_keeps_the_old_file_and_leaves_no_temp(
         self, inputs, tmp_path, monkeypatch, writer
     ):
-        name, json_fn, call, write = WRITERS[writer]
+        name, (owner, fn), call, write = WRITERS[writer]
         path = tmp_path / name
         path.write_bytes(OLD)
-        fail_json(monkeypatch, json_fn, call)
+        fail_call(monkeypatch, owner, fn, call)
         with pytest.raises(Boom):
             write(inputs, str(tmp_path), str(path))
         monkeypatch.undo()

@@ -220,13 +220,13 @@ class TestSceneRecords:
             data = (rng.random((16, 16, 8)) < 0.04).astype(np.uint8)
             g = GridTensor(SPEC, data)
             gps = GpsLabel(41.1, 29.0)
-            g2, gps2 = record_to_scene(scene_to_record(g, gps), SPEC)
+            g2, gps2 = record_to_scene(json.loads(scene_to_record(g, gps)), SPEC)
             assert g2 == g
             assert gps2 == gps
 
     def test_cells_sorted_by_name_then_position(self):
         g = GridTensor(SPEC).with_cell(0, 0, 4).with_cell(5, 5, 0)
-        cells = scene_to_record(g, GpsLabel(0, 0))["cells"]
+        cells = json.loads(scene_to_record(g, GpsLabel(0, 0)))["cells"]
         assert cells == sorted(cells)
 
     def test_record_with_out_of_range_cell_rejected(self):
@@ -239,6 +239,58 @@ class TestSceneRecords:
         record = {"gps": [0, 0], "cells": [["car", row, col]]}
         with pytest.raises(ValueError, match="must be integers"):
             record_to_scene(record, SPEC)
+
+
+def reference_record_text(g: GridTensor, gps: GpsLabel) -> str:
+    """``json.dumps`` of the record dict, cells sorted by (name, row, col)."""
+    rows, cols, cats = (a.tolist() for a in np.nonzero(g.data))
+    cells = sorted([CATEGORIES[cat], row, col] for row, col, cat in zip(rows, cols, cats))
+    return json.dumps({"gps": [gps.latitude, gps.longitude], "cells": cells})
+
+
+SMALL_SPEC = GridSpec(image_width=150, image_height=90, cells_x=5, cells_y=3)
+
+
+class TestSceneRecordText:
+    """``scene_to_record`` writes the text of ``json.dumps`` of the record."""
+
+    @pytest.mark.parametrize("spec", [SPEC, SMALL_SPEC], ids=["16x16", "3x5"])
+    @pytest.mark.parametrize("fill", ["empty", "full", "sparse"])
+    @pytest.mark.parametrize(
+        "lat, lon", [(-0.0, 41.0), (-90, 180), (41.0, -0.0), (41.1005, 29.000712345678)],
+        ids=["negative-zero-lat", "int-bounds", "negative-zero-lon", "fractions"],
+    )
+    def test_equals_json_dumps_of_the_record(self, spec, fill, lat, lon):
+        shape = (spec.cells_y, spec.cells_x, N_CATEGORIES)
+        data = {
+            "empty": np.zeros(shape, dtype=np.uint8),
+            "full": np.ones(shape, dtype=np.uint8),
+            "sparse": (np.random.default_rng(3).random(shape) < 0.05).astype(np.uint8),
+        }[fill]
+        g, gps = GridTensor(spec, data), GpsLabel(lat, lon)
+        assert scene_to_record(g, gps) == reference_record_text(g, gps)
+
+
+# GPS fields that are not a list of exactly two JSON numbers.
+BAD_GPS = {"strings": ["41.1", "29.0"], "bool": [True, 29.0], "three-numbers": [41.1, 29.0, 7]}
+
+
+class TestGpsField:
+    @pytest.mark.parametrize("gps", BAD_GPS.values(), ids=BAD_GPS)
+    def test_scene_record_rejects_it_naming_the_line(self, tmp_path, gps):
+        path = tmp_path / "scenes.jsonl"
+        lines = [{"gps": [41.1, 29.0], "cells": []}, {"gps": gps, "cells": [["car", 1, 2]]}]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        it = read_jsonl(str(path), lambda record, _: record_to_scene(record, SPEC))
+        assert next(it)[1] == GpsLabel(41.1, 29.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: .*exactly two numbers"):
+            next(it)
+
+    @pytest.mark.parametrize("gps", [[41, 29], [41.5, -29], [-90, 180.0]])
+    def test_ints_and_floats_are_read_as_floats(self, gps):
+        _, label = record_to_scene({"gps": gps, "cells": []}, SPEC)
+        assert (label.latitude, label.longitude) == tuple(float(v) for v in gps)
+        assert type(label.latitude) is float and type(label.longitude) is float
 
 
 class TestJsonl:
@@ -291,9 +343,10 @@ class TestReadAnnotations:
          ("gps", [41.0], "index"),
          ("image_width", 1080.9, "image_width 1080.9 must be an integer"),
          ("image_height", "1080", "image_height '1080' must be an integer"),
-         ("image_width", True, "image_width True must be an integer")],
+         ("image_width", True, "image_width True must be an integer"),
+         *(("gps", gps, "exactly two numbers") for gps in BAD_GPS.values())],
         ids=["unknown-category", "missing-image-height", "short-gps", "fractional-width",
-             "string-height", "bool-width"],
+             "string-height", "bool-width", *(f"gps-{name}" for name in BAD_GPS)],
     )
     def test_malformed_record_names_its_line(self, tmp_path, field, value, message):
         good = self._record([])

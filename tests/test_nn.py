@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from uavad.adnet import ModelConfig, init_params
 from uavad.nn import (
     _ADAM_BLOCK,
+    _AHEAD,
     _GAMMA,
     _MASK64,
     ParamSet,
@@ -153,8 +154,8 @@ class ReferenceRng:
         return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n].reshape(shape)
 
 
-# Sizes around 0, 1 and the 256 values of one scalar read-ahead block.
-SIZES = st.sampled_from([0, 1, 2, 17, 255, 256, 257, 300])
+# Sizes around 0, 1, 256 and the _AHEAD values of one scalar read-ahead block.
+SIZES = st.sampled_from([0, 1, 2, 17, 255, 256, 257, 300, _AHEAD - 1, _AHEAD, _AHEAD + 1])
 SHAPES = st.one_of(SIZES, st.just((3, 5)))
 OPERATIONS = st.one_of(
     st.tuples(st.just("uniform")),
@@ -236,6 +237,60 @@ class TestRngStreams:
         for op in program:
             got, expected = run_both(rng, ref, op)
             assert got.dtype == expected.dtype and got.shape == expected.shape, op
+            assert got.tobytes() == expected.tobytes(), op
+            assert rng._state == ref.state, op
+
+
+class TestSampleWithoutReplacement:
+    """The partial shuffle returns the first k entries of the full one and
+    leaves the state where the full one does."""
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 4242])
+    @pytest.mark.parametrize(
+        "n, k", [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (17, 0), (17, 9), (17, 17),
+                 (230, 54), (_AHEAD + 1, 3)],
+    )
+    def test_first_k_of_the_full_shuffle(self, seed, n, k):
+        seq = [f"item{i}" for i in range(n)]
+        a, b, ref = Rng(seed), Rng(seed), ReferenceRng(seed)
+        a.uniform()  # start part-way through a read-ahead block
+        b.uniform()
+        ref.uniform()
+        sample = a.sample_without_replacement(seq, k)
+        perm = b._shuffled(n)
+        assert sample == [seq[i] for i in perm[:k]]
+        assert sample == [seq[i] for i in ref.permutation(n)[:k]]
+        assert a._state == b._state == ref.state
+        assert a.uniform() == b.uniform() == ref.uniform()
+
+    def test_returns_the_items_of_seq(self):
+        seq = [object() for _ in range(5)]
+        sample = Rng(1).sample_without_replacement(seq, 5)
+        assert sorted(map(id, sample)) == sorted(map(id, seq))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - _GAMMA, 99])
+    def test_scalar_draws_across_a_refill_with_an_array_draw_between(self, seed):
+        rng, ref = Rng(seed), ReferenceRng(seed)
+        program = [
+            ("scalars", _AHEAD - 2),  # all but two values of the first block
+            ("sample", 40, 6),  # needs 39 values: refills
+            ("scalars", 5),
+            ("array", 7),  # drops the block; the next scalar refills
+            ("scalars", _AHEAD + 3),  # crosses the end of the new block
+            ("sample", 3, 3),
+            ("array", 1),
+            ("sample", _AHEAD + 5, 2),  # needs more values than one block holds
+            ("scalars", 4),
+        ]
+        for op, *args in program:
+            if op == "scalars":
+                got = np.array([rng.uniform() for _ in range(args[0])])
+                expected = ref.uniforms(args[0])
+            elif op == "array":
+                got, expected = rng.uniform(args[0]), ref.uniforms(args[0])
+            else:
+                n, k = args
+                got, expected = (np.array(x) for x in run_both(rng, ref, ("sample", n, k)))
             assert got.tobytes() == expected.tobytes(), op
             assert rng._state == ref.state, op
 

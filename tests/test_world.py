@@ -64,6 +64,13 @@ def toy_world() -> WorldSpec:
     return WorldSpec(grid=spec, waypoints=waypoints, rules=rules, rare_list=[], seed=1)
 
 
+def record_dict(grid: GridTensor, gps: GpsLabel) -> dict:
+    """A scene record as a dict, cells sorted by (name, row, col)."""
+    rows, cols, cats = (a.tolist() for a in np.nonzero(grid.data))
+    cells = sorted([CATEGORIES[cat], row, col] for row, col, cat in zip(rows, cols, cats))
+    return {"gps": [gps.latitude, gps.longitude], "cells": cells}
+
+
 def rule_reachable_pairs(world: WorldSpec) -> set[tuple[int, int, int]]:
     """Every (category, row, col) some placement rule can occupy at some waypoint."""
     reachable = set()
@@ -428,6 +435,12 @@ class TestBuildDataset:
             assert g0 == g1
             assert gps0 == gps1
 
+    def test_lines_are_json_dumps_of_the_record(self, tmp_path):
+        build_dataset(WORLD, 20, str(tmp_path), seed=8)
+        lines = [json.dumps(record_dict(g, gps)) + "\n" for g, gps in sample_dataset(WORLD, 20, 8)]
+        written = "".join((tmp_path / f"{name}.jsonl").read_text() for name in ("train", "val", "test"))
+        assert written == "".join(lines)
+
     def test_files_match_the_pinned_digests(self, tmp_path):
         """The RNG stream and the file format, pinned across versions: same-run
         reproducibility cannot catch a change that alters both runs alike."""
@@ -703,6 +716,20 @@ class TestBenchmarks:
             assert (c1.task, c1.category, c1.row, c1.col) == (
                 c0.task, c0.category, c0.row, c0.col,
             )
+
+    @pytest.mark.parametrize("task", [1, 2, 3])
+    def test_lines_are_json_dumps_of_the_record_with_task_and_injected(self, tmp_path, task):
+        records = build_benchmark(WORLD, sample_dataset(WORLD, 30, seed=68), task, Rng(68 + task))
+        path = tmp_path / f"task{task}.jsonl"
+        write_benchmark(records, str(path))
+        lines = []
+        for grid, gps, case in records:
+            record = record_dict(grid, gps)
+            record["task"] = case.task
+            record["injected"] = [case.category, case.row, case.col]
+            lines.append(json.dumps(record) + "\n")
+        assert len(lines) >= 5
+        assert path.read_text() == "".join(lines)
 
     def test_reader_rejects_unmarked_injections_with_line_numbers(self, tmp_path):
         scenes = sample_dataset(WORLD, 2, seed=66)
