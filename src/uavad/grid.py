@@ -266,19 +266,30 @@ def render_text(g: GridTensor) -> str:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _cell_texts(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per grid: the position of each tensor cell in record order (category
-    name, row, col), and the JSON text of the cell at each position."""
-    n_y, n_x = spec.cells_y, spec.cells_x
-    names = sorted(range(N_CATEGORIES), key=CATEGORIES.__getitem__)
-    cells = [(cat, row, col) for cat in names for row in range(n_y) for col in range(n_x)]
-    quoted = [json.dumps(name) for name in CATEGORIES]
-    texts = np.array([f"[{quoted[c]}, {r}, {x}]" for c, r, x in cells], dtype=object)
-    position = np.empty(len(cells), dtype=np.intp)
-    position[[(r * n_x + x) * N_CATEGORIES + c for c, r, x in cells]] = np.arange(len(cells))
-    position.flags.writeable = texts.flags.writeable = False  # shared by every caller
-    return position, texts
+# Category ids in the order of their names, the first key of a record's cells.
+_NAME_ORDER = np.argsort(CATEGORIES, kind="stable")
+
+
+class _CellTexts(dict):
+    """The JSON text of record cells, keyed by a cell's flat index in a
+    scene tensor laid out in record order: (category name, row, col).
+
+    A text is made the first time its cell is written, so the table holds
+    one entry (about 120 bytes) per distinct cell written, not one per
+    tensor cell of the grid."""
+
+    def __init__(self, spec: GridSpec):
+        super().__init__()
+        self.plane, self.cells_x = spec.cells_y * spec.cells_x, spec.cells_x
+
+    def __missing__(self, key: int) -> str:
+        rank, cell = divmod(key, self.plane)
+        row, col = divmod(cell, self.cells_x)
+        text = self[key] = f"[{json.dumps(CATEGORIES[_NAME_ORDER[rank]])}, {row}, {col}]"
+        return text
+
+
+_cell_texts = functools.lru_cache(maxsize=8)(_CellTexts)  # one cache per grid
 
 
 def _number(v: object) -> str:
@@ -286,14 +297,14 @@ def _number(v: object) -> str:
     return repr(v) if type(v) is float else json.dumps(v)
 
 
-def scene_to_record(g: GridTensor, gps: GpsLabel) -> str:
+def scene_to_record(g: GridTensor, gps: GpsLabel, extra: dict | None = None) -> str:
     """The grid dataset record of a scene as JSON text: the text that
-    ``json.dumps`` writes for ``{"gps": [lat, lon], "cells": [...]}``."""
-    position, texts = _cell_texts(g.spec)
-    order = position[np.flatnonzero(g.data)]
-    order.sort()
-    cells = ", ".join(texts[order].tolist())
-    return f'{{"gps": [{_number(gps.latitude)}, {_number(gps.longitude)}], "cells": [{cells}]}}'
+    ``json.dumps`` writes for ``{"gps": [lat, lon], "cells": [...], **extra}``."""
+    # The tensor is binary, so its bytes are valid bools.
+    by_name = g.data.transpose(2, 0, 1)[_NAME_ORDER].view(bool).reshape(-1)
+    cells = ", ".join(map(_cell_texts(g.spec).__getitem__, by_name.nonzero()[0].tolist()))
+    tail = f", {json.dumps(extra)[1:]}" if extra else "}"
+    return f'{{"gps": [{_number(gps.latitude)}, {_number(gps.longitude)}], "cells": [{cells}]{tail}'
 
 
 def _gps_label(v: object) -> GpsLabel:

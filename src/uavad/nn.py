@@ -154,35 +154,17 @@ class Rng:
             raise ValueError("randint needs n >= 1")
         return min(int(self.uniform() * n), n - 1)
 
-    def _shuffled(self, n: int) -> list[int]:
-        # Slot i swaps with randint(i + 1), written out on the next uniform;
-        # the clamp is randint's min(), as a branch.
-        perm = list(range(n))
-        for i, u in zip(range(n - 1, 0, -1), self._next(max(n - 1, 0))):
-            j = int(u * (i + 1))
-            if j > i:
-                j = i
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm
+    def _shuffled(self, seq, k: int) -> list:
+        """First k entries of a Fisher-Yates shuffle of a copy of seq.
 
-    def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
-        if n < 0:
-            raise ValueError(f"permutation needs n >= 0, got {n}")
-        return np.array(self._shuffled(n), dtype=np.intp)
-
-    def sample_without_replacement(self, seq, k: int) -> list:
-        """First k entries of a Fisher-Yates shuffle of seq.
-
-        The shuffle of ``_shuffled``, on a copy of seq, with the same draws.
-        Slot i is final once step i has run and no later step reads it, so
-        steps n-1 ... k, whose slot falls past the sample, only copy it down;
-        steps k-1 ... 1 swap.
+        Step i (n-1 down to 1) swaps slot i with slot randint(i + 1), written
+        out on the next uniform; the clamp is randint's min(), as a branch.
+        Slot i is final once its step has run and no later step reads it, so
+        the steps n-1 ... k, whose slot falls past the sample, only copy it
+        down. Every k draws the same n - 1 values.
         """
-        n = len(seq)
-        if not 0 <= k <= n:
-            raise ValueError(f"cannot sample {k} from {n} items")
         out = list(seq)
+        n = len(out)
         us = self._next(max(n - 1, 0))
         cut = len(us) - max(k - 1, 0)  # the copy steps; the last k - 1 swap
         for i, u in zip(range(n - 1, n - 1 - cut, -1), us):
@@ -197,6 +179,18 @@ class Rng:
             out[i], out[j] = out[j], out[i]
         del out[k:]
         return out
+
+    def permutation(self, n: int) -> np.ndarray:
+        """Fisher-Yates permutation of range(n)."""
+        if n < 0:
+            raise ValueError(f"permutation needs n >= 0, got {n}")
+        return np.array(self._shuffled(range(n), n), dtype=np.intp)
+
+    def sample_without_replacement(self, seq, k: int) -> list:
+        """First k entries of a Fisher-Yates shuffle of seq."""
+        if not 0 <= k <= len(seq):
+            raise ValueError(f"cannot sample {k} from {len(seq)} items")
+        return self._shuffled(seq, k)
 
 
 # ---------------------------------------------------------------------------

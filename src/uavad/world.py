@@ -710,9 +710,8 @@ def write_benchmark(
 ) -> None:
     with atomic_write(path) as f:
         for g, gps, case in records:
-            # The scene's text with the two fields appended before its "}".
-            extra = json.dumps({"task": case.task, "injected": [case.category, case.row, case.col]})
-            f.write(f"{scene_to_record(g, gps)[:-1]}, {extra[1:]}\n")
+            extra = {"task": case.task, "injected": [case.category, case.row, case.col]}
+            f.write(scene_to_record(g, gps, extra) + "\n")
 
 
 def read_benchmark(path: str, spec: GridSpec) -> list[tuple[GridTensor, GpsLabel, AnomalyCase]]:

@@ -241,11 +241,11 @@ class TestSceneRecords:
             record_to_scene(record, SPEC)
 
 
-def reference_record_text(g: GridTensor, gps: GpsLabel) -> str:
-    """``json.dumps`` of the record dict, cells sorted by (name, row, col)."""
+def record_dict(g: GridTensor, gps: GpsLabel) -> dict:
+    """A scene record as a dict, cells sorted by (name, row, col)."""
     rows, cols, cats = (a.tolist() for a in np.nonzero(g.data))
     cells = sorted([CATEGORIES[cat], row, col] for row, col, cat in zip(rows, cols, cats))
-    return json.dumps({"gps": [gps.latitude, gps.longitude], "cells": cells})
+    return {"gps": [gps.latitude, gps.longitude], "cells": cells}
 
 
 SMALL_SPEC = GridSpec(image_width=150, image_height=90, cells_x=5, cells_y=3)
@@ -268,7 +268,13 @@ class TestSceneRecordText:
             "sparse": (np.random.default_rng(3).random(shape) < 0.05).astype(np.uint8),
         }[fill]
         g, gps = GridTensor(spec, data), GpsLabel(lat, lon)
-        assert scene_to_record(g, gps) == reference_record_text(g, gps)
+        assert scene_to_record(g, gps) == json.dumps(record_dict(g, gps))
+
+    @pytest.mark.parametrize("extra", [None, {}, {"task": "task1_public", "injected": ["car", 2, 3]}])
+    def test_extra_fields_follow_the_cells(self, extra):
+        g = GridTensor(SMALL_SPEC).with_cell(2, 3, 0).with_cell(0, 4, 5)
+        gps = GpsLabel(41.1, 29.0)
+        assert scene_to_record(g, gps, extra) == json.dumps({**record_dict(g, gps), **(extra or {})})
 
 
 # GPS fields that are not a list of exactly two JSON numbers.

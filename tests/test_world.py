@@ -42,6 +42,8 @@ from uavad.world import (
     write_benchmark,
 )
 
+from test_grid import record_dict
+
 WORLD = default_world()
 
 
@@ -62,13 +64,6 @@ def toy_world() -> WorldSpec:
     ]
     rules = [PlacementRule("car", ("road",), 2, 4, (1.0, 1.0))]
     return WorldSpec(grid=spec, waypoints=waypoints, rules=rules, rare_list=[], seed=1)
-
-
-def record_dict(grid: GridTensor, gps: GpsLabel) -> dict:
-    """A scene record as a dict, cells sorted by (name, row, col)."""
-    rows, cols, cats = (a.tolist() for a in np.nonzero(grid.data))
-    cells = sorted([CATEGORIES[cat], row, col] for row, col, cat in zip(rows, cols, cats))
-    return {"gps": [gps.latitude, gps.longitude], "cells": cells}
 
 
 def rule_reachable_pairs(world: WorldSpec) -> set[tuple[int, int, int]]:
