@@ -34,7 +34,7 @@ __all__ = [
     "write_reports",
 ]
 
-# Category ids in name order: np.nonzero over a mask whose last axis is
+# Category ids in name order: np.flatnonzero over a mask whose last axis is
 # permuted this way yields cells in (row, col, category name) order.
 _BY_NAME = np.argsort(CATEGORIES)
 # An object array, so every cell shares the one str of its category's name.
@@ -136,27 +136,19 @@ def _check_grid(config: ModelConfig, spec: GridSpec) -> None:
         )
 
 
-def _select(mask: np.ndarray, probs: np.ndarray) -> CellArrays:
-    """The cells set in a (rows, cols, categories) mask, as read-only arrays."""
-    rows, cols, k = np.nonzero(mask[..., _BY_NAME])
-    if not rows.size:
-        return _NO_CELLS
-    index = np.ravel_multi_index((rows, cols, _BY_NAME[k]), mask.shape)
-    prob = probs.reshape(-1)[index]
-    index.flags.writeable = prob.flags.writeable = False
-    return CellArrays(index, prob)
-
-
 def _select_each(mask: np.ndarray, probs: np.ndarray) -> list[CellArrays]:
-    """``_select`` of each scene of an (n, rows, cols, categories) mask: one
-    nonzero over the stack, split per scene. The arrays of the scenes are
-    read-only views of one index and one probability array."""
-    n = mask.shape[0]
-    scene, rows, cols, k = np.nonzero(mask[..., _BY_NAME])
-    index = np.ravel_multi_index((rows, cols, _BY_NAME[k]), mask.shape[1:])
-    prob = probs.reshape(n, -1)[scene, index]
+    """The cells set in each scene of an (n, rows, cols, categories) mask:
+    one flat-index pass over the stack, split per scene. The arrays of the
+    scenes are read-only views of one index and one probability array."""
+    n, size, n_o = mask.shape[0], mask[0].size, mask.shape[-1]
+    flat = np.flatnonzero(mask[..., _BY_NAME])
+    # Back from name order to the grid's own category order.
+    k = flat % n_o
+    flat += _BY_NAME[k] - k
+    prob = probs.reshape(-1)[flat]
+    index = flat % size
     index.flags.writeable = prob.flags.writeable = False
-    bounds = np.searchsorted(scene, np.arange(n + 1)).tolist()
+    bounds = np.searchsorted(flat, np.arange(0, (n + 1) * size, size)).tolist()
     return [
         CellArrays(index[lo:hi], prob[lo:hi]) if lo < hi else _NO_CELLS
         for lo, hi in zip(bounds, bounds[1:])
@@ -177,29 +169,15 @@ def detect(
     gps: GpsLabel | None = None,
     threshold: float = 0.5,
 ) -> AnomalyReport:
-    """Flag occupied cells whose reconstruction falls below the threshold."""
+    """Flag occupied cells whose reconstruction falls below the threshold:
+    the chunk path of ``detect_batch`` on one scene."""
     config = checkpoint.config
     _check_grid(config, x.spec)
     if config.use_gps and gps is None:
         raise ValueError(f"variant {config.variant!r} requires a gps label")
     if not config.use_gps and gps is not None:
         raise ValueError(f"variant {config.variant!r} takes no gps label")
-    threshold = _check_threshold(threshold)
-
-    gps_deg = np.array([[gps.latitude, gps.longitude]]) if gps is not None else None
-    probs = checkpoint.reconstruct(
-        x.data.reshape(1, -1), gps_deg, row_invariant=True
-    ).reshape(x.data.shape)
-    missing, added = detection_masks(x.data, probs, threshold)
-    return AnomalyReport(
-        x.data.shape,
-        _select(missing, probs),
-        _select(added, probs),
-        score=float(probs.min(initial=1.0, where=x.data != 0)),
-        threshold=threshold,
-        model_variant=config.variant,
-        gps=(gps.latitude, gps.longitude) if gps is not None else None,
-    )
+    return _detect_chunk(checkpoint, [(x, gps)], _check_threshold(threshold), None)[0]
 
 
 def detect_batch(checkpoint: Checkpoint, path: str, threshold: float = 0.5) -> list[AnomalyReport]:
@@ -227,15 +205,16 @@ def _detect_chunk(
     checkpoint: Checkpoint,
     scenes: list[tuple[GridTensor, GpsLabel]],
     threshold: float,
-    scratch: Scratch,
+    scratch: Scratch | None,
 ) -> list[AnomalyReport]:
-    """The reports of ``detect_batch`` for a chunk of its scenes."""
+    """The reports of a chunk of scenes, whose GPS labels are read only for
+    the GPS variants."""
     config = checkpoint.config
     _check_grid(config, scenes[0][0].spec)
     x = np.stack([g.data for g, _ in scenes])
     gps = [(p.latitude, p.longitude) for _, p in scenes] if config.use_gps else None
     probs = checkpoint.reconstruct(
-        x.reshape(len(scenes), -1), gps, scratch, row_invariant=True
+        x.reshape(len(scenes), -1), gps, scratch=scratch, row_invariant=True
     ).reshape(x.shape)
     missing, added = detection_masks(x, probs, threshold)
     scores = probs.min(axis=(1, 2, 3), initial=1.0, where=x != 0).tolist()

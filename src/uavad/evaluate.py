@@ -19,7 +19,6 @@ from .world import AnomalyCase, WorldSpec, load_scenes, read_benchmark
 __all__ = [
     "MetricCounts",
     "prf1",
-    "mse",
     "reconstruction_metrics",
     "task_accuracy",
     "mse_on_scenes",
@@ -52,15 +51,6 @@ def prf1(c: MetricCounts) -> tuple[float, float, float]:
     recall = 1.0 if c.tp + c.fn == 0 else c.tp / (c.tp + c.fn)
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return precision, recall, f1
-
-
-def mse(x: np.ndarray, x_hat: np.ndarray) -> float:
-    """Mean squared per-element error."""
-    a = np.asarray(x, dtype=np.float64)
-    b = np.asarray(x_hat, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.mean((a - b) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +108,8 @@ def _hit_rate(
 
 
 def _mse(checkpoint: Checkpoint, data: Dataset, scratch: Scratch | None) -> float:
-    """``mse(data.x, reconstruction)``, computed in the reconstruction's array."""
+    """Mean squared error of ``data.x`` against its reconstruction, computed
+    in the reconstruction's array."""
     diff = checkpoint.reconstruct(data.x, data.gps, scratch)
     np.subtract(data.x, diff, out=diff)
     return float(np.mean(np.square(diff, out=diff)))

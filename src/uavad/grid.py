@@ -67,6 +67,14 @@ def whole(v: object, what: str) -> int:
     return v
 
 
+def number(v: object, what: str) -> float:
+    """``v`` as a float if it is a JSON number, an int or a float; anything
+    else, a bool or a string too, raises ValueError."""
+    if type(v) not in (int, float):
+        raise ValueError(f"{what} {v!r} must be a number")
+    return float(v)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Image window size and grid resolution."""

@@ -33,7 +33,9 @@ from .grid import (
     GridTensor,
     N_CATEGORIES,
     RECORD_ERRORS,
+    _gps_label,
     atomic_write,
+    number,
     read_jsonl,
     record_to_scene,
     scene_to_record,
@@ -320,8 +322,8 @@ def load_world(path: str) -> WorldSpec:
         for w in doc["waypoints"]:
             waypoints.append(
                 Waypoint(
-                    gps=GpsLabel(float(w["gps"][0]), float(w["gps"][1])),
-                    gps_jitter=float(w.get("gps_jitter", 0.0)),
+                    gps=_gps_label(w["gps"]),
+                    gps_jitter=number(w.get("gps_jitter", 0.0), "gps jitter"),
                     zone_map=build_zone_map(grid, w["zones"]),
                 )
             )
@@ -329,9 +331,9 @@ def load_world(path: str) -> WorldSpec:
         rules = []
         for r in doc["rules"]:
             if "weights" in r:
-                weights = tuple(float(v) for v in r["weights"])
+                weights = tuple(number(v, "weight") for v in r["weights"])
             else:
-                weights = (float(r.get("weight", 1.0)),) * n_wp
+                weights = (number(r.get("weight", 1.0), "weight"),) * n_wp
             count = r["count"]
             rules.append(
                 PlacementRule(

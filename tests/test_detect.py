@@ -349,17 +349,55 @@ class TestReference:
             assert list(cell._asdict()) == ["category", "row", "col", "reconstruction_prob"]
         assert (report.anomalies, report.hallucinated) == reference_cells(grid, probs[0], 0.5)
 
+    def test_a_chunk_matches_a_loop_over_every_cell_of_each_scene(self):
+        """Five scenes of a 3x5 grid reconstructed together, the middle one
+        with no cell in either list. The first and last cells of each other
+        scene hold bicycle and van, which sort first and last by name, and
+        car and trailer, at flat indices 0 and size - 1 of the grid."""
+        spec = GridSpec(cells_x=5, cells_y=3)
+        shape = (5, spec.cells_y, spec.cells_x, N_CATEGORIES)
+        rng = np.random.default_rng(19)
+        data = (rng.random(shape) < 0.3).astype(np.uint8)
+        probs = rng.random(shape)
+        corners = [CATEGORY_IDS[c] for c in ("bicycle", "van", "car", "trailer")]
+        for i, held in zip((0, 1, 3, 4), ((1, 1), (0, 0), (1, 0), (0, 1))):
+            for corner, h in zip((0, -1), held):
+                data[i, corner, corner, corners] = h
+                probs[i, corner, corner, corners] = 0.125 if h else 0.875
+        data[2], probs[2] = 0, 0.25
+        scenes = [(GridTensor(spec, d), GPS) for d in data]
+        reports = detect_mod._detect_chunk(FixedCheckpoint(probs), scenes, 0.5, None)
+
+        assert len(reports) == len(scenes)
+        for (grid, _), row, report in zip(scenes, probs, reports):
+            for got, cells in zip(
+                (report.missing, report.added), reference_cells(grid, row.reshape(-1), 0.5)
+            ):
+                index = [
+                    np.ravel_multi_index((c.row, c.col, CATEGORY_IDS[c.category]), shape[1:])
+                    for c in cells
+                ]
+                assert got.index.tobytes() == np.array(index, np.intp).tobytes()
+                assert got.prob.tobytes() == np.array(
+                    [c.reconstruction_prob for c in cells], np.float64
+                ).tobytes()
+        assert reports[2].missing is reports[2].added is detect_mod._NO_CELLS
+        last = probs[0].size - 1
+        for cells in ([r.missing for r in reports], [r.added for r in reports]):
+            assert {0, last} <= set(np.concatenate([c.index for c in cells]).tolist())
+
 
 class FixedCheckpoint:
-    """A stand-in checkpoint whose reconstruction of every scene is ``probs``."""
+    """A stand-in checkpoint whose reconstruction is ``probs``: one scene's
+    (rows, cols, categories) or a chunk's (n, rows, cols, categories)."""
 
     def __init__(self, probs: np.ndarray):
-        rows, cols, _ = probs.shape
+        rows, cols, _ = probs.shape[-3:]
         self.config = ModelConfig("vae", GridSpec(cells_x=cols, cells_y=rows))
         self.probs = probs
 
     def reconstruct(self, x, gps, **_):
-        return self.probs.reshape(1, -1)
+        return self.probs.reshape(len(x), -1)
 
 
 class TestReport:

@@ -20,7 +20,6 @@ from uavad.detect import detect_batch
 from uavad.evaluate import (
     MetricCounts,
     format_table,
-    mse,
     mse_on_scenes,
     prf1,
     reconstruction_metrics,
@@ -134,19 +133,6 @@ class TestAnomalyAccuracy:
         """The car at the injected cell is missing, the injected bus is not."""
         records = [(scene(("car", 1, 2), ("bus", 1, 2)), GPS, case("bus", 1, 2))]
         assert task_accuracy(car_suppressing_checkpoint(), records) == 0.0
-
-
-class TestMse:
-    def test_hand_checked_value(self):
-        assert mse(np.array([0.0, 1.0]), np.array([0.5, 0.5])) == pytest.approx(0.25)
-
-    def test_identical_arrays_score_zero(self):
-        a = np.arange(6.0).reshape(2, 3)
-        assert mse(a, a) == 0.0
-
-    def test_shape_mismatch_is_rejected(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            mse(np.zeros(3), np.zeros(4))
 
 
 class TestReconstructionMetrics:

@@ -42,7 +42,7 @@ from uavad.world import (
     write_benchmark,
 )
 
-from test_grid import record_dict
+from test_grid import BAD_GPS, record_dict
 
 WORLD = default_world()
 
@@ -850,6 +850,49 @@ class TestWorldPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(WorldConfigError, match=f"^{re.escape(str(path))}: .*{message}"):
             load_world(str(path))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            *((("waypoints", 0, "gps"), gps, "exactly two numbers") for gps in BAD_GPS.values()),
+            (("waypoints", 1, "gps_jitter"), "0.0001", "gps jitter '0.0001' must be a number"),
+            (("waypoints", 1, "gps_jitter"), False, "gps jitter False must be a number"),
+            (("rules", 0, "weights", 1), True, "weight True must be a number"),
+            (("rules", 0, "weights", 1), "2", "weight '2' must be a number"),
+            (("rules", 0, "weights"), "12", "weight '1' must be a number"),
+            (("rules", 0, "weight"), "2", "weight '2' must be a number"),
+            (("rules", 0, "weight"), True, "weight True must be a number"),
+        ],
+        ids=[
+            *(f"gps-{name}" for name in BAD_GPS), "string-jitter", "bool-jitter",
+            "bool-weights", "string-weights", "string-weights-list", "string-weight",
+            "bool-weight",
+        ],
+    )
+    def test_numbers_that_are_not_json_numbers_are_rejected(self, tmp_path, field, value, message):
+        """gps, gps_jitter, weight and weights take JSON numbers only: no
+        string, no bool, and gps exactly two of them."""
+        path = tmp_path / "world.json"
+        save_world(WORLD, str(path))
+        doc = json.loads(path.read_text())
+        if field[-1] == "weight":
+            del doc["rules"][0]["weights"]
+        node = doc
+        for key in field[:-1]:
+            node = node[key]
+        node[field[-1]] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(WorldConfigError, match=f"^{re.escape(str(path))}: .*{message}"):
+            load_world(str(path))
+
+    def test_a_single_weight_is_read_for_every_waypoint(self, tmp_path):
+        path = tmp_path / "world.json"
+        save_world(WORLD, str(path))
+        doc = json.loads(path.read_text())
+        del doc["rules"][0]["weights"]
+        doc["rules"][0]["weight"] = 2
+        path.write_text(json.dumps(doc))
+        assert load_world(str(path)).rules[0].weights == (2.0,) * len(WORLD.waypoints)
 
     def test_non_utf8_world_names_the_file(self, tmp_path):
         path = tmp_path / "world.json"
