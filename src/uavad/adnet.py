@@ -29,7 +29,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .grid import (
-    RECORD_ERRORS, GpsLabel, GridSpec, GridTensor, N_CATEGORIES, atomic_write, flatten, whole,
+    RECORD_ERRORS, GpsLabel, GridSpec, GridTensor, N_CATEGORIES, atomic_write, flatten, number,
+    whole,
 )
 from .nn import (
     ParamSet,
@@ -162,7 +163,7 @@ class GpsNormalization:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GpsNormalization":
-        gn = cls(lat_ref=float(d["lat_ref"]), lon_ref=float(d["lon_ref"]), scale=float(d["scale"]))
+        gn = cls(*(number(d[key], key) for key in ("lat_ref", "lon_ref", "scale")))
         if not all(map(math.isfinite, (gn.lat_ref, gn.lon_ref, gn.scale))):
             raise ValueError(f"gps_normalization {gn.to_dict()} is not finite")
         return gn

@@ -185,13 +185,14 @@ def detect_batch(checkpoint: Checkpoint, path: str, threshold: float = 0.5) -> l
     that scene: the same cells with the same probability bits.
 
     Accepts plain scene files and injected-anomaly benchmark files alike;
-    only the gps and cells fields are read. The threshold is checked
-    before the file is read, so an empty file does not hide a bad one.
-    Records are read and reconstructed ``_CHUNK`` at a time, in the
-    row-invariant mode of ``Checkpoint.reconstruct``.
+    only the gps and cells fields are read. The threshold and the
+    checkpoint's grid are checked before the file is read, so an empty file
+    does not hide a bad one. Records are read and reconstructed ``_CHUNK``
+    at a time, in the row-invariant mode of ``Checkpoint.reconstruct``.
     """
     threshold = _check_threshold(threshold)
     config = checkpoint.config
+    _check_grid(config, config.grid)
     scenes = read_jsonl(path, lambda record, _: record_to_scene(record, config.grid))
     scratch = Scratch()
     reports: list[AnomalyReport] = []
@@ -207,10 +208,9 @@ def _detect_chunk(
     threshold: float,
     scratch: Scratch | None,
 ) -> list[AnomalyReport]:
-    """The reports of a chunk of scenes, whose GPS labels are read only for
-    the GPS variants."""
+    """The reports of a chunk of scenes on the checkpoint's grid, whose GPS
+    labels are read only for the GPS variants."""
     config = checkpoint.config
-    _check_grid(config, scenes[0][0].spec)
     x = np.stack([g.data for g, _ in scenes])
     gps = [(p.latitude, p.longitude) for _, p in scenes] if config.use_gps else None
     probs = checkpoint.reconstruct(

@@ -319,10 +319,9 @@ def _gps_label(v: object) -> GpsLabel:
     """A record's ``[lat, lon]`` field. Anything but a list of exactly two
     JSON numbers (an int or a float, not a bool or a string) raises one of
     ``RECORD_ERRORS``."""
-    lat, lon = v[0], v[1]
-    if type(v) is not list or len(v) != 2 or not {type(lat), type(lon)} <= {int, float}:
+    if type(v) is not list or len(v) != 2 or not {type(v[0]), type(v[1])} <= {int, float}:
         raise ValueError(f"gps {v!r} must be a list of exactly two numbers")
-    return GpsLabel(float(lat), float(lon))
+    return GpsLabel(float(v[0]), float(v[1]))
 
 
 def record_to_scene(record: dict, spec: GridSpec) -> tuple[GridTensor, GpsLabel]:
@@ -396,10 +395,10 @@ def read_annotations(path: str) -> Iterator[tuple[GridSpec, GpsLabel, list[Bound
         for b in record["boxes"]:
             box = BoundingBox(
                 category=category_id(b["category"]),
-                x_min=float(b["x_min"]),
-                y_min=float(b["y_min"]),
-                x_max=float(b["x_max"]),
-                y_max=float(b["y_max"]),
+                x_min=number(b["x_min"], "x_min"),
+                y_min=number(b["y_min"], "y_min"),
+                x_max=number(b["x_max"], "x_max"),
+                y_max=number(b["y_max"], "y_max"),
             )
             try:
                 box.validate(spec)

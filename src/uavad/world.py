@@ -132,6 +132,10 @@ class Waypoint:
     gps: GpsLabel
     gps_jitter: float
     zone_map: np.ndarray  # (cells_y, cells_x) of zone-kind indices
+    # Flat cell indices (row * cells_x + col) grouped by zone kind, each group
+    # row-major, and the slice of each kind's group.
+    _order: np.ndarray = field(init=False, repr=False)
+    _spans: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         zm = np.asarray(self.zone_map, dtype=np.int16)
@@ -144,14 +148,19 @@ class Waypoint:
         zm = zm.copy()
         zm.flags.writeable = False
         object.__setattr__(self, "zone_map", zm)
+        ends = np.bincount(zm.reshape(-1), minlength=len(ZONE_KINDS)).cumsum().tolist()
+        object.__setattr__(self, "_order", np.argsort(zm, axis=None, kind="stable"))
+        object.__setattr__(self, "_spans", {
+            kind: slice(start, end) for kind, start, end in zip(ZONE_KINDS, [0] + ends, ends)
+        })
 
     def zone_at(self, row: int, col: int) -> str:
         return ZONE_KINDS[self.zone_map[row, col]]
 
     def cells_of(self, kind: str) -> list[tuple[int, int]]:
         """All (row, col) with the given zone kind, row-major order."""
-        rows, cols = np.nonzero(self.zone_map == _ZONE_IDS[kind])
-        return list(zip(rows.tolist(), cols.tolist()))
+        cells = self._order[self._spans[kind]].tolist()
+        return [divmod(i, self.zone_map.shape[1]) for i in cells]
 
 
 @dataclass(frozen=True)
@@ -206,7 +215,11 @@ class WorldSpec:
     rules: list[PlacementRule]
     rare_list: list[tuple[str, str]] = field(default_factory=lambda: list(DEFAULT_RARE_LIST))
     seed: int = 0
-    _cells: dict = field(default_factory=dict, repr=False, compare=False)
+    # Built by validate(), per waypoint: each rule's flat tensor indices, and
+    # each task's injection candidates as flat tensor indices in draw order.
+    # A world changed after construction is validated again to rebuild them.
+    _placements: list = field(init=False, default_factory=list, repr=False, compare=False)
+    _candidates: list = field(init=False, default_factory=list, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -220,55 +233,49 @@ class WorldSpec:
                 raise WorldConfigError(
                     f"waypoint {wi} zone map shape {wp.zone_map.shape} != grid {shape}"
                 )
+        for cat, zone in self.rare_list:
+            if cat not in CATEGORY_IDS:
+                raise WorldConfigError(f"rare list references unknown category {cat!r}")
+            if zone not in _ZONE_IDS:
+                raise WorldConfigError(f"rare list references unknown zone {zone!r}")
+        tasks = {1: _TASK1_PAIRS, 2: _TASK2_PAIRS, 3: self.rare_list}
+        self._placements, self._candidates = [], []
+        for wp in self.waypoints:
+            # flat[cat, k]: the flat tensor index of the waypoint's k-th cell
+            # in kind order, in the plane of category cat.
+            flat = wp._order * N_CATEGORIES + np.arange(N_CATEGORIES)[:, None]
+
+            def cells(pairs: Sequence[tuple[str, str]]) -> list[np.ndarray]:
+                return [flat[CATEGORY_IDS[cat], wp._spans[zone]] for cat, zone in pairs]
+
+            placements = []
+            for rule in self.rules:
+                parts = cells([(rule.category, zone) for zone in rule.allowed_zones])
+                # One zone's cells are row-major already; a union is sorted back.
+                union = parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
+                placements.append(union.tolist())
+            self._placements.append(placements)
+            self._candidates.append({
+                task: np.concatenate(cells(pairs) or [np.empty(0, np.intp)])
+                for task, pairs in tasks.items()
+            })
         for ri, rule in enumerate(self.rules):
             if len(rule.weights) != len(self.waypoints):
                 raise WorldConfigError(
                     f"rule for {rule.category!r} has {len(rule.weights)} weights "
                     f"for {len(self.waypoints)} waypoints"
                 )
-            for wi, wp in enumerate(self.waypoints):
-                if rule.weights[wi] > 0 and rule.count_max > 0:
-                    if not self.rule_cells(ri, wi):
-                        raise WorldConfigError(
-                            f"rule for {rule.category!r} allows zones {rule.allowed_zones} "
-                            f"but waypoint {wi} has no such cells"
-                        )
-        for cat, zone in self.rare_list:
-            if cat not in CATEGORY_IDS:
-                raise WorldConfigError(f"rare list references unknown category {cat!r}")
-            if zone not in _ZONE_IDS:
-                raise WorldConfigError(f"rare list references unknown zone {zone!r}")
+            for wi in range(len(self.waypoints)):
+                if rule.weights[wi] > 0 and rule.count_max > 0 and not self._placements[wi][ri]:
+                    raise WorldConfigError(
+                        f"rule for {rule.category!r} allows zones {rule.allowed_zones} "
+                        f"but waypoint {wi} has no such cells"
+                    )
 
     def rule_cells(self, rule_index: int, waypoint_index: int) -> list[tuple[int, int]]:
         """Cells where ``rules[rule_index]`` may place objects at a waypoint, row-major."""
-        key = ("rule", rule_index, waypoint_index)
-        if key not in self._cells:
-            wp = self.waypoints[waypoint_index]
-            mask = np.zeros_like(wp.zone_map, dtype=bool)
-            for kind in self.rules[rule_index].allowed_zones:
-                mask |= wp.zone_map == _ZONE_IDS[kind]
-            rows, cols = np.nonzero(mask)
-            self._cells[key] = list(zip(rows.tolist(), cols.tolist()))
-        return self._cells[key]
-
-    def _rule_flat_cells(self, rule_index: int, waypoint_index: int) -> list[int]:
-        """``rule_cells`` as flat indices into a scene tensor, in the plane of
-        the rule's category."""
-        key = ("flat", rule_index, waypoint_index)
-        if key not in self._cells:
-            cat = CATEGORY_IDS[self.rules[rule_index].category]
-            self._cells[key] = [
-                (r * self.grid.cells_x + c) * N_CATEGORIES + cat
-                for r, c in self.rule_cells(rule_index, waypoint_index)
-            ]
-        return self._cells[key]
-
-    def _zone_cells(self, waypoint_index: int, kind: str) -> list[tuple[int, int]]:
-        """``Waypoint.cells_of(kind)`` of a waypoint, computed once."""
-        key = ("zone", waypoint_index, kind)
-        if key not in self._cells:
-            self._cells[key] = self.waypoints[waypoint_index].cells_of(kind)
-        return self._cells[key]
+        flat = self._placements[waypoint_index][rule_index]
+        return [divmod(i // N_CATEGORIES, self.grid.cells_x) for i in flat]
 
 
 # ---------------------------------------------------------------------------
@@ -316,40 +323,43 @@ def load_world(path: str) -> WorldSpec:
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise WorldConfigError(f"{path}: malformed world file: {e}") from e
     try:
-        grid = GridSpec.from_dict(doc["grid"])
-        seed = whole(doc.get("seed", 0), "seed")
-        waypoints = []
-        for w in doc["waypoints"]:
-            waypoints.append(
-                Waypoint(
-                    gps=_gps_label(w["gps"]),
-                    gps_jitter=number(w.get("gps_jitter", 0.0), "gps jitter"),
-                    zone_map=build_zone_map(grid, w["zones"]),
-                )
-            )
-        n_wp = len(waypoints)
-        rules = []
-        for r in doc["rules"]:
-            if "weights" in r:
-                weights = tuple(number(v, "weight") for v in r["weights"])
-            else:
-                weights = (number(r.get("weight", 1.0), "weight"),) * n_wp
-            count = r["count"]
-            rules.append(
-                PlacementRule(
-                    category=str(r["category"]),
-                    allowed_zones=tuple(str(z) for z in r["zones"]),
-                    count_min=whole(count[0], "rule count"),
-                    count_max=whole(count[1], "rule count"),
-                    weights=weights,
-                )
-            )
-        rare = [(str(c), str(z)) for c, z in doc.get("rare_list", DEFAULT_RARE_LIST)]
-        return WorldSpec(grid=grid, waypoints=waypoints, rules=rules, rare_list=rare, seed=seed)
+        return _world_from_doc(doc)
     except WorldConfigError as e:
         raise WorldConfigError(f"{path}: {e}") from e
     except RECORD_ERRORS as e:
         raise WorldConfigError(f"{path}: invalid world document: {e}") from e
+
+
+def _world_from_doc(doc: dict) -> WorldSpec:
+    """The world of a decoded world document."""
+    grid = GridSpec.from_dict(doc["grid"])
+    seed = whole(doc.get("seed", 0), "seed")
+    waypoints = [
+        Waypoint(
+            gps=_gps_label(w["gps"]),
+            gps_jitter=number(w.get("gps_jitter", 0.0), "gps jitter"),
+            zone_map=build_zone_map(grid, w["zones"]),
+        )
+        for w in doc["waypoints"]
+    ]
+    rules = []
+    for r in doc["rules"]:
+        if "weights" in r:
+            weights = tuple(number(v, "weight") for v in r["weights"])
+        else:
+            weights = (number(r.get("weight", 1.0), "weight"),) * len(waypoints)
+        count = r["count"]
+        rules.append(
+            PlacementRule(
+                category=str(r["category"]),
+                allowed_zones=tuple(str(z) for z in r["zones"]),
+                count_min=whole(count[0], "rule count"),
+                count_max=whole(count[1], "rule count"),
+                weights=weights,
+            )
+        )
+    rare = [(str(c), str(z)) for c, z in doc.get("rare_list", DEFAULT_RARE_LIST)]
+    return WorldSpec(grid=grid, waypoints=waypoints, rules=rules, rare_list=rare, seed=seed)
 
 
 def save_world(world: WorldSpec, path: str) -> None:
@@ -448,14 +458,6 @@ def default_world() -> WorldSpec:
             (6, 15), (0, 15), (2, 9), (0, 15), (0, 5),
             [rect("building", 11, 0, 15, 11), rect("roof", 12, 2, 14, 9)])),
     ]
-    waypoints = [
-        Waypoint(
-            gps=GpsLabel(d["gps"][0], d["gps"][1]),
-            gps_jitter=d["gps_jitter"],
-            zone_map=build_zone_map(spec, d["zones"]),
-        )
-        for d in waypoint_docs
-    ]
 
     # Per-waypoint weights keep the per-cell occupancy rate of every rule
     # roughly level (0.1-0.4) despite the varying band widths above.
@@ -466,27 +468,29 @@ def default_world() -> WorldSpec:
     rack_w = (1.0, 1.0, 1.0, 1.0, 0.8, 0.8)
     all_w = (1.0,) * 6
     rules = [
-        PlacementRule("car", ("road",), 6, 10, road_w),
-        PlacementRule("van", ("road",), 4, 6, road_w),
-        PlacementRule("bus", ("road",), 4, 6, road_w),
-        PlacementRule("truck", ("road",), 4, 6, road_w),
-        PlacementRule("car", ("car_park",), 6, 10, park_w),
-        PlacementRule("van", ("car_park",), 3, 5, park_w),
-        PlacementRule("trailer", ("car_park",), 3, 5, park_w),
-        PlacementRule("pedestrian", ("pedestrian_road",), 5, 9, ped_w),
-        PlacementRule("pedestrian", ("zebra_crossing",), 1, 2, all_w),
-        PlacementRule("bicycle", ("bike_road",), 4, 7, bike_w),
-        PlacementRule("motorbike", ("bike_road",), 3, 5, bike_w),
-        PlacementRule("bicycle", ("bike_park",), 2, 4, rack_w),
-        PlacementRule("motorbike", ("bike_park",), 1, 3, rack_w),
+        ("car", "road", 6, 10, road_w),
+        ("van", "road", 4, 6, road_w),
+        ("bus", "road", 4, 6, road_w),
+        ("truck", "road", 4, 6, road_w),
+        ("car", "car_park", 6, 10, park_w),
+        ("van", "car_park", 3, 5, park_w),
+        ("trailer", "car_park", 3, 5, park_w),
+        ("pedestrian", "pedestrian_road", 5, 9, ped_w),
+        ("pedestrian", "zebra_crossing", 1, 2, all_w),
+        ("bicycle", "bike_road", 4, 7, bike_w),
+        ("motorbike", "bike_road", 3, 5, bike_w),
+        ("bicycle", "bike_park", 2, 4, rack_w),
+        ("motorbike", "bike_park", 1, 3, rack_w),
     ]
-    return WorldSpec(
-        grid=spec,
-        waypoints=waypoints,
-        rules=rules,
-        rare_list=list(DEFAULT_RARE_LIST),
-        seed=2024,
-    )
+    return _world_from_doc({
+        "grid": GridSpec().to_dict(),
+        "seed": 2024,
+        "waypoints": waypoint_docs,
+        "rules": [
+            {"category": cat, "zones": [zone], "count": [lo, hi], "weights": weights}
+            for cat, zone, lo, hi, weights in rules
+        ],
+    })
 
 
 def nearest_waypoint(world: WorldSpec, gps: GpsLabel) -> int:
@@ -524,7 +528,7 @@ def sample_scene(world: WorldSpec, waypoint_index: int, rng: Rng) -> tuple[GridT
         if count <= 0:
             continue
         seen = taken[CATEGORY_IDS[rule.category]]
-        cells = world._rule_flat_cells(ri, waypoint_index)
+        cells = world._placements[waypoint_index][ri]
         free = [i for i in cells if i not in seen] if seen else cells
         picked = rng.sample_without_replacement(free, min(count, len(free)))
         seen.update(picked)
@@ -632,20 +636,14 @@ def _inject(
     rng: Rng,
     scene_index: int,
 ) -> tuple[GridTensor, AnomalyCase]:
-    pairs = {1: _TASK1_PAIRS, 2: _TASK2_PAIRS, 3: world.rare_list}.get(task)
-    if pairs is None:
+    candidates = world._candidates[waypoint_index].get(task)
+    if candidates is None:
         raise ValueError(f"unknown task {task}")
-    cells = {zone: world._zone_cells(waypoint_index, zone) for zone in {zone for _, zone in pairs}}
-    candidates = [
-        (cat, r, c)
-        for name, zone in pairs
-        for cat in (CATEGORY_IDS[name],)
-        for r, c in cells[zone]
-        if grid.data[r, c, cat] == 0
-    ]
-    if not candidates:
+    free = candidates[grid.data.reshape(-1)[candidates] == 0]
+    if not free.size:
         raise InjectionError(f"no feasible task-{task} injection at waypoint {waypoint_index}")
-    cat, row, col = candidates[rng.randint(len(candidates))]
+    cell, cat = divmod(int(free[rng.randint(free.size)]), N_CATEGORIES)
+    row, col = divmod(cell, world.grid.cells_x)
     case = AnomalyCase(
         task=TASK_NAMES[task],
         category=CATEGORIES[cat],

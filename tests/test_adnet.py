@@ -1019,8 +1019,11 @@ class TestCheckpointPersistence:
             (("params", "enc.b", "shape"), [6.9], "'enc.b'.*shape entry 6.9"),
             (("gps_normalization", "scale"), math.nan, "not finite"),
             (("gps_normalization", "lat_ref"), math.inf, "not finite"),
+            (("gps_normalization", "lat_ref"), "41.1", "lat_ref '41.1' must be a number"),
+            (("gps_normalization", "scale"), True, "scale True must be a number"),
         ],
-        ids=["fractional-n_h", "float-cells_x", "fractional-shape", "nan-scale", "inf-lat_ref"],
+        ids=["fractional-n_h", "float-cells_x", "fractional-shape", "nan-scale", "inf-lat_ref",
+             "string-lat_ref", "bool-scale"],
     )
     def test_non_integer_or_non_finite_field_is_a_corrupt_error(
         self, tmp_path, field, value, message
@@ -1086,9 +1089,10 @@ DATA_STRINGS = (
 )
 
 
-def _swap_and_load(field: tuple, value) -> None:
+def _swap_and_load(field: tuple, value) -> CheckpointError | None:
     """Save a checkpoint, put ``value`` at ``field`` and load it back: it
-    loads, or raises a ``CheckpointError`` that starts with the path."""
+    loads, or raises a ``CheckpointError`` that starts with the path, which
+    is returned."""
     ck = tiny_checkpoint("uav_adnet", seed=1)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ck.json")
@@ -1105,8 +1109,9 @@ def _swap_and_load(field: tuple, value) -> None:
             loaded = load_checkpoint(path)
         except CheckpointError as e:
             assert str(e).startswith(path)
-        else:
-            assert isinstance(loaded, Checkpoint)
+            return e
+        assert isinstance(loaded, Checkpoint)
+        return None
 
 
 class TestCheckpointFuzz:
@@ -1114,6 +1119,16 @@ class TestCheckpointFuzz:
     @given(field=st.sampled_from(_FIELDS), value=JSON_VALUES)
     def test_any_swapped_field_loads_or_raises_a_checkpoint_error(self, field, value):
         _swap_and_load(field, value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.sampled_from(["lat_ref", "lon_ref", "scale"]),
+        value=JSON_VALUES.filter(lambda v: type(v) not in (int, float)),
+    )
+    def test_a_gps_normalization_field_that_is_not_a_number_is_rejected(self, key, value):
+        error = _swap_and_load(("gps_normalization", key), value)
+        assert isinstance(error, CheckpointCorruptError)
+        assert f"{key} {value!r} must be a number" in str(error)
 
     @settings(max_examples=150, deadline=None)
     @given(name=st.sampled_from(["enc.b", "dec.w", "out.k"]), value=DATA_STRINGS)

@@ -286,6 +286,18 @@ class TestDetectBatch:
             detect_batch(ck, path)
         assert str(batch.value) == str(single.value)
 
+    def test_checkpoint_with_other_channels_is_rejected_on_an_empty_file(self, tmp_path):
+        """The checkpoint's grid is checked before the file is read."""
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        config = ModelConfig("vae", n_o=7)
+        ck = Checkpoint(config, GpsNormalization(41.1, 29.0), init_params(config, 0).copy_values())
+        with pytest.raises(ValueError) as single:
+            detect(ck, GridTensor(GridSpec()))
+        with pytest.raises(ValueError) as batch:
+            detect_batch(ck, str(path))
+        assert str(batch.value) == str(single.value)
+
 
 def reference_cells(grid: GridTensor, probs: np.ndarray, threshold: float):
     """The detection rule as a plain loop over every cell of one flattened

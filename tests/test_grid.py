@@ -278,7 +278,10 @@ class TestSceneRecordText:
 
 
 # GPS fields that are not a list of exactly two JSON numbers.
-BAD_GPS = {"strings": ["41.1", "29.0"], "bool": [True, 29.0], "three-numbers": [41.1, 29.0, 7]}
+BAD_GPS = {
+    "strings": ["41.1", "29.0"], "bool": [True, 29.0], "three-numbers": [41.1, 29.0, 7],
+    "empty": [],
+}
 
 
 class TestGpsField:
@@ -346,13 +349,18 @@ class TestReadAnnotations:
         "field, value, message",
         [("boxes", [{"category": "tank", "x_min": 0, "y_min": 0, "x_max": 5, "y_max": 5}], "tank"),
          ("image_height", None, "image_height"),
-         ("gps", [41.0], "index"),
+         ("gps", [41.0], "exactly two numbers"),
          ("image_width", 1080.9, "image_width 1080.9 must be an integer"),
          ("image_height", "1080", "image_height '1080' must be an integer"),
          ("image_width", True, "image_width True must be an integer"),
+         ("boxes", [{"category": "car", "x_min": "10", "y_min": 0, "x_max": 50, "y_max": 50}],
+          "x_min '10' must be a number"),
+         ("boxes", [{"category": "car", "x_min": 10, "y_min": True, "x_max": 50, "y_max": 50}],
+          "y_min True must be a number"),
          *(("gps", gps, "exactly two numbers") for gps in BAD_GPS.values())],
         ids=["unknown-category", "missing-image-height", "short-gps", "fractional-width",
-             "string-height", "bool-width", *(f"gps-{name}" for name in BAD_GPS)],
+             "string-height", "bool-width", "string-x_min", "bool-y_min",
+             *(f"gps-{name}" for name in BAD_GPS)],
     )
     def test_malformed_record_names_its_line(self, tmp_path, field, value, message):
         good = self._record([])

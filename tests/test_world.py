@@ -348,6 +348,16 @@ class TestSampling:
         with pytest.raises(ValueError, match="waypoint index"):
             sample_scene(WORLD, 6, Rng(0))
 
+    def test_a_rule_over_several_zones_covers_their_union_row_major(self):
+        zones = ("car_park", "road", "road", "bike_park")
+        rule = PlacementRule("car", zones, 1, 2, (1.0,) * len(WORLD.waypoints))
+        world = WorldSpec(WORLD.grid, WORLD.waypoints, [rule], rare_list=[], seed=3)
+        for wi, wp in enumerate(world.waypoints):
+            rows, cols = np.nonzero(np.isin(wp.zone_map, [ZONE_KINDS.index(z) for z in zones]))
+            assert world.rule_cells(0, wi) == list(zip(rows.tolist(), cols.tolist()))
+        grid, _ = sample_scene(world, 0, Rng(3))
+        assert all(world.waypoints[0].zone_at(r, c) in zones for r, c, _ in grid.occupied_cells())
+
     def test_rules_sharing_a_zone_skip_taken_cells_as_pinned(self):
         """Rules of one category on disjoint zones (as in the default world)
         never meet a taken cell; two car rules on one road do. The pin was
@@ -449,6 +459,22 @@ class TestBuildDataset:
             "train.jsonl": "89b8142ef009ef9a27cf97a5f475fdb5d2b3633d1745e90b5723721a190ea5af",
             "val.jsonl": "b3a8012d8d009bfb515f236502380e2076778886931c825dae4381a3838ecea2",
             "test.jsonl": "fa16329a8705d25268a9466b36a0b7aec024a353380ffe9a8dfdfed5a6edfb6b",
+        }
+
+    def test_task_files_match_the_pinned_digests(self, tmp_path):
+        """Task 1-3 files of digest (a)'s test split: the zone cells, the
+        candidate order of each injector and its draw, pinned across versions."""
+        build_dataset(WORLD, 60, str(tmp_path), seed=5)
+        test = load_scenes(str(tmp_path / "test.jsonl"), WORLD.grid)
+        digests = {}
+        for task in (1, 2, 3):
+            path = tmp_path / f"task{task}.jsonl"
+            write_benchmark(build_benchmark(WORLD, test, task, Rng(50 + task)), str(path))
+            digests[task] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digests == {
+            1: "3607456460aba6b84d45d2769b9da0750a354ca5dcd616f446ab34dc824d1ff2",
+            2: "e386e439dd23fd331f8f398b73921421eda676946bf5c6f467301d3c7d18e8f8",
+            3: "52c549e8b25888771077f716743c2dfc12e413604e3356eae1c9219aa96bb53b",
         }
 
     @pytest.fixture(scope="class")
@@ -776,6 +802,15 @@ class TestWorldPersistence:
             assert a.gps == b.gps
             assert a.gps_jitter == b.gps_jitter
             assert np.array_equal(a.zone_map, b.zone_map)
+
+    def test_default_world_file_matches_the_pinned_digest(self, tmp_path):
+        """The default world's zone maps, rules and seed as save_world writes
+        them, pinned across versions."""
+        path = tmp_path / "world.json"
+        save_world(default_world(), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "e24ac035c6076306079a5da8d7280e402fc0123a4b670c15aca98a899fb4a003"
+        )
 
     def test_round_trip_samples_identically(self, tmp_path):
         path = tmp_path / "world.json"
