@@ -60,6 +60,12 @@ _CONV_BLOCK = 2048
 # draws: 2048 serves ~8 scenes per refill, where 256 took one per scene.
 _AHEAD = 2048
 
+# A request for at least this many values refills only what it takes. Such a
+# request is a shuffle of a whole collection, as train's epoch permutation,
+# which an array draw that drops the read-ahead usually follows; the draws of
+# a scene ask for at most a few dozen.
+_AHEAD_LARGE = _AHEAD // 16
+
 
 class Rng:
     """SplitMix64 stream with Box-Muller gaussians.
@@ -109,7 +115,7 @@ class Rng:
             return []  # ahead[-0:] would be the whole block
         if len(self._ahead) < k:
             state = self._state
-            ahead = self.uniform(max(k, _AHEAD))[::-1].tolist()
+            ahead = self.uniform(k if k >= _AHEAD_LARGE else _AHEAD)[::-1].tolist()
             self._state, self._ahead = state, ahead
         ahead = self._ahead
         out = ahead[-k:]

@@ -13,6 +13,7 @@ from uavad.adnet import ModelConfig, init_params
 from uavad.nn import (
     _ADAM_BLOCK,
     _AHEAD,
+    _AHEAD_LARGE,
     _GAMMA,
     _MASK64,
     ParamSet,
@@ -154,8 +155,12 @@ class ReferenceRng:
         return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n].reshape(shape)
 
 
-# Sizes around 0, 1, 256 and the _AHEAD values of one scalar read-ahead block.
-SIZES = st.sampled_from([0, 1, 2, 17, 255, 256, 257, 300, _AHEAD - 1, _AHEAD, _AHEAD + 1])
+# Sizes around 0, 1, 256, the request that refills only itself and the
+# _AHEAD values of one scalar read-ahead block.
+SIZES = st.sampled_from([
+    0, 1, 2, 17, _AHEAD_LARGE, _AHEAD_LARGE + 1, 255, 256, 257, 300, _AHEAD - 1, _AHEAD,
+    _AHEAD + 1,
+])
 SHAPES = st.one_of(SIZES, st.just((3, 5)))
 OPERATIONS = st.one_of(
     st.tuples(st.just("uniform")),
@@ -239,6 +244,17 @@ class TestRngStreams:
             assert got.dtype == expected.dtype and got.shape == expected.shape, op
             assert got.tobytes() == expected.tobytes(), op
             assert rng._state == ref.state, op
+
+
+    def test_a_large_request_reads_no_values_ahead(self):
+        """A permutation of n >= _AHEAD_LARGE + 1 refills just its n - 1
+        values, which an array draw after it would drop; a smaller one still
+        fills a whole read-ahead block."""
+        rng = Rng(3)
+        rng.permutation(_AHEAD_LARGE + 1)
+        assert rng._ahead == []
+        rng.permutation(_AHEAD_LARGE)
+        assert len(rng._ahead) == _AHEAD - (_AHEAD_LARGE - 1)
 
 
 class TestSampleWithoutReplacement:
