@@ -275,8 +275,14 @@ def init_params(config: ModelConfig, rng: Rng | int) -> ParamSet:
     return params
 
 
+def _pass_dtype(a: np.ndarray) -> type:
+    """The dtype a pass over ``a`` runs in: float32 for float32, else float64."""
+    return np.float32 if a.dtype == np.float32 else np.float64
+
+
 def _as_batch(arr: np.ndarray | None, width: int, what: str) -> np.ndarray:
-    a = np.asarray(arr, dtype=np.float64)
+    a = np.asarray(arr)
+    a = a.astype(_pass_dtype(a), copy=False)
     if a.ndim == 1:
         a = a[None, :]
     if a.ndim != 2 or a.shape[1] != width:
@@ -286,30 +292,34 @@ def _as_batch(arr: np.ndarray | None, width: int, what: str) -> np.ndarray:
 
 class Scratch:
     """Activation buffers that a sequence of passes reuses: the inference
-    passes of ``evaluate.run_benchmark``, or every training step and
-    validation pass of one ``train`` call.
+    passes of ``evaluate.run_benchmark``, or every float32 training step and
+    float64 validation pass of one ``train`` call.
 
-    ``take(name, shape)`` returns a float64 view of the leading elements of
-    buffer ``name``: the same memory on every call, grown (its contents not
-    kept) when a larger shape is asked for. A view holds valid data only
-    until the next ``take`` of its name, so nothing that outlives a pass may
-    be a view. The buffers are freed with the ``Scratch``.
+    ``take(name, shape, dtype)`` returns a view of ``dtype`` (float64 by
+    default) over the leading bytes of buffer ``name``: the same memory on
+    every call, whatever the dtype, grown (its contents not kept) when more
+    bytes are asked for. A view holds valid data only until the next
+    ``take`` of its name, so nothing that outlives a pass may be a view. The
+    buffers are freed with the ``Scratch``.
     """
 
     def __init__(self) -> None:
-        self._flat: dict[str, np.ndarray] = {}
+        self._bytes: dict[str, np.ndarray] = {}
 
-    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
-        flat = self._flat.get(name)
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        flat = self._bytes.get(name)
         if flat is None or flat.size < size:
-            flat = self._flat[name] = np.empty(size)
-        return flat[:size].reshape(shape)
+            flat = self._bytes[name] = np.empty(size, np.uint8)
+        return flat[:size].view(dtype).reshape(shape)
 
 
-def _buffer(scratch: Scratch | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
+def _buffer(
+    scratch: Scratch | None, name: str, shape: tuple[int, ...], dtype=np.float64
+) -> np.ndarray:
     """Scratch buffer ``name``, or a fresh array when there is no scratch."""
-    return np.empty(shape) if scratch is None else scratch.take(name, shape)
+    return np.empty(shape, dtype) if scratch is None else scratch.take(name, shape, dtype)
 
 
 def _forward_cached(
@@ -335,8 +345,11 @@ def _forward_cached(
     layers in their row-invariant form (see ``dense_forward``): each row then
     gets the bits it gets in a batch of one. The 1x1 conv and the sigmoid
     need no such form, since their bits for a row do not depend on the batch.
+    The pass runs in ``x``'s dtype, which ``values``, ``gps`` and ``eps``
+    share: a float64 one among float32 ones would widen what follows it.
     """
     b = x.shape[0]
+    dtype = x.dtype
     rows, cols, n_o = config.grid.cells_y, config.grid.cells_x, config.n_o
     shape4 = (b, rows, cols, n_o)
 
@@ -350,8 +363,8 @@ def _forward_cached(
     z = reparameterize_forward(mu, log_var, eps)
     dec_in = concat_forward(z, gps) if config.use_gps else z
     h3 = dense_forward(
-        dec_in, values["dec.w"], values["dec.b"], out=_buffer(scratch, "h3", (b, config.hidden3)),
-        row_invariant=row_invariant,
+        dec_in, values["dec.w"], values["dec.b"],
+        out=_buffer(scratch, "h3", (b, config.hidden3), dtype), row_invariant=row_invariant,
     )
     np.maximum(h3, 0.0, out=h3)  # the decoder ReLU, in place
 
@@ -359,18 +372,18 @@ def _forward_cached(
     x4 = x.reshape(shape4)
     if config.use_copy_crop:
         conv_shape = (b, rows, cols, 2 * n_o)
-        conv_in = concat_forward(grid4, x4, out=_buffer(scratch, "conv_in", conv_shape))
+        conv_in = concat_forward(grid4, x4, out=_buffer(scratch, "conv_in", conv_shape, dtype))
     else:
         conv_in = grid4
     logits = conv1x1_forward(
-        conv_in, values["out.k"], values["out.b"], out=_buffer(scratch, "logits", shape4)
+        conv_in, values["out.k"], values["out.b"], out=_buffer(scratch, "logits", shape4, dtype)
     )
     # With a scratch, exp(-|l|) overwrites the logits, which nothing reads
     # afterwards; without one it gets its own array.
     x_hat4 = sigmoid_forward(
         logits,
         out=None if out is None else out.reshape(shape4),
-        work=_buffer(scratch, "logits", shape4),
+        work=_buffer(scratch, "logits", shape4, dtype),
     )
     x_hat = x_hat4.reshape(x.shape)
 
@@ -409,7 +422,8 @@ def forward(
     binary vector (or a batch of them). ``gps`` is the normalized
     two-component location input, required exactly when the variant uses
     GPS. ``eps`` is the latent noise; None means zeros, the
-    deterministic posterior-mean mode used at inference. ``scratch`` holds
+    deterministic posterior-mean mode used at inference. A float32 ``x``
+    runs a float32 pass; any other runs in float64. ``scratch`` holds
     the large intermediate activations and ``out`` (n, D) receives the
     probabilities; see ``_forward_cached``, also for ``row_invariant``.
     """
@@ -426,7 +440,7 @@ def forward(
             raise ValueError(f"variant {config.variant!r} takes no gps input")
         gb = None
     if eps is None:
-        eb = np.zeros((xb.shape[0], config.n_h))
+        eb = np.zeros((xb.shape[0], config.n_h), xb.dtype)
     else:
         eb = _as_batch(eps, config.n_h, "latent noise")
         if eb.shape[0] != xb.shape[0]:
@@ -444,11 +458,11 @@ def loss(
     x: np.ndarray, x_hat: np.ndarray, mu: np.ndarray, log_var: np.ndarray
 ) -> LossBreakdown:
     """Element-summed cross-entropy of binary ``x`` plus closed-form KL, each
-    averaged over the batch."""
-    xb = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    xh = np.atleast_2d(np.asarray(x_hat, dtype=np.float64))
-    mub = np.atleast_2d(np.asarray(mu, dtype=np.float64))
-    lvb = np.atleast_2d(np.asarray(log_var, dtype=np.float64))
+    averaged over the batch, computed in float32 when ``x_hat`` is float32
+    and in float64 otherwise."""
+    xh = np.asarray(x_hat)
+    dtype = _pass_dtype(xh)
+    xb, xh, mub, lvb = (np.atleast_2d(np.asarray(a, dtype)) for a in (x, xh, mu, log_var))
     b = xb.shape[0]
 
     xh = np.clip(xh, _LOSS_CLIP, 1.0 - _LOSS_CLIP)
@@ -480,12 +494,15 @@ def backward(
     b = cache["x"].shape[0]
     x_hat4 = cache["x_hat4"]
 
-    dlogits = np.subtract(x_hat4, cache["x4"], out=_buffer(scratch, "dlogits", x_hat4.shape))
+    dtype = x_hat4.dtype
+    dlogits = np.subtract(
+        x_hat4, cache["x4"], out=_buffer(scratch, "dlogits", x_hat4.shape, dtype)
+    )
     dlogits /= b
     # Only the decoder's channels: the copy-crop input's gradient is not needed.
     dgrid4 = conv1x1_backward(
         dlogits, cache["conv_in"], params["out.k"], params["out.b"], config.n_o,
-        out=_buffer(scratch, "dgrid", x_hat4.shape),
+        out=_buffer(scratch, "dgrid", x_hat4.shape, dtype),
     )
     dh3_pre = dgrid4.reshape(b, -1)
     dh3_pre *= cache["h3"] > 0.0  # the ReLU mask; h3 > 0 exactly where h3_pre > 0
@@ -551,20 +568,28 @@ def train(
     improved for ``tc.patience`` consecutive epochs; the returned checkpoint
     holds the best-validation parameters.
 
+    Each step's forward pass, loss, backward and Adam update run in
+    float32: the store, its gradients and moments, the batch rows, the
+    normalized GPS and the latent noise. Validation and the checkpoint stay
+    float64. After every epoch the store is widened, exactly, into one
+    float64 vector allocated once per call, and validation reads that.
+
     ``enc.w`` trains as its block of live columns, those that some training
     row sets: no other column gets a gradient. The encoder of each step
     reads just those columns of its rows, gathered once per call as uint8.
-    The parameters are drawn by ``init_params`` as for a full-width model;
-    the block is written back into the full ``enc.w`` after every epoch,
-    and validation and the checkpoint read that full array. A column that
-    no training row sets keeps its initial weights, so an anomalous input
-    there still meets them.
+    The parameters are drawn in float64 by ``init_params`` as for a
+    full-width model, and the store holds them rounded to float32. The
+    widened block is written back into the full float64 ``enc.w`` after
+    every epoch, and validation and the checkpoint read that full array. A
+    column that no training row sets keeps its exact float64 initial
+    weights, so an anomalous input there still meets them.
 
     One ``Scratch`` serves every step and validation pass: the batch rows,
     the large activations and the large gradients of every step go into the
-    same memory. At a best epoch the training store's values are copied
-    into one vector allocated once. At the end the store is restored from
-    it, and the checkpoint gets copies of its arrays and the full ``enc.w``.
+    same memory. At a best epoch the float32 store is copied into one
+    vector allocated once. At the end that copy is widened into the float64
+    vector, whose arrays and the full ``enc.w`` the checkpoint holds: the
+    values that the best epoch validated, bit for bit.
     """
     if train_set.n == 0 or val_set.n == 0:
         raise ValueError("train and validation sets must be non-empty")
@@ -576,9 +601,11 @@ def train(
     drawn = init_params(config, rng).values
     live = np.flatnonzero(train_set.x.any(axis=0))
     enc_w = drawn["enc.w"].copy()
-    params = ParamSet.from_values({**drawn, "enc.w": enc_w[:, live]})
+    params = ParamSet.from_values({**drawn, "enc.w": enc_w[:, live]}, np.float32)
     del drawn
-    values = {**params.values, "enc.w": enc_w}  # what validation reads
+    wide = np.empty(params.value.size)  # the store widened to float64
+    wide_values = params.views(wide)
+    values = {**wide_values, "enc.w": enc_w}  # what validation reads
     # enc_w's flat index of each block entry, where the block is written back.
     block_cells = (np.arange(config.hidden1)[:, None] * config.hidden3 + live).ravel()
     gn = tc.gps_normalization or GpsNormalization.fit(train_set.gps)
@@ -586,7 +613,7 @@ def train(
     x_train = train_set.x
     x_live = x_train[:, live]
     x_val = val_set.x
-    g_train = gn.normalize_array(train_set.gps) if config.use_gps else None
+    g_train = gn.normalize_array(train_set.gps).astype(np.float32) if config.use_gps else None
     g_val = gn.normalize_array(val_set.gps) if config.use_gps else None
 
     n = train_set.n
@@ -608,20 +635,20 @@ def train(
     for epoch in range(1, tc.max_epochs + 1):
         started = time.perf_counter()
         perm = rng.permutation(n)
-        eps_all = rng.gaussian((n, config.n_h))
+        eps_all = rng.gaussian((n, config.n_h)).astype(np.float32)
         loss_sum = 0.0
         for bi, lo in enumerate(range(0, n, tc.batch_size)):
             idx = perm[lo : lo + tc.batch_size]
-            xb = scratch.take("x", (idx.size, config.hidden3))
+            xb = scratch.take("x", (idx.size, config.hidden3), np.float32)
             np.copyto(xb, x_train[idx])
-            xb_live = scratch.take("x_live", (idx.size, live.size))
+            xb_live = scratch.take("x_live", (idx.size, live.size), np.float32)
             np.copyto(xb_live, x_live[idx])
             gb = g_train[idx] if g_train is not None else None
             eb = eps_all[idx]
             try:
                 x_hat, mu, log_var, cache = _forward_cached(
-                    config, params.values, xb, gb, eb, scratch, scratch.take("x_hat", xb.shape),
-                    x_enc=xb_live,
+                    config, params.values, xb, gb, eb, scratch,
+                    scratch.take("x_hat", xb.shape, np.float32), x_enc=xb_live,
                 )
                 lb = loss(xb, x_hat, mu, log_var)
                 backward(config, params, cache, scratch)
@@ -632,7 +659,8 @@ def train(
             loss_sum += lb.total * xb.shape[0]
 
         train_loss = loss_sum / n
-        np.put(enc_w, block_cells, params.values["enc.w"])
+        np.copyto(wide, params.value)
+        np.put(enc_w, block_cells, wide_values["enc.w"])
         val_loss, val_mse = _validation_stats(config, values, x_val, g_val, scratch)
         history.append(EpochStats(
             train_loss, val_loss, val_mse, wall_s=time.perf_counter() - started
@@ -656,12 +684,12 @@ def train(
                 logger.info("early stop after epoch %d (no improvement in %d)", epoch, tc.patience)
                 break
 
-    np.copyto(params.value, best)
-    np.put(enc_w, block_cells, params.values["enc.w"])
+    np.copyto(wide, best)
+    np.put(enc_w, block_cells, wide_values["enc.w"])
     checkpoint = Checkpoint(
         config=config,
         gps_normalization=gn,
-        values={**params.copy_values(), "enc.w": enc_w},
+        values=values,
         training_meta={
             "epochs_run": len(history),
             "best_val_loss": float(best_val),
@@ -771,7 +799,9 @@ class Checkpoint:
         read. Rows run through ``forward`` in chunks of 512, each writing its
         rows of the returned array. A ``scratch`` shared by a sequence of
         calls holds their float64 input rows and large activations, so that
-        only the returned array is new.
+        only the returned array is new. The pass runs in float64 whatever
+        ``x``'s dtype, on the checkpoint's float64 values: after ``train``,
+        the exact widening of the float32 values it trained.
 
         By default each chunk runs as one GEMM per dense layer, and a row's
         bits can depend on the rows that share its chunk. ``row_invariant``

@@ -1,7 +1,9 @@
 """Deterministic numerical kernel: layers with hand-written backward passes,
 Adam, and a seedable platform-independent random generator.
 
-All arrays are float64 numpy arrays. Layer functions accept an arbitrary
+Layers, Adam and parameter stores work in the dtype of the arrays they are
+given, float64 or float32, and allocate what they return in it: training
+runs float32, everything else float64. Layer functions accept an arbitrary
 number of leading batch dimensions. Forward passes take parameter arrays
 (dense, 1x1 conv, concat and sigmoid also an ``out=`` array to write their
 result into, with the bits of a fresh one); backward passes take ``Param``
@@ -42,10 +44,15 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment
 
-# Nearest float64 neighbours of 0 and 1 reachable by sigmoid without
-# collapsing to the closed endpoints.
-_SIGMOID_LO = 1e-300
-_SIGMOID_HI = float(np.nextafter(1.0, 0.0))
+# Per dtype, the clamps that keep sigmoid inside the open interval (0, 1):
+# the largest value below 1, and a normal number above 0. float32 takes its
+# smallest normal number, since 1e-300 rounds to 0 there.
+_SIGMOID_BOUNDS = {
+    np.dtype(np.float64): (np.float64(1e-300), np.nextafter(1.0, 0.0)),
+    np.dtype(np.float32): (
+        np.finfo(np.float32).tiny, np.nextafter(np.float32(1.0), np.float32(0.0))
+    ),
+}
 
 # Elements per Adam block: the block's slices of value, grad, m, v and the
 # two scratch buffers (6 x 128 KiB) stay in cache across the update's passes.
@@ -204,11 +211,12 @@ class Rng:
 # ---------------------------------------------------------------------------
 
 
-def _lazy_zeros(n: int) -> np.ndarray:
-    """n float64 zeros on fresh anonymous pages, which take memory only once
-    written. ``np.zeros`` of a few MB may instead clear reused heap memory,
-    which puts every page in memory at once."""
-    return np.frombuffer(mmap.mmap(-1, max(8 * n, 1), flags=mmap.MAP_PRIVATE), np.float64, n)
+def _lazy_zeros(n: int, dtype: np.dtype) -> np.ndarray:
+    """n zeros of ``dtype`` on fresh anonymous pages, which take memory only
+    once written. ``np.zeros`` of a few MB may instead clear reused heap
+    memory, which puts every page in memory at once."""
+    size = max(dtype.itemsize * n, 1)
+    return np.frombuffer(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE), dtype, n)
 
 
 @dataclass
@@ -225,41 +233,46 @@ class Param:
 class ParamSet:
     """Named parameters in one flat store.
 
-    Four contiguous float64 vectors hold every value, gradient and Adam
+    Four contiguous vectors of one dtype (float64 unless ``dtype`` says
+    otherwise; training uses float32) hold every value, gradient and Adam
     moment: ``value``, ``grad``, ``adam_m`` and ``adam_v``. Each ``Param``'s
     arrays are reshaped views into them, laid out in canonical (sorted) name
     order, so one sweep over a vector reaches every parameter. A new store
     holds zeros for each name in ``shapes``; ``from_values`` copies arrays
-    in. ``values`` maps each name to that parameter's live ``value`` array
-    (the same object, which ``adam_step`` updates in place): it is what the
-    forward pass reads.
+    in, cast to the store's dtype. ``values`` maps each name to that
+    parameter's live ``value`` array (the same object, which ``adam_step``
+    updates in place): it is what the forward pass reads.
     """
 
-    def __init__(self, shapes: Mapping[str, tuple[int, ...]]):
-        names = sorted(shapes)
-        size = sum(math.prod(shapes[name]) for name in names)
+    def __init__(self, shapes: Mapping[str, tuple[int, ...]], dtype=np.float64):
+        dtype = np.dtype(dtype)
+        self._layout: dict[str, tuple[int, int, tuple[int, ...]]] = {}
+        lo = 0
+        for name in sorted(shapes):
+            hi = lo + math.prod(shapes[name])
+            self._layout[name] = (lo, hi, tuple(shapes[name]))
+            lo = hi
         # The values are written at once; the gradients and moments only if
         # the store trains, which a store drawn for inference never does.
-        self.value = np.zeros(size)
-        self.grad, self.adam_m, self.adam_v = (_lazy_zeros(size) for _ in range(3))
-        self._params: dict[str, Param] = {}
-        lo = 0
-        for name in names:
-            hi = lo + math.prod(shapes[name])
-            self._params[name] = Param(name, *(
-                flat[lo:hi].reshape(shapes[name])
-                for flat in (self.value, self.grad, self.adam_m, self.adam_v)
-            ))
-            lo = hi
-        self.values: dict[str, np.ndarray] = {n: p.value for n, p in self._params.items()}
+        self.value = np.zeros(lo, dtype)
+        self.grad, self.adam_m, self.adam_v = (_lazy_zeros(lo, dtype) for _ in range(3))
+        value, grad, m, v = map(self.views, (self.value, self.grad, self.adam_m, self.adam_v))
+        self._params = {name: Param(name, value[name], grad[name], m[name], v[name])
+                        for name in self._layout}
+        self.values: dict[str, np.ndarray] = value
 
     @classmethod
-    def from_values(cls, values: Mapping[str, np.ndarray]) -> "ParamSet":
-        """A store whose values are copies of ``values``' arrays."""
-        params = cls({name: np.shape(value) for name, value in values.items()})
+    def from_values(cls, values: Mapping[str, np.ndarray], dtype=np.float64) -> "ParamSet":
+        """A store of ``dtype`` whose values are copies of ``values``' arrays."""
+        params = cls({name: np.shape(value) for name, value in values.items()}, dtype)
         for name, value in values.items():
             params.values[name][...] = value
         return params
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's view into ``flat``, a vector of the store's size
+        read in its layout: ``views(self.value)`` is ``values``."""
+        return {name: flat[lo:hi].reshape(shape) for name, (lo, hi, shape) in self._layout.items()}
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
@@ -303,7 +316,7 @@ def dense_forward(
     if x.shape[-1] != n_in:
         raise ValueError(f"dense input width {x.shape[-1]} != {n_in}")
     if row_invariant and x.size > n_in:
-        y = np.empty((*x.shape[:-1], n_out)) if out is None else out
+        y = np.empty((*x.shape[:-1], n_out), np.result_type(x, w)) if out is None else out
         np.matmul(x[..., None, :], w.T, out=y[..., None, :])
     else:
         y = np.matmul(x, w.T, out=out)
@@ -338,13 +351,13 @@ def sigmoid_forward(
     a NaN e, which max keeps. ``e`` is built in ``work`` (a fresh array when
     None), which may be ``x`` itself when the caller no longer needs it.
     """
-    out = np.greater_equal(x, 0.0, out=np.empty(x.shape) if out is None else out)
+    out = np.greater_equal(x, 0.0, out=np.empty(x.shape, x.dtype) if out is None else out)
     e = np.abs(x, out=work)
     np.exp(np.negative(e, out=e), out=e)
     np.maximum(out, e, out=out)
     e += 1.0
     out /= e
-    return np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
+    return np.clip(out, *_SIGMOID_BOUNDS[out.dtype], out=out)
 
 
 def conv1x1_forward(
@@ -359,7 +372,7 @@ def conv1x1_forward(
     c_out, c_in = k.shape
     if x.shape[-1] != c_in:
         raise ValueError(f"conv1x1 input channels {x.shape[-1]} != {c_in}")
-    y = np.empty((*x.shape[:-1], c_out)) if out is None else out
+    y = np.empty((*x.shape[:-1], c_out), np.result_type(x, k)) if out is None else out
     x2, y2 = x.reshape(-1, c_in), y.reshape(-1, c_out)
     for lo in range(0, x2.shape[0], _CONV_BLOCK):
         np.matmul(x2[lo : lo + _CONV_BLOCK], k.T, out=y2[lo : lo + _CONV_BLOCK])
@@ -387,7 +400,7 @@ def conv1x1_backward(
     k.grad += dy2.T @ x.reshape(-1, c_in)
     b.grad += np.einsum("ij->j", dy2)
     n = c_in if n_in is None else n_in
-    dx = np.empty((*dy.shape[:-1], n)) if out is None else out
+    dx = np.empty((*dy.shape[:-1], n), dy.dtype) if out is None else out
     np.matmul(dy2, k.value[:, :n], out=dx.reshape(-1, n))
     return dx
 
@@ -447,8 +460,8 @@ def adam_step(
     c2 = 1.0 - beta2**t
     w_all, g_all, m_all, v_all = params.value, params.grad, params.adam_m, params.adam_v
     size = min(_ADAM_BLOCK, w_all.size)
-    buf_a = np.empty(size)
-    buf_b = np.empty(size)
+    buf_a = np.empty(size, w_all.dtype)
+    buf_b = np.empty(size, w_all.dtype)
     for lo in range(0, w_all.size, _ADAM_BLOCK):
         w, g = w_all[lo : lo + _ADAM_BLOCK], g_all[lo : lo + _ADAM_BLOCK]
         m, v = m_all[lo : lo + _ADAM_BLOCK], v_all[lo : lo + _ADAM_BLOCK]

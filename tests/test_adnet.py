@@ -421,6 +421,29 @@ class TestFullModelGradients:
         assert a == b
 
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_float32_gradients_are_within_1e_5_of_the_float64_ones(self, variant):
+        """One float32 forward and backward, as a training step runs them, on
+        the float64 pass's inputs and parameters rounded to float32: every
+        gradient is float32 and within 1e-5 of the float64 one, relative to
+        its largest magnitude. One float32 rounding is at most ~6e-8 of a
+        value, so the bound leaves room for ~170 of them."""
+        config = tiny_config(variant)
+        x, gps, eps = random_batch(config, 8, seed=3)
+        wide = init_params(config, 4)
+        narrow = nn.ParamSet.from_values(wide.values, np.float32)
+        for params, dtype in ((wide, np.float64), (narrow, np.float32)):
+            args = [None if a is None else a.astype(dtype) for a in (x, gps, eps)]
+            x_hat, _, _, cache = adnet._forward_cached(config, params.values, *args)
+            assert x_hat.dtype == dtype
+            assert forward(config, params.values, *args)[0].tobytes() == x_hat.tobytes()
+            adnet.backward(config, params, cache)
+        for p in narrow:
+            want = wide[p.name].grad
+            assert p.grad.dtype == np.float32
+            assert np.max(np.abs(p.grad - want)) <= 1e-5 * np.max(np.abs(want)), p.name
+
+
 def reference_backward(config: ModelConfig, params, cache: dict) -> None:
     """adnet.backward as it was with the encoder's input gradient still
     computed (and dropped) by nn.dense_backward."""
@@ -600,17 +623,16 @@ class TestTraining:
     @pytest.mark.parametrize(
         "live, pinned",
         [
-            ("none", "a29ebf10a9bf660a4c810cbbe885390d4e628e4fe944d25198c78367e26c6609"),
-            ("all", "41b925498463f6df5d24aecf5d595adb5b81c5d34d966473c16a89444fbba5cf"),
+            ("none", "afc1e628fe7cfb4a0afe27e5cc58cbe2bd4a3d98c4483fb4f051d296ef3767d8"),
+            ("all", "60f1d3bf19687a8646e71b96ae97e6f4f3428e44319a549a288719d352bcb941"),
         ],
     )
     def test_trains_with_no_live_column_and_with_every_column_live(self, live, pinned):
         """enc.w's block is (hidden1, 0) on empty training grids and the
         whole of enc.w when every column is set by some training row. Its
-        trained columns are written back into the checkpoint's enc.w. In
-        both cases the encoder multiplies the same numbers as a full-width
-        one, so the parameter bytes are pinned to those that training gave
-        before enc.w trained as a block (sha256 in sorted name order)."""
+        trained columns are written back into the checkpoint's enc.w. The
+        parameter bytes of both cases are pinned (sha256 in sorted name
+        order)."""
         config = tiny_config("uav_adnet")
         d = config.hidden3
         train_set = _binary_dataset(24, d, 7)
@@ -703,6 +725,38 @@ class TestTraining:
         first, _ = train(config, train_set, val_set, dataclasses.replace(tc, max_epochs=1))
         for name, value in first.values.items():
             assert checkpoint.values[name].tobytes() == value.tobytes(), name
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_training_steps_run_in_float32(self, variant, monkeypatch):
+        """Every step's activations, logit gradient, parameter gradients,
+        Adam moments and values are float32: a float64 GPS row or noise draw
+        would widen the decoder and everything after it. Only a training
+        step calls backward; validation runs float64."""
+        real_backward, real_conv_backward = adnet.backward, adnet.conv1x1_backward
+        steps = []
+
+        def conv1x1_backward(dy, *args, **kwargs):
+            assert dy.dtype == np.float32, "dlogits"
+            return real_conv_backward(dy, *args, **kwargs)
+
+        def backward(config, params, cache, scratch=None):
+            for name, arr in cache.items():
+                assert arr.dtype == np.float32, name
+            real_backward(config, params, cache, scratch)
+            for p in params:
+                for arr in (p.value, p.grad, p.adam_m, p.adam_v):
+                    assert arr.dtype == np.float32, p.name
+            steps.append(cache["x"].shape[0])
+
+        monkeypatch.setattr(adnet, "backward", backward)
+        monkeypatch.setattr(adnet, "conv1x1_backward", conv1x1_backward)
+        config = tiny_config(variant)
+        tc = TrainConfig(lr=0.01, batch_size=8, max_epochs=2, seed=4)
+        checkpoint, _ = train(
+            config, _binary_dataset(20, config.hidden3, 7), _binary_dataset(8, config.hidden3, 8), tc
+        )
+        assert steps == [8, 8, 4] * 2
+        assert all(arr.dtype == np.float64 for arr in checkpoint.values.values())
 
     def test_numeric_failures_name_epoch_and_batch(self, monkeypatch):
         config = tiny_config("vae")

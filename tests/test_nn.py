@@ -309,6 +309,23 @@ class TestSampleWithoutReplacement:
 
 
 class TestParamSet:
+    def test_a_float32_store_updates_in_float32(self):
+        """A float32 store's four vectors and Adam's update of them stay
+        float32; ``views`` reads a float64 vector in the store's layout."""
+        given = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([1.0, -1.0])}
+        ps = ParamSet.from_values(given, np.float32)
+        ps["w"].grad[...] = 0.5
+        adam_step(ps, lr=0.1, t=1)
+        for flat in (ps.value, ps.grad, ps.adam_m, ps.adam_v):
+            assert flat.dtype == np.float32
+        assert (ps["w"].value != given["w"]).all() and ps["w"].adam_v.any()
+        wide = ps.value.astype(np.float64)
+        views = ps.views(wide)
+        assert list(views) == ["b", "w"]
+        for name, view in views.items():
+            assert np.shares_memory(view, wide)
+            assert view.tobytes() == ps.values[name].astype(np.float64).tobytes()
+
     def test_iteration_in_name_order(self):
         ps = ParamSet.from_values({"b": np.zeros(2), "a": np.zeros(2)})
         assert [p.name for p in ps] == ["a", "b"]
@@ -469,6 +486,16 @@ class TestActivations:
         y = sigmoid_forward(np.array([-1e6, -50.0, 0.0, 50.0, 1e6]))
         assert np.all(y > 0.0) and np.all(y < 1.0)
         assert y[2] == 0.5
+
+    def test_float32_sigmoid_stays_inside_the_open_interval(self):
+        """float32 logits past exp's float32 range still give float32 values
+        strictly inside (0, 1), where float64's clamps (1e-300 and the
+        largest float64 below 1) would round to the endpoints."""
+        x = np.array([-1e4, -104.0, -88.0, 0.0, 88.0, 104.0, 1e4], dtype=np.float32)
+        y = sigmoid_forward(x)
+        assert y.dtype == np.float32
+        assert np.all(y > 0.0) and np.all(y < 1.0)
+        assert y[3] == 0.5
 
     def test_sigmoid_symmetry(self):
         x = np.linspace(-30, 30, 101)

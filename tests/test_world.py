@@ -497,7 +497,7 @@ class TestBuildDataset:
         path = tmp_path / "checkpoint.json"
         save_checkpoint(digest_b_checkpoint, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "93b9e54693677166e4ec5e8e29cf2f0d8240432914da34d994e1d5eb658bbaa0"
+            "ebc2c46846f143d65507afc2735da0ba4d0a798c5391ffe5d5f456e2cc4f01ff"
         )
 
     def test_parameter_bytes_match_the_pinned_digest(self, digest_b_checkpoint, tmp_path):
@@ -516,7 +516,7 @@ class TestBuildDataset:
         path = tmp_path / "checkpoint.json"
         save_checkpoint(digest_b_checkpoint, str(path))
         loaded = adnet.load_checkpoint(str(path))
-        pinned = "b36a7ab4a375d4330748a018ed003a7d7ebd39f571a6f53eb8dd98ad36af69d4"
+        pinned = "8d7654deafba757a73805b3dc020a9f9eee3e96db3e477f83586075c5382b458"
         assert parameter_digest(digest_b_checkpoint.values) == pinned
         assert parameter_digest(loaded.values) == pinned
 
@@ -541,10 +541,10 @@ class TestBuildDataset:
                 h.update(arr.astype("<f8").tobytes())
             digests[variant] = h.hexdigest()
         assert digests == {
-            "uav_adnet": "b36a7ab4a375d4330748a018ed003a7d7ebd39f571a6f53eb8dd98ad36af69d4",
-            "uav_adnet_wo_gps": "67889fe62ed76fffe9689971a81f13913121c047226ec5904e261384f461e1cc",
-            "cvae": "d1ac38dd56f9f157e33524494742bac91a534fb62b2b8ece21392167110d4559",
-            "vae": "d69e45c76849692a14f8315136718d2d49d233673028f0001a9ccfdf560d0526",
+            "uav_adnet": "8d7654deafba757a73805b3dc020a9f9eee3e96db3e477f83586075c5382b458",
+            "uav_adnet_wo_gps": "b0b45831bf0f6f5442ae3cf738272e7d13bc491c3b77889c23c7ed3e37fedd53",
+            "cvae": "1ec7338230a9cde41925c4891760bebfa034782f46d28919668e172d99bd6da7",
+            "vae": "9ce3eab6f7a1ab4b5d2817e594a5665c3bafaf627781198158907063c8458d6b",
         }
 
     def test_evaluation_matches_the_pinned_digest(self, tmp_path):
@@ -569,7 +569,7 @@ class TestBuildDataset:
         }
         result = run_benchmark(WORLD, str(tmp_path), checkpoints, str(tmp_path))
         digest = hashlib.sha256(json.dumps(result, sort_keys=True).encode("utf-8")).hexdigest()
-        assert digest == "ec84b444a374d5c5f85ae0b2453ffc638cf005f887816455f77e57f62012f5bf"
+        assert digest == "c4ddda018c862ca52bbafe46b247670125044551c64c781c8b1de48d3dfe0d48"
 
     def test_tiny_datasets_are_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least 10"):
