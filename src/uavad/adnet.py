@@ -588,8 +588,8 @@ def train(
     the large activations and the large gradients of every step go into the
     same memory. At a best epoch the float32 store is copied into one
     vector allocated once. At the end that copy is widened into the float64
-    vector, whose arrays and the full ``enc.w`` the checkpoint holds: the
-    values that the best epoch validated, bit for bit.
+    vector, and the checkpoint gets copies of its arrays and the full
+    ``enc.w``: the values that the best epoch validated, bit for bit.
     """
     if train_set.n == 0 or val_set.n == 0:
         raise ValueError("train and validation sets must be non-empty")
@@ -689,7 +689,9 @@ def train(
     checkpoint = Checkpoint(
         config=config,
         gps_normalization=gn,
-        values=values,
+        # Copies, so that the checkpoint keeps no part of wide: its enc.w
+        # block is dead weight once written back.
+        values={name: a if name == "enc.w" else a.copy() for name, a in values.items()},
         training_meta={
             "epochs_run": len(history),
             "best_val_loss": float(best_val),

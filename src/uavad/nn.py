@@ -55,7 +55,8 @@ _SIGMOID_BOUNDS = {
 }
 
 # Elements per Adam block: the block's slices of value, grad, m, v and the
-# two scratch buffers (6 x 128 KiB) stay in cache across the update's passes.
+# two scratch buffers (6 x 128 KiB in float64) stay in cache across the
+# update's passes.
 _ADAM_BLOCK = 16384
 
 # Pixels per 1x1 conv GEMM. One unblocked GEMM over a training batch raised
@@ -272,7 +273,9 @@ class ParamSet:
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Each parameter's view into ``flat``, a vector of the store's size
         read in its layout: ``views(self.value)`` is ``values``."""
-        return {name: flat[lo:hi].reshape(shape) for name, (lo, hi, shape) in self._layout.items()}
+        return {
+            name: flat[lo:hi].reshape(shape) for name, (lo, hi, shape) in self._layout.items()
+        }
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]

@@ -420,7 +420,6 @@ class TestFullModelGradients:
         b = gradient_check(tiny_config("vae"), seed=5)
         assert a == b
 
-
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_float32_gradients_are_within_1e_5_of_the_float64_ones(self, variant):
         """One float32 forward and backward, as a training step runs them, on

@@ -245,7 +245,6 @@ class TestRngStreams:
             assert got.tobytes() == expected.tobytes(), op
             assert rng._state == ref.state, op
 
-
     def test_a_large_request_reads_no_values_ahead(self):
         """A permutation of n >= _AHEAD_LARGE + 1 refills just its n - 1
         values, which an array draw after it would drop; a smaller one still
