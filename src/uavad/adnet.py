@@ -192,8 +192,8 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr {self.lr} must be a positive finite number")
 
 
 @dataclass(frozen=True)
@@ -271,7 +271,7 @@ def init_params(config: ModelConfig, rng: Rng | int) -> ParamSet:
     shapes = expected_param_shapes(config)
     params = ParamSet(shapes)
     for name in ("enc.w", "mu.w", "logvar.w", "dec.w", "out.k"):
-        glorot_uniform(rng, *shapes[name], out=params.values[name])
+        params.values[name][...] = glorot_uniform(rng, *shapes[name])
     return params
 
 
@@ -291,35 +291,33 @@ def _as_batch(arr: np.ndarray | None, width: int, what: str) -> np.ndarray:
 
 
 class Scratch:
-    """Activation buffers that a sequence of passes reuses: the inference
-    passes of ``evaluate.run_benchmark``, or every float32 training step and
-    float64 validation pass of one ``train`` call.
+    """The float64 inference buffers that a sequence of ``Checkpoint.reconstruct``
+    calls reuses: the input rows, ``h3``, the copy-crop ``conv_in`` and the
+    logits. Only ``evaluate.run_benchmark`` makes one; training, validation
+    and detection run on fresh arrays.
 
-    ``take(name, shape, dtype)`` returns a view of ``dtype`` (float64 by
-    default) over the leading bytes of buffer ``name``: the same memory on
-    every call, whatever the dtype, grown (its contents not kept) when more
-    bytes are asked for. A view holds valid data only until the next
-    ``take`` of its name, so nothing that outlives a pass may be a view. The
-    buffers are freed with the ``Scratch``.
+    ``take(name, shape)`` returns a view over the leading elements of buffer
+    ``name``: the same memory on every call, grown (its contents not kept)
+    when more elements are asked for. A view holds valid data only until the
+    next ``take`` of its name, so nothing that outlives a pass may be a view.
+    The buffers are freed with the ``Scratch``.
     """
 
     def __init__(self) -> None:
-        self._bytes: dict[str, np.ndarray] = {}
+        self._buffers: dict[str, np.ndarray] = {}
 
-    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        size = math.prod(shape) * dtype.itemsize
-        flat = self._bytes.get(name)
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._buffers.get(name)
         if flat is None or flat.size < size:
-            flat = self._bytes[name] = np.empty(size, np.uint8)
-        return flat[:size].view(dtype).reshape(shape)
+            flat = self._buffers[name] = np.empty(size)
+        return flat[:size].reshape(shape)
 
 
-def _buffer(
-    scratch: Scratch | None, name: str, shape: tuple[int, ...], dtype=np.float64
-) -> np.ndarray:
-    """Scratch buffer ``name``, or a fresh array when there is no scratch."""
-    return np.empty(shape, dtype) if scratch is None else scratch.take(name, shape, dtype)
+def _buffer(scratch: Scratch | None, name: str, shape: tuple[int, ...]) -> np.ndarray | None:
+    """Scratch buffer ``name``, or None (the kernel's own fresh array) when
+    there is no scratch."""
+    return None if scratch is None else scratch.take(name, shape)
 
 
 def _forward_cached(
@@ -336,20 +334,20 @@ def _forward_cached(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Batched forward pass keeping the activations needed by backward().
 
-    With a ``scratch``, ``h3``, the copy-crop ``conv_in`` and the logits are
-    written into its buffers, so the cache is valid only until the next pass
-    on the same scratch. The probabilities go to ``out`` ((b, D), a fresh
-    array when None). ``x_enc`` is what the encoder reads: the columns of
-    ``x`` that ``values["enc.w"]`` holds, in its order (``x`` itself when
-    None, for a full-width ``enc.w``). ``row_invariant`` runs the dense
-    layers in their row-invariant form (see ``dense_forward``): each row then
-    gets the bits it gets in a batch of one. The 1x1 conv and the sigmoid
-    need no such form, since their bits for a row do not depend on the batch.
+    With a ``scratch`` (float64 passes only), ``h3``, the copy-crop
+    ``conv_in`` and the logits are written into its buffers, so the cache is
+    valid only until the next pass on the same scratch. The probabilities go
+    to ``out`` ((b, D), a fresh array when None). ``x_enc`` is what the
+    encoder reads: the columns of ``x`` that ``values["enc.w"]`` holds, in
+    its order (``x`` itself when None, for a full-width ``enc.w``).
+    ``row_invariant`` runs the dense layers in their row-invariant form (see
+    ``dense_forward``): each row then gets the bits it gets in a batch of
+    one. The 1x1 conv and the sigmoid need no such form, since their bits
+    for a row do not depend on the batch.
     The pass runs in ``x``'s dtype, which ``values``, ``gps`` and ``eps``
     share: a float64 one among float32 ones would widen what follows it.
     """
     b = x.shape[0]
-    dtype = x.dtype
     rows, cols, n_o = config.grid.cells_y, config.grid.cells_x, config.n_o
     shape4 = (b, rows, cols, n_o)
 
@@ -364,7 +362,7 @@ def _forward_cached(
     dec_in = concat_forward(z, gps) if config.use_gps else z
     h3 = dense_forward(
         dec_in, values["dec.w"], values["dec.b"],
-        out=_buffer(scratch, "h3", (b, config.hidden3), dtype), row_invariant=row_invariant,
+        out=_buffer(scratch, "h3", (b, config.hidden3)), row_invariant=row_invariant,
     )
     np.maximum(h3, 0.0, out=h3)  # the decoder ReLU, in place
 
@@ -372,18 +370,15 @@ def _forward_cached(
     x4 = x.reshape(shape4)
     if config.use_copy_crop:
         conv_shape = (b, rows, cols, 2 * n_o)
-        conv_in = concat_forward(grid4, x4, out=_buffer(scratch, "conv_in", conv_shape, dtype))
+        conv_in = concat_forward(grid4, x4, out=_buffer(scratch, "conv_in", conv_shape))
     else:
         conv_in = grid4
     logits = conv1x1_forward(
-        conv_in, values["out.k"], values["out.b"], out=_buffer(scratch, "logits", shape4, dtype)
+        conv_in, values["out.k"], values["out.b"], out=_buffer(scratch, "logits", shape4)
     )
-    # With a scratch, exp(-|l|) overwrites the logits, which nothing reads
-    # afterwards; without one it gets its own array.
+    # exp(-|l|) overwrites the logits, which nothing reads afterwards.
     x_hat4 = sigmoid_forward(
-        logits,
-        out=None if out is None else out.reshape(shape4),
-        work=_buffer(scratch, "logits", shape4, dtype),
+        logits, out=None if out is None else out.reshape(shape4), work=logits
     )
     x_hat = x_hat4.reshape(x.shape)
 
@@ -479,30 +474,21 @@ def loss(
     return LossBreakdown(total=rec + reg, rec=rec, reg=reg)
 
 
-def backward(
-    config: ModelConfig, params: ParamSet, cache: dict, scratch: Scratch | None = None
-) -> None:
+def backward(config: ModelConfig, params: ParamSet, cache: dict) -> None:
     """Accumulate total-loss gradients for the batch held in ``cache``.
 
     The cross-entropy gradient is fused through the sigmoid
     (dL/dlogits = (x_hat - x) / batch), avoiding division by probabilities
     near 0 or 1. ``enc.w``'s gradient is taken against the encoder input
     the forward pass read (``x_enc``), so it has ``enc.w``'s shape, full
-    width or a column block. With a ``scratch``, the logit gradient and the
-    decoder's gradient go into its buffers.
+    width or a column block. Every gradient array is fresh.
     """
     b = cache["x"].shape[0]
-    x_hat4 = cache["x_hat4"]
-
-    dtype = x_hat4.dtype
-    dlogits = np.subtract(
-        x_hat4, cache["x4"], out=_buffer(scratch, "dlogits", x_hat4.shape, dtype)
-    )
+    dlogits = cache["x_hat4"] - cache["x4"]
     dlogits /= b
     # Only the decoder's channels: the copy-crop input's gradient is not needed.
     dgrid4 = conv1x1_backward(
-        dlogits, cache["conv_in"], params["out.k"], params["out.b"], config.n_o,
-        out=_buffer(scratch, "dgrid", x_hat4.shape, dtype),
+        dlogits, cache["conv_in"], params["out.k"], params["out.b"], config.n_o
     )
     dh3_pre = dgrid4.reshape(b, -1)
     dh3_pre *= cache["h3"] > 0.0  # the ReLU mask; h3 > 0 exactly where h3_pre > 0
@@ -532,25 +518,19 @@ def _validation_stats(
     values: Mapping[str, np.ndarray],
     x: np.ndarray,
     gps: np.ndarray | None,
-    scratch: Scratch | None = None,
 ) -> tuple[float, float]:
-    """(mean total loss, mean squared error) with zero latent noise; the
-    rows and activations go into ``scratch`` (fresh arrays when None)."""
+    """(mean total loss, mean squared error) with zero latent noise, in
+    float64: ``forward`` widens the uint8 rows of ``x``."""
     chunk = 256
     n = x.shape[0]
     loss_sum = 0.0
     sq_sum = 0.0
     for lo in range(0, n, chunk):
         rows = x[lo : lo + chunk]
-        xb = _buffer(scratch, "x", rows.shape)
-        np.copyto(xb, rows)
         gb = gps[lo : lo + chunk] if gps is not None else None
-        x_hat, mu, log_var = forward(
-            config, values, xb, gb, None, scratch=scratch, out=_buffer(scratch, "x_hat", xb.shape)
-        )
-        lb = loss(xb, x_hat, mu, log_var)
-        loss_sum += lb.total * xb.shape[0]
-        sq = np.square(np.subtract(x_hat, xb, out=x_hat), out=x_hat)
+        x_hat, mu, log_var = forward(config, values, rows, gb)
+        loss_sum += loss(rows, x_hat, mu, log_var).total * rows.shape[0]
+        sq = np.square(np.subtract(x_hat, rows, out=x_hat), out=x_hat)
         sq_sum += float(np.sum(sq))
     return loss_sum / n, sq_sum / (n * x.shape[1])
 
@@ -584,12 +564,12 @@ def train(
     column that no training row sets keeps its exact float64 initial
     weights, so an anomalous input there still meets them.
 
-    One ``Scratch`` serves every step and validation pass: the batch rows,
-    the large activations and the large gradients of every step go into the
-    same memory. At a best epoch the float32 store is copied into one
-    vector allocated once. At the end that copy is widened into the float64
-    vector, and the checkpoint gets copies of its arrays and the full
-    ``enc.w``: the values that the best epoch validated, bit for bit.
+    Each step gathers its batch rows into fresh float32 arrays, and its
+    activations and gradients are fresh arrays too. At a best epoch the
+    float32 store is copied into one vector allocated once. At the end that
+    copy is widened into the float64 vector, and the checkpoint gets copies
+    of its arrays and the full ``enc.w``: the values that the best epoch
+    validated, bit for bit.
     """
     if train_set.n == 0 or val_set.n == 0:
         raise ValueError("train and validation sets must be non-empty")
@@ -606,8 +586,6 @@ def train(
     wide = np.empty(params.value.size)  # the store widened to float64
     wide_values = params.views(wide)
     values = {**wide_values, "enc.w": enc_w}  # what validation reads
-    # enc_w's flat index of each block entry, where the block is written back.
-    block_cells = (np.arange(config.hidden1)[:, None] * config.hidden3 + live).ravel()
     gn = tc.gps_normalization or GpsNormalization.fit(train_set.gps)
 
     x_train = train_set.x
@@ -628,7 +606,6 @@ def train(
     history: list[EpochStats] = []
     best_val = np.inf
     best = params.value.copy()
-    scratch = Scratch()
     epochs_since_best = 0
     step = 0
 
@@ -639,19 +616,15 @@ def train(
         loss_sum = 0.0
         for bi, lo in enumerate(range(0, n, tc.batch_size)):
             idx = perm[lo : lo + tc.batch_size]
-            xb = scratch.take("x", (idx.size, config.hidden3), np.float32)
-            np.copyto(xb, x_train[idx])
-            xb_live = scratch.take("x_live", (idx.size, live.size), np.float32)
-            np.copyto(xb_live, x_live[idx])
+            xb = x_train[idx].astype(np.float32)
             gb = g_train[idx] if g_train is not None else None
             eb = eps_all[idx]
             try:
                 x_hat, mu, log_var, cache = _forward_cached(
-                    config, params.values, xb, gb, eb, scratch,
-                    scratch.take("x_hat", xb.shape, np.float32), x_enc=xb_live,
+                    config, params.values, xb, gb, eb, x_enc=x_live[idx].astype(np.float32)
                 )
                 lb = loss(xb, x_hat, mu, log_var)
-                backward(config, params, cache, scratch)
+                backward(config, params, cache)
                 step += 1
                 adam_step(params, tc.lr, t=step)
             except FloatingPointError as e:
@@ -660,8 +633,8 @@ def train(
 
         train_loss = loss_sum / n
         np.copyto(wide, params.value)
-        np.put(enc_w, block_cells, wide_values["enc.w"])
-        val_loss, val_mse = _validation_stats(config, values, x_val, g_val, scratch)
+        enc_w[:, live] = wide_values["enc.w"]
+        val_loss, val_mse = _validation_stats(config, values, x_val, g_val)
         history.append(EpochStats(
             train_loss, val_loss, val_mse, wall_s=time.perf_counter() - started
         ))
@@ -685,7 +658,7 @@ def train(
                 break
 
     np.copyto(wide, best)
-    np.put(enc_w, block_cells, wide_values["enc.w"])
+    enc_w[:, live] = wide_values["enc.w"]
     checkpoint = Checkpoint(
         config=config,
         gps_normalization=gn,
@@ -828,8 +801,11 @@ class Checkpoint:
         out = np.empty(x.shape)
         for lo in range(0, x.shape[0], chunk):
             rows = x[lo : lo + chunk]
-            xb = _buffer(scratch, "x", rows.shape)
-            np.copyto(xb, rows)
+            if scratch is None:
+                xb = np.asarray(rows, np.float64)
+            else:
+                xb = scratch.take("x", rows.shape)
+                np.copyto(xb, rows)
             gb = g[lo : lo + chunk] if g is not None else None
             forward(
                 self.config, self.values, xb, gb,

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .adnet import Checkpoint, ModelConfig, Scratch
+from .adnet import Checkpoint, ModelConfig
 from .grid import (
     CATEGORIES, GpsLabel, GridSpec, GridTensor, N_CATEGORIES, atomic_write, read_jsonl,
     record_to_scene,
@@ -177,7 +177,7 @@ def detect(
         raise ValueError(f"variant {config.variant!r} requires a gps label")
     if not config.use_gps and gps is not None:
         raise ValueError(f"variant {config.variant!r} takes no gps label")
-    return _detect_chunk(checkpoint, [(x, gps)], _check_threshold(threshold), None)[0]
+    return _detect_chunk(checkpoint, [(x, gps)], _check_threshold(threshold))[0]
 
 
 def detect_batch(checkpoint: Checkpoint, path: str, threshold: float = 0.5) -> list[AnomalyReport]:
@@ -194,19 +194,15 @@ def detect_batch(checkpoint: Checkpoint, path: str, threshold: float = 0.5) -> l
     config = checkpoint.config
     _check_grid(config, config.grid)
     scenes = read_jsonl(path, lambda record, _: record_to_scene(record, config.grid))
-    scratch = Scratch()
     reports: list[AnomalyReport] = []
     with closing(scenes):
         while chunk := list(islice(scenes, _CHUNK)):
-            reports += _detect_chunk(checkpoint, chunk, threshold, scratch)
+            reports += _detect_chunk(checkpoint, chunk, threshold)
     return reports
 
 
 def _detect_chunk(
-    checkpoint: Checkpoint,
-    scenes: list[tuple[GridTensor, GpsLabel]],
-    threshold: float,
-    scratch: Scratch | None,
+    checkpoint: Checkpoint, scenes: list[tuple[GridTensor, GpsLabel]], threshold: float
 ) -> list[AnomalyReport]:
     """The reports of a chunk of scenes on the checkpoint's grid, whose GPS
     labels are read only for the GPS variants."""
@@ -214,7 +210,7 @@ def _detect_chunk(
     x = np.stack([g.data for g, _ in scenes])
     gps = [(p.latitude, p.longitude) for _, p in scenes] if config.use_gps else None
     probs = checkpoint.reconstruct(
-        x.reshape(len(scenes), -1), gps, scratch=scratch, row_invariant=True
+        x.reshape(len(scenes), -1), gps, row_invariant=True
     ).reshape(x.shape)
     missing, added = detection_masks(x, probs, threshold)
     scores = probs.min(axis=(1, 2, 3), initial=1.0, where=x != 0).tolist()

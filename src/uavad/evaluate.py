@@ -217,6 +217,10 @@ def run_benchmark(
         name: (Dataset.from_scenes((g, gps) for g, gps, _ in records), _injected_cells(records))
         for name, records in tasks.items()
     }
+    # The one Scratch in the package. On 4 checkpoints and perfbench-sized
+    # sets (2-CPU VM), this loop took 117-123 ms with it and 166-177 ms with
+    # every buffer fresh. Any one buffer fresh cost nothing, and conv_in and
+    # logits fresh together cost 146 ms: the buffers pay only together.
     scratch = Scratch()
     for variant in VARIANTS:
         ckpt = checkpoints[variant]

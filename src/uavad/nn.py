@@ -4,12 +4,14 @@ Adam, and a seedable platform-independent random generator.
 Layers, Adam and parameter stores work in the dtype of the arrays they are
 given, float64 or float32, and allocate what they return in it: training
 runs float32, everything else float64. Layer functions accept an arbitrary
-number of leading batch dimensions. Forward passes take parameter arrays
-(dense, 1x1 conv, concat and sigmoid also an ``out=`` array to write their
-result into, with the bits of a fresh one); backward passes take ``Param``
-entries, accumulate parameter gradients into ``Param.grad`` and return the
-gradient with respect to the layer input. Every backward pass is checked
-against central finite differences in the test suite.
+number of leading batch dimensions. Forward passes take parameter arrays;
+the dense, 1x1 conv, concat and sigmoid forward passes also take an
+``out=`` array to write their result into, with the bits of a fresh one:
+inference fills its reused buffers and the rows of its result this way.
+Backward passes take ``Param`` entries, accumulate parameter gradients into
+``Param.grad`` and return the gradient with respect to the layer input as a
+fresh array. Every backward pass is checked against central finite
+differences in the test suite.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ _SIGMOID_BOUNDS = {
 }
 
 # Elements per Adam block: the block's slices of value, grad, m, v and the
-# two scratch buffers (6 x 128 KiB in float64) stay in cache across the
+# two work buffers (6 x 128 KiB in float64) stay in cache across the
 # update's passes.
 _ADAM_BLOCK = 16384
 
@@ -383,16 +385,10 @@ def conv1x1_forward(
 
 
 def conv1x1_backward(
-    dy: np.ndarray,
-    x: np.ndarray,
-    k: Param,
-    b: Param,
-    n_in: int | None = None,
-    out: np.ndarray | None = None,
+    dy: np.ndarray, x: np.ndarray, k: Param, b: Param, n_in: int | None = None
 ) -> np.ndarray:
     """Accumulates the kernel and bias gradients; returns the input gradient
-    of the first ``n_in`` channels (all when None), written into ``out``
-    (C-contiguous) when given.
+    of the first ``n_in`` channels (all when None).
 
     A channel slice has the bits of the same channels of the full gradient.
     The bias gradient sums over pixels with ``einsum``, which has the bits of
@@ -403,9 +399,7 @@ def conv1x1_backward(
     k.grad += dy2.T @ x.reshape(-1, c_in)
     b.grad += np.einsum("ij->j", dy2)
     n = c_in if n_in is None else n_in
-    dx = np.empty((*dy.shape[:-1], n), dy.dtype) if out is None else out
-    np.matmul(dy2, k.value[:, :n], out=dx.reshape(-1, n))
-    return dx
+    return (dy2 @ k.value[:, :n]).reshape(*dy.shape[:-1], n)
 
 
 def concat_forward(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -448,7 +442,7 @@ def adam_step(
     non-finite gradient raises ``FloatingPointError`` naming the first bad
     parameter and leaves all parameters and moments as they were. The update
     then sweeps the flat store in place (every array stays the same object),
-    in blocks of ``_ADAM_BLOCK`` elements with two scratch buffers. Per
+    in blocks of ``_ADAM_BLOCK`` elements with two work buffers. Per
     element it evaluates, in this order,
     m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*g**2,
     value = value - (lr * m/(1-beta1**t)) / (sqrt(v/(1-beta2**t)) + epsilon),
@@ -486,14 +480,11 @@ def adam_step(
         g.fill(0.0)
 
 
-def glorot_uniform(
-    rng: Rng, n_out: int, n_in: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Uniform in +-sqrt(6 / (fan_in + fan_out)), written into ``out`` (of
-    shape (n_out, n_in)) when given."""
+def glorot_uniform(rng: Rng, n_out: int, n_in: int) -> np.ndarray:
+    """Uniform in +-sqrt(6 / (fan_in + fan_out)), shape (n_out, n_in)."""
     limit = np.sqrt(6.0 / (n_in + n_out))
     w = rng.uniform((n_out, n_in))
-    w = np.multiply(w, 2.0, out=w if out is None else out)
+    w *= 2.0
     w -= 1.0
     w *= limit
     return w

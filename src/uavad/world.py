@@ -292,6 +292,8 @@ def build_zone_map(spec: GridSpec, entries: Sequence[dict]) -> np.ndarray:
     """
     zm = np.full((spec.cells_y, spec.cells_x), -1, dtype=np.int16)
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise WorldConfigError(f"zone entry {entry!r} is not a JSON object")
         kind = entry.get("kind")
         if kind not in _ZONE_IDS:
             raise WorldConfigError(f"unknown zone kind {kind!r}")
@@ -344,6 +346,8 @@ def _world_from_doc(doc: dict) -> WorldSpec:
     ]
     rules = []
     for r in doc["rules"]:
+        if not isinstance(r, dict):
+            raise WorldConfigError(f"rule {r!r} is not a JSON object")
         if "weights" in r:
             weights = tuple(number(v, "weight") for v in r["weights"])
         else:

@@ -511,23 +511,18 @@ class TestBackwardReference:
             assert error(p.grad, ref) < 1e-12, p.name
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_one_scratch_across_batches_is_bit_equal_to_the_reference(self, variant):
-        """As in train: one Scratch serves the forward pass and backward of
-        batches of 64, 48, 8 and 64 rows in turn, each accumulating on the
-        last batch's gradients; after every batch they have the bits of the
-        reference's, run without a scratch."""
+    def test_batches_of_several_sizes_accumulate_the_reference_bits(self, variant):
+        """As in train: the forward pass and backward of batches of 64, 48, 8
+        and 64 rows in turn, each accumulating on the last batch's
+        gradients; after every batch they have the bits of the reference's."""
         config = ModelConfig(variant)
-        scratch = adnet.Scratch()
         ref, got = init_params(config, 4), init_params(config, 4)
         for i, batch in enumerate((64, 48, 8, 64)):
             x, gps, eps = random_batch(config, batch, seed=30 + i)
             _, _, _, cache = adnet._forward_cached(config, ref.values, x, gps, eps)
             reference_backward(config, ref, cache)
-            xb = scratch.take("x", x.shape)
-            np.copyto(xb, x)
-            x_hat = scratch.take("x_hat", x.shape)
-            _, _, _, cache = adnet._forward_cached(config, got.values, xb, gps, eps, scratch, x_hat)
-            adnet.backward(config, got, cache, scratch)
+            _, _, _, cache = adnet._forward_cached(config, got.values, x, gps, eps)
+            adnet.backward(config, got, cache)
             for p in got:
                 assert p.grad.tobytes() == ref[p.name].grad.tobytes(), (batch, p.name)
 
@@ -738,10 +733,10 @@ class TestTraining:
             assert dy.dtype == np.float32, "dlogits"
             return real_conv_backward(dy, *args, **kwargs)
 
-        def backward(config, params, cache, scratch=None):
+        def backward(config, params, cache):
             for name, arr in cache.items():
                 assert arr.dtype == np.float32, name
-            real_backward(config, params, cache, scratch)
+            real_backward(config, params, cache)
             for p in params:
                 for arr in (p.value, p.grad, p.adam_m, p.adam_v):
                     assert arr.dtype == np.float32, p.name
@@ -805,8 +800,9 @@ class TestTraining:
         assert checkpoint.gps_normalization == gn
 
     def test_train_config_validation(self):
-        with pytest.raises(ValueError, match="lr"):
-            TrainConfig(lr=0.0)
+        for lr in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="lr"):
+                TrainConfig(lr=lr)
         with pytest.raises(ValueError, match="patience"):
             TrainConfig(patience=0)
         with pytest.raises(ValueError, match="max_epochs"):

@@ -201,6 +201,21 @@ class TestTrain:
         assert str(data / "manifest.json") in caplog.text
         assert not (tmp_path / "ck.json").exists()
 
+    def test_non_finite_learning_rate_is_a_config_error(
+        self, pipeline, tmp_path, caplog, monkeypatch
+    ):
+        """Rejected before training starts, rather than failing later on a
+        non-finite gradient with exit 3."""
+        monkeypatch.setattr(adnet, "train", must_not_run)
+        with caplog.at_level(logging.ERROR):
+            code = main(
+                ["train", "--variant", "vae", "--data", str(pipeline["data"]),
+                 "--out", str(tmp_path / "ck.json"), "--lr", "nan", *FAST_TRAIN]
+            )
+        assert code == EXIT_CONFIG
+        assert "lr nan" in caplog.text
+        assert not (tmp_path / "ck.json").exists()
+
     def test_checkpoint_records_the_dataset_manifest_digest(self, pipeline):
         want = hashlib.sha256((pipeline["data"] / "manifest.json").read_bytes()).hexdigest()
         for path in pipeline["ckpts"].values():

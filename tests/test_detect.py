@@ -13,11 +13,14 @@ from hypothesis.extra.numpy import arrays
 from uavad.adnet import (
     VARIANTS,
     Checkpoint,
+    Dataset,
     GpsNormalization,
     ModelConfig,
+    TrainConfig,
     expected_param_shapes,
     init_params,
 )
+from uavad import adnet
 from uavad import detect as detect_mod
 from uavad.detect import AnomalyCell, AnomalyReport, CellArrays, detect, detect_batch, write_reports
 from uavad.evaluate import reconstruction_metrics
@@ -257,6 +260,26 @@ class TestDetectBatch:
         write_reports(reports, str(tmp_path / "reports.jsonl"))
         assert len((tmp_path / "reports.jsonl").read_text().splitlines()) == len(reports)
 
+    def test_training_and_detection_make_no_scratch(self, tmp_path, monkeypatch):
+        """Training, validation and detection run on fresh arrays: with
+        Scratch made to raise, a tiny train and detect_batch + write_reports
+        still run. Only evaluate.run_benchmark reuses inference buffers."""
+        scenes, path = self.write_scenes(tmp_path, n=20)
+
+        def no_scratch(*_):
+            raise AssertionError("a Scratch was made")
+
+        monkeypatch.setattr(adnet.Scratch, "__init__", no_scratch)
+        data = Dataset.from_scenes(scenes)
+        ck, _ = adnet.train(
+            ModelConfig("uav_adnet", n_h=4, hidden1=8),
+            Dataset(data.x[:16], data.gps[:16]), Dataset(data.x[16:], data.gps[16:]),
+            TrainConfig(batch_size=8, max_epochs=1, seed=3),
+        )
+        reports = detect_batch(ck, path)
+        write_reports(reports, str(tmp_path / "reports.jsonl"))
+        assert len((tmp_path / "reports.jsonl").read_text().splitlines()) == len(scenes)
+
     def test_bad_records_carry_line_numbers(self, tmp_path):
         path = tmp_path / "scenes.jsonl"
         good = json.dumps({"gps": [41.1, 29.0], "cells": []})
@@ -378,7 +401,7 @@ class TestReference:
                 probs[i, corner, corner, corners] = 0.125 if h else 0.875
         data[2], probs[2] = 0, 0.25
         scenes = [(GridTensor(spec, d), GPS) for d in data]
-        reports = detect_mod._detect_chunk(FixedCheckpoint(probs), scenes, 0.5, None)
+        reports = detect_mod._detect_chunk(FixedCheckpoint(probs), scenes, 0.5)
 
         assert len(reports) == len(scenes)
         for (grid, _), row, report in zip(scenes, probs, reports):

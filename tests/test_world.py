@@ -871,8 +871,13 @@ class TestWorldPersistence:
             (("waypoints", 1, "gps_jitter"), math.nan, "gps jitter nan"),
             (("rules", 0, "weights", 1), -1.0, "negative"),
             (("waypoints",), [], "at least 2 waypoints"),
+            (("waypoints", 0, "zones", 0), 5, "zone entry 5 is not a JSON object"),
+            (("rules", 0), "x", "rule 'x' is not a JSON object"),
         ],
-        ids=["infinite-weight", "nan-weight", "nan-jitter", "negative-weight", "no-waypoints"],
+        ids=[
+            "infinite-weight", "nan-weight", "nan-jitter", "negative-weight", "no-waypoints",
+            "zone-not-object", "rule-not-object",
+        ],
     )
     def test_invalid_world_names_the_file(self, tmp_path, field, value, message):
         path = tmp_path / "world.json"
