@@ -57,7 +57,6 @@ __all__ = [
     "TrainConfig",
     "EpochStats",
     "Dataset",
-    "Scratch",
     "Checkpoint",
     "CheckpointError",
     "CheckpointVersionError",
@@ -78,8 +77,21 @@ logger = logging.getLogger("uavad.adnet")
 
 CHECKPOINT_FORMAT_VERSION = 2
 
+# Bytes per piece of a parameter's base64 in save_checkpoint: whole 3-byte
+# groups, so the pieces join to the base64 of all the bytes, and no piece
+# holds enc.w's 2.8 MB at once.
+_B64_BLOCK = 3 * 65536
+
 # Loss-side clamp keeping log() finite; forward outputs are not clamped.
 _LOSS_CLIP = 1e-7
+
+# Rows per inference pass of Checkpoint.reconstruct, and records per chunk
+# of detect_batch. On 440 world scenes, 64- and 128-row passes gave the bits
+# of 512-row ones and 32- and 16-row passes did not. Each pass runs on fresh
+# arrays: on perfbench-sized data (2-CPU VM), evaluate.run_benchmark took no
+# minor page faults per call at 64 rows, and ~12 000 and 1.1-1.2x the time
+# at 512 rows.
+RECONSTRUCT_ROWS = 64
 
 # variant -> (use_gps, use_copy_crop)
 _WIRING = {
@@ -290,43 +302,12 @@ def _as_batch(arr: np.ndarray | None, width: int, what: str) -> np.ndarray:
     return a
 
 
-class Scratch:
-    """The float64 inference buffers that a sequence of ``Checkpoint.reconstruct``
-    calls reuses: the input rows, ``h3``, the copy-crop ``conv_in`` and the
-    logits. Only ``evaluate.run_benchmark`` makes one; training, validation
-    and detection run on fresh arrays.
-
-    ``take(name, shape)`` returns a view over the leading elements of buffer
-    ``name``: the same memory on every call, grown (its contents not kept)
-    when more elements are asked for. A view holds valid data only until the
-    next ``take`` of its name, so nothing that outlives a pass may be a view.
-    The buffers are freed with the ``Scratch``.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
-        flat = self._buffers.get(name)
-        if flat is None or flat.size < size:
-            flat = self._buffers[name] = np.empty(size)
-        return flat[:size].reshape(shape)
-
-
-def _buffer(scratch: Scratch | None, name: str, shape: tuple[int, ...]) -> np.ndarray | None:
-    """Scratch buffer ``name``, or None (the kernel's own fresh array) when
-    there is no scratch."""
-    return None if scratch is None else scratch.take(name, shape)
-
-
 def _forward_cached(
     config: ModelConfig,
     values: Mapping[str, np.ndarray],
     x: np.ndarray,
     gps: np.ndarray | None,
     eps: np.ndarray,
-    scratch: Scratch | None = None,
     out: np.ndarray | None = None,
     *,
     x_enc: np.ndarray | None = None,
@@ -334,12 +315,10 @@ def _forward_cached(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Batched forward pass keeping the activations needed by backward().
 
-    With a ``scratch`` (float64 passes only), ``h3``, the copy-crop
-    ``conv_in`` and the logits are written into its buffers, so the cache is
-    valid only until the next pass on the same scratch. The probabilities go
-    to ``out`` ((b, D), a fresh array when None). ``x_enc`` is what the
-    encoder reads: the columns of ``x`` that ``values["enc.w"]`` holds, in
-    its order (``x`` itself when None, for a full-width ``enc.w``).
+    The probabilities go to ``out`` ((b, D), a fresh array when None); every
+    other activation is a fresh array. ``x_enc`` is what the encoder reads:
+    the columns of ``x`` that ``values["enc.w"]`` holds, in its order (``x``
+    itself when None, for a full-width ``enc.w``).
     ``row_invariant`` runs the dense layers in their row-invariant form (see
     ``dense_forward``): each row then gets the bits it gets in a batch of
     one. The 1x1 conv and the sigmoid need no such form, since their bits
@@ -360,22 +339,13 @@ def _forward_cached(
     )
     z = reparameterize_forward(mu, log_var, eps)
     dec_in = concat_forward(z, gps) if config.use_gps else z
-    h3 = dense_forward(
-        dec_in, values["dec.w"], values["dec.b"],
-        out=_buffer(scratch, "h3", (b, config.hidden3)), row_invariant=row_invariant,
-    )
+    h3 = dense_forward(dec_in, values["dec.w"], values["dec.b"], row_invariant=row_invariant)
     np.maximum(h3, 0.0, out=h3)  # the decoder ReLU, in place
 
     grid4 = h3.reshape(shape4)
     x4 = x.reshape(shape4)
-    if config.use_copy_crop:
-        conv_shape = (b, rows, cols, 2 * n_o)
-        conv_in = concat_forward(grid4, x4, out=_buffer(scratch, "conv_in", conv_shape))
-    else:
-        conv_in = grid4
-    logits = conv1x1_forward(
-        conv_in, values["out.k"], values["out.b"], out=_buffer(scratch, "logits", shape4)
-    )
+    conv_in = concat_forward(grid4, x4) if config.use_copy_crop else grid4
+    logits = conv1x1_forward(conv_in, values["out.k"], values["out.b"])
     # exp(-|l|) overwrites the logits, which nothing reads afterwards.
     x_hat4 = sigmoid_forward(
         logits, out=None if out is None else out.reshape(shape4), work=logits
@@ -406,7 +376,6 @@ def forward(
     gps: np.ndarray | None = None,
     eps: np.ndarray | None = None,
     *,
-    scratch: Scratch | None = None,
     out: np.ndarray | None = None,
     row_invariant: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -418,9 +387,9 @@ def forward(
     two-component location input, required exactly when the variant uses
     GPS. ``eps`` is the latent noise; None means zeros, the
     deterministic posterior-mean mode used at inference. A float32 ``x``
-    runs a float32 pass; any other runs in float64. ``scratch`` holds
-    the large intermediate activations and ``out`` (n, D) receives the
-    probabilities; see ``_forward_cached``, also for ``row_invariant``.
+    runs a float32 pass; any other runs in float64. ``out`` (n, D)
+    receives the probabilities; see ``_forward_cached``, also for
+    ``row_invariant``.
     """
     single = np.asarray(x).ndim == 1
     xb = _as_batch(x, config.hidden3, "input vector")
@@ -442,7 +411,7 @@ def forward(
             raise ValueError("latent noise batch size does not match input batch size")
 
     x_hat, mu, log_var, _ = _forward_cached(
-        config, values, xb, gb, eb, scratch, out, row_invariant=row_invariant
+        config, values, xb, gb, eb, out, row_invariant=row_invariant
     )
     if single:
         return x_hat[0], mu[0], log_var[0]
@@ -521,6 +490,8 @@ def _validation_stats(
 ) -> tuple[float, float]:
     """(mean total loss, mean squared error) with zero latent noise, in
     float64: ``forward`` widens the uint8 rows of ``x``."""
+    # Not RECONSTRUCT_ROWS: the loss sums of these chunks reach best_val_loss
+    # in every checkpoint, whose bits the pinned digests fix.
     chunk = 256
     n = x.shape[0]
     loss_sum = 0.0
@@ -763,7 +734,6 @@ class Checkpoint:
         self,
         x: np.ndarray,
         gps_deg: np.ndarray | None = None,
-        scratch: Scratch | None = None,
         *,
         row_invariant: bool = False,
     ) -> np.ndarray:
@@ -771,12 +741,11 @@ class Checkpoint:
 
         ``x`` holds n flattened binary scenes as rows and ``gps_deg`` their
         (n, 2) latitude/longitude in degrees, which only the GPS variants
-        read. Rows run through ``forward`` in chunks of 512, each writing its
-        rows of the returned array. A ``scratch`` shared by a sequence of
-        calls holds their float64 input rows and large activations, so that
-        only the returned array is new. The pass runs in float64 whatever
-        ``x``'s dtype, on the checkpoint's float64 values: after ``train``,
-        the exact widening of the float32 values it trained.
+        read. Rows run through ``forward`` ``RECONSTRUCT_ROWS`` at a time on
+        fresh arrays, each pass writing its rows of the returned array. The
+        passes run in float64 whatever ``x``'s dtype, on the checkpoint's
+        float64 values: after ``train``, the exact widening of the float32
+        values it trained.
 
         By default each chunk runs as one GEMM per dense layer, and a row's
         bits can depend on the rows that share its chunk. ``row_invariant``
@@ -797,19 +766,13 @@ class Checkpoint:
             if gps_deg is None:
                 raise ValueError(f"variant {self.config.variant!r} requires gps inputs")
             g = self.gps_normalization.normalize_array(gps_deg)
-        chunk = 512
+        chunk = RECONSTRUCT_ROWS
         out = np.empty(x.shape)
         for lo in range(0, x.shape[0], chunk):
-            rows = x[lo : lo + chunk]
-            if scratch is None:
-                xb = np.asarray(rows, np.float64)
-            else:
-                xb = scratch.take("x", rows.shape)
-                np.copyto(xb, rows)
             gb = g[lo : lo + chunk] if g is not None else None
             forward(
-                self.config, self.values, xb, gb,
-                scratch=scratch, out=out[lo : lo + chunk], row_invariant=row_invariant,
+                self.config, self.values, np.asarray(x[lo : lo + chunk], np.float64), gb,
+                out=out[lo : lo + chunk], row_invariant=row_invariant,
             )
         return out
 
@@ -833,7 +796,9 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
         for i, name in enumerate(sorted(checkpoint.values)):
             arr = np.ascontiguousarray(checkpoint.values[name], dtype="<f8")
             f.write(f'{", " if i else ""}{dumps(name)}: {{"shape": {dumps(list(arr.shape))}, "data": "')
-            f.write(base64.b64encode(arr).decode("ascii"))
+            raw = memoryview(arr).cast("B")
+            for lo in range(0, len(raw), _B64_BLOCK):
+                f.write(base64.b64encode(raw[lo : lo + _B64_BLOCK]).decode("ascii"))
             f.write('"}')
         f.write(f'}}, "training_meta": {dumps(checkpoint.training_meta)}}}')
 

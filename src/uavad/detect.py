@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .adnet import Checkpoint, ModelConfig
+from .adnet import RECONSTRUCT_ROWS, Checkpoint, ModelConfig
 from .grid import (
     CATEGORIES, GpsLabel, GridSpec, GridTensor, N_CATEGORIES, atomic_write, read_jsonl,
     record_to_scene,
@@ -39,9 +39,6 @@ __all__ = [
 _BY_NAME = np.argsort(CATEGORIES)
 # An object array, so every cell shares the one str of its category's name.
 _NAMES = np.array(CATEGORIES, dtype=object)
-# Records that detect_batch reconstructs and selects cells from together; a
-# large file is read one chunk at a time.
-_CHUNK = 64
 
 
 class AnomalyCell(NamedTuple):
@@ -187,8 +184,9 @@ def detect_batch(checkpoint: Checkpoint, path: str, threshold: float = 0.5) -> l
     Accepts plain scene files and injected-anomaly benchmark files alike;
     only the gps and cells fields are read. The threshold and the
     checkpoint's grid are checked before the file is read, so an empty file
-    does not hide a bad one. Records are read and reconstructed ``_CHUNK``
-    at a time, in the row-invariant mode of ``Checkpoint.reconstruct``.
+    does not hide a bad one. Records are read and reconstructed
+    ``adnet.RECONSTRUCT_ROWS`` at a time, in the row-invariant mode of
+    ``Checkpoint.reconstruct``.
     """
     threshold = _check_threshold(threshold)
     config = checkpoint.config
@@ -196,7 +194,7 @@ def detect_batch(checkpoint: Checkpoint, path: str, threshold: float = 0.5) -> l
     scenes = read_jsonl(path, lambda record, _: record_to_scene(record, config.grid))
     reports: list[AnomalyReport] = []
     with closing(scenes):
-        while chunk := list(islice(scenes, _CHUNK)):
+        while chunk := list(islice(scenes, RECONSTRUCT_ROWS)):
             reports += _detect_chunk(checkpoint, chunk, threshold)
     return reports
 

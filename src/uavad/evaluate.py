@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .adnet import VARIANTS, Checkpoint, Dataset, Scratch
+from .adnet import VARIANTS, Checkpoint, Dataset
 from .adnet import forward  # noqa: F401  (perfbench/spans.py traces evaluate.forward)
 from .detect import detection_masks
 from .grid import CATEGORY_IDS, N_CATEGORIES, GpsLabel, GridTensor, atomic_write
@@ -57,8 +57,7 @@ def prf1(c: MetricCounts) -> tuple[float, float, float]:
 # Batched model evaluation
 #
 # Each public metric flattens its scenes and calls an internal that takes
-# Dataset rows and an optional Scratch; run_benchmark flattens each scene
-# set once and shares one Scratch across all of its reconstructions.
+# Dataset rows; run_benchmark flattens each scene set once.
 # ---------------------------------------------------------------------------
 
 
@@ -67,11 +66,8 @@ def _counts(
     data: Dataset,
     gps: np.ndarray,
     threshold: float,
-    scratch: Scratch | None,
 ) -> MetricCounts:
-    missing, added = detection_masks(
-        data.x, checkpoint.reconstruct(data.x, gps, scratch), threshold
-    )
+    missing, added = detection_masks(data.x, checkpoint.reconstruct(data.x, gps), threshold)
     fn = int(missing.sum())
     fp = int(added.sum())
     occupied = int(data.x.sum())
@@ -95,22 +91,19 @@ def _hit_rate(
     data: Dataset,
     cells: tuple[np.ndarray, np.ndarray, np.ndarray],
     threshold: float,
-    scratch: Scratch | None,
 ) -> float:
     """Fraction of ``data``'s rows whose injected cell, given per row by the
     (row, col, category) arrays ``cells``, detection flags as missing."""
-    missing, _ = detection_masks(
-        data.x, checkpoint.reconstruct(data.x, data.gps, scratch), threshold
-    )
+    missing, _ = detection_masks(data.x, checkpoint.reconstruct(data.x, data.gps), threshold)
     grid = checkpoint.config.grid
     missing = missing.reshape(-1, grid.cells_y, grid.cells_x, checkpoint.config.n_o)
     return int(np.count_nonzero(missing[(np.arange(data.n), *cells)])) / data.n
 
 
-def _mse(checkpoint: Checkpoint, data: Dataset, scratch: Scratch | None) -> float:
+def _mse(checkpoint: Checkpoint, data: Dataset) -> float:
     """Mean squared error of ``data.x`` against its reconstruction, computed
     in the reconstruction's array."""
-    diff = checkpoint.reconstruct(data.x, data.gps, scratch)
+    diff = checkpoint.reconstruct(data.x, data.gps)
     np.subtract(data.x, diff, out=diff)
     return float(np.mean(np.square(diff, out=diff)))
 
@@ -133,7 +126,7 @@ def reconstruction_metrics(
         if len(gps_labels) != len(scenes):
             raise ValueError("gps override length does not match scenes")
         gps = np.array([[g.latitude, g.longitude] for g in gps_labels], dtype=np.float64)
-    counts = _counts(checkpoint, data, gps, threshold, None)
+    counts = _counts(checkpoint, data, gps, threshold)
     return counts, prf1(counts)
 
 
@@ -146,19 +139,19 @@ def task_accuracy(
 
     Scores what a detection report per scene would flag, without building
     the reports. ``detect`` and ``detect_batch`` give each scene the bits of
-    a one-row reconstruction, while this runs 512-row GEMM batches: the two
+    a one-row reconstruction, while this runs 64-row GEMM batches: the two
     agree except where a probability lies within ~3e-16 of the threshold.
     """
     if not records:
         raise ValueError("no benchmark records to score")
     data = Dataset.from_scenes((g, gps) for g, gps, _ in records)
-    return _hit_rate(checkpoint, data, _injected_cells(records), threshold, None)
+    return _hit_rate(checkpoint, data, _injected_cells(records), threshold)
 
 
 def mse_on_scenes(
     checkpoint: Checkpoint, scenes: Sequence[tuple[GridTensor, GpsLabel]]
 ) -> float:
-    return _mse(checkpoint, Dataset.from_scenes(scenes), None)
+    return _mse(checkpoint, Dataset.from_scenes(scenes))
 
 
 # ---------------------------------------------------------------------------
@@ -217,22 +210,17 @@ def run_benchmark(
         name: (Dataset.from_scenes((g, gps) for g, gps, _ in records), _injected_cells(records))
         for name, records in tasks.items()
     }
-    # The one Scratch in the package. On 4 checkpoints and perfbench-sized
-    # sets (2-CPU VM), this loop took 117-123 ms with it and 166-177 ms with
-    # every buffer fresh. Any one buffer fresh cost nothing, and conv_in and
-    # logits fresh together cost 146 ms: the buffers pay only together.
-    scratch = Scratch()
     for variant in VARIANTS:
         ckpt = checkpoints[variant]
-        precision, recall, f1 = prf1(_counts(ckpt, test_data, test_data.gps, threshold, scratch))
+        precision, recall, f1 = prf1(_counts(ckpt, test_data, test_data.gps, threshold))
         entry = {
             "precision": precision,
             "recall": recall,
             "f1": f1,
-            "val_mse": _mse(ckpt, val_data, scratch),
+            "val_mse": _mse(ckpt, val_data),
         }
         for name, (data, cells) in task_data.items():
-            entry[f"{name}_acc"] = _hit_rate(ckpt, data, cells, threshold, scratch)
+            entry[f"{name}_acc"] = _hit_rate(ckpt, data, cells, threshold)
         result["variants"][variant] = entry
         logger.info(
             "%s: f1 %.4f task1 %.4f task2 %.4f task3 %.4f",

@@ -4,10 +4,9 @@ Adam, and a seedable platform-independent random generator.
 Layers, Adam and parameter stores work in the dtype of the arrays they are
 given, float64 or float32, and allocate what they return in it: training
 runs float32, everything else float64. Layer functions accept an arbitrary
-number of leading batch dimensions. Forward passes take parameter arrays;
-the dense, 1x1 conv, concat and sigmoid forward passes also take an
-``out=`` array to write their result into, with the bits of a fresh one:
-inference fills its reused buffers and the rows of its result this way.
+number of leading batch dimensions. Forward passes take parameter arrays
+and return fresh arrays; the sigmoid can also write into an ``out=`` array,
+with the bits of a fresh one, which inference fills with its result rows.
 Backward passes take ``Param`` entries, accumulate parameter gradients into
 ``Param.grad`` and return the gradient with respect to the layer input as a
 fresh array. Every backward pass is checked against central finite
@@ -305,7 +304,6 @@ def dense_forward(
     x: np.ndarray,
     w: np.ndarray,
     b: np.ndarray,
-    out: np.ndarray | None = None,
     *,
     row_invariant: bool = False,
 ) -> np.ndarray:
@@ -321,10 +319,10 @@ def dense_forward(
     if x.shape[-1] != n_in:
         raise ValueError(f"dense input width {x.shape[-1]} != {n_in}")
     if row_invariant and x.size > n_in:
-        y = np.empty((*x.shape[:-1], n_out), np.result_type(x, w)) if out is None else out
+        y = np.empty((*x.shape[:-1], n_out), np.result_type(x, w))
         np.matmul(x[..., None, :], w.T, out=y[..., None, :])
     else:
-        y = np.matmul(x, w.T, out=out)
+        y = np.matmul(x, w.T)
     return np.add(y, b, out=y)
 
 
@@ -365,19 +363,16 @@ def sigmoid_forward(
     return np.clip(out, *_SIGMOID_BOUNDS[out.dtype], out=out)
 
 
-def conv1x1_forward(
-    x: np.ndarray, k: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def conv1x1_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-pixel linear map across channels: y[..., o] = sum_c k[o, c] x[..., c] + b[o].
 
     Runs as a 2-D GEMM over (pixels, c_in) in blocks of ``_CONV_BLOCK``
     pixels, with the bits of one batched ``np.matmul`` over the pixel grid.
-    ``out`` must be C-contiguous.
     """
     c_out, c_in = k.shape
     if x.shape[-1] != c_in:
         raise ValueError(f"conv1x1 input channels {x.shape[-1]} != {c_in}")
-    y = np.empty((*x.shape[:-1], c_out), np.result_type(x, k)) if out is None else out
+    y = np.empty((*x.shape[:-1], c_out), np.result_type(x, k))
     x2, y2 = x.reshape(-1, c_in), y.reshape(-1, c_out)
     for lo in range(0, x2.shape[0], _CONV_BLOCK):
         np.matmul(x2[lo : lo + _CONV_BLOCK], k.T, out=y2[lo : lo + _CONV_BLOCK])
@@ -402,9 +397,9 @@ def conv1x1_backward(
     return (dy2 @ k.value[:, :n]).reshape(*dy.shape[:-1], n)
 
 
-def concat_forward(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def concat_forward(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Join along the last (feature) axis."""
-    return np.concatenate([a, b], axis=-1, out=out)
+    return np.concatenate([a, b], axis=-1)
 
 
 def reparameterize_forward(mu: np.ndarray, log_var: np.ndarray, eps: np.ndarray) -> np.ndarray:

@@ -58,6 +58,12 @@ def random_batch(config: ModelConfig, batch: int, seed: int):
     return x, gps, eps
 
 
+def untrained_checkpoint() -> Checkpoint:
+    """The untrained full-size ``uav_adnet`` of acceptance criterion 8."""
+    config = ModelConfig("uav_adnet")
+    return Checkpoint(config, GpsNormalization(41.1, 29.0), init_params(config, 0).copy_values())
+
+
 def tiny_checkpoint(variant: str = "uav_adnet", seed: int = 0) -> Checkpoint:
     config = tiny_config(variant)
     params = init_params(config, seed)
@@ -306,19 +312,50 @@ class TestParameterStore:
     def test_first_reconstruct_retains_no_parameter_copy(self):
         """Inference reads the checkpoint's own arrays: no second copy of the
         ~342 000 parameters and no gradient or Adam buffers stay behind."""
-        config = ModelConfig("uav_adnet")
-        ck = Checkpoint(
-            config, GpsNormalization(41.1, 29.0), init_params(config, 0).copy_values()
-        )
-        x = np.zeros((1, config.hidden3), dtype=np.uint8)
+        ck = untrained_checkpoint()
+        x = np.zeros((1, ck.config.hidden3), dtype=np.uint8)
         tracemalloc.start()
         try:
             probs = ck.reconstruct(x, np.array([[41.1, 29.0]]))
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert probs.shape == (1, config.hidden3)
+        assert probs.shape == (1, ck.config.hidden3)
         assert retained < 1_000_000
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory that tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestBoundedMemory:
+    def test_reconstruct_holds_one_pass_at_a_time(self):
+        """Less its result, a 600-row call peaks no higher than one pass of
+        ``RECONSTRUCT_ROWS`` rows: each pass's arrays are gone before the
+        next is made."""
+        ck = untrained_checkpoint()
+        rng = Rng(8)
+        x = (rng.uniform((600, ck.config.hidden3)) < 0.05).astype(np.uint8)
+        gps = np.column_stack([41.1 + rng.gaussian(600) * 1e-4, 29.0 + rng.gaussian(600) * 1e-4])
+        rows = adnet.RECONSTRUCT_ROWS
+        one, one_peak = traced_peak(lambda: ck.reconstruct(x[:rows], gps[:rows]))
+        probs, peak = traced_peak(lambda: ck.reconstruct(x, gps))
+        assert peak - probs.nbytes < 1.25 * (one_peak - one.nbytes)
+
+    def test_save_checkpoint_holds_no_whole_parameter_text(self, tmp_path):
+        """Saving writes each parameter's base64 in pieces: the peak above the
+        checkpoint's own arrays stays far below ``enc.w``'s 2.8 MB."""
+        ck = untrained_checkpoint()
+        _, peak = traced_peak(lambda: save_checkpoint(ck, str(tmp_path / "ck.json")))
+        assert ck.values["enc.w"].nbytes > 2_000_000
+        assert peak < 1_500_000
 
 
 class TestLoss:
@@ -850,59 +887,48 @@ class TestCheckpointPersistence:
             assert entry["shape"] == list(arr.shape)
             assert base64.b64decode(entry["data"]) == arr.astype("<f8").tobytes()
 
-    def test_reconstruct_runs_batches_in_chunks(self):
-        """Rows go through forward 512 at a time, with GPS normalized only
-        for the GPS variants; a batch equals its chunks run separately."""
-        rng = Rng(12)
-        for variant in VARIANTS:
-            ck = tiny_checkpoint(variant, seed=2)
-            config = ck.config
-            x = (rng.uniform((1030, config.hidden3)) < 0.3).astype(np.uint8)
-            gps = np.column_stack(
-                [41.1 + rng.gaussian(1030) * 1e-4, 29.0 + rng.gaussian(1030) * 1e-4]
-            )
-            probs = ck.reconstruct(x, gps)
-            assert probs.shape == (1030, config.hidden3)
-            chunks = [
-                ck.reconstruct(x[lo : lo + 512], gps[lo : lo + 512]) for lo in (0, 512, 1024)
-            ]
-            assert np.array_equal(probs, np.concatenate(chunks))
-            g = ck.gps_normalization.normalize_array(gps[:512]) if config.use_gps else None
-            want, _, _ = forward(config, ck.values, x[:512].astype(np.float64), g)
-            assert np.array_equal(probs[:512], want)
-            if not config.use_gps:
-                assert np.array_equal(ck.reconstruct(x, None), probs)
-
-    def test_one_scratch_serves_a_sequence_of_calls(self):
-        """One Scratch shared by calls that grow and shrink (513 rows is two
-        chunks) gives each call the bits of a call without one, and no
-        result aliases a scratch buffer or keeps stale rows: every earlier
-        result is unchanged after the later calls."""
+    def test_a_call_equals_its_passes_run_separately(self):
+        """Rows go through forward ``adnet.RECONSTRUCT_ROWS`` at a time, with
+        GPS normalized only for the GPS variants: for batches that end
+        before, on and after a pass's edge, a call equals its passes run as
+        calls of their own, bit for bit, whatever the dtype of ``x``, and no
+        result changes when later calls run."""
+        rows = adnet.RECONSTRUCT_ROWS
         rng = Rng(21)
         for variant in VARIANTS:
             config = ModelConfig(variant)
             ck = Checkpoint(
                 config, GpsNormalization(41.1, 29.0), init_params(config, 3).copy_values()
             )
-            scratch = adnet.Scratch()
             results = []
-            for n in (120, 40, 1, 513, 39, 120):
+            for n in (1, rows - 1, rows, rows + 1, 2 * rows + 1, 600):
                 x = (rng.uniform((n, config.hidden3)) < 0.05).astype(np.uint8)
                 gps = np.column_stack(
                     [41.1 + rng.gaussian(n) * 1e-4, 29.0 + rng.gaussian(n) * 1e-4]
                 )
-                got = ck.reconstruct(x, gps, scratch)
-                assert got.tobytes() == ck.reconstruct(x, gps).tobytes(), (variant, n)
+                got = ck.reconstruct(x, gps)
+                assert got.shape == (n, config.hidden3)
+                passes = [
+                    ck.reconstruct(x[lo : lo + rows], gps[lo : lo + rows])
+                    for lo in range(0, n, rows)
+                ]
+                assert got.tobytes() == np.concatenate(passes).tobytes(), (variant, n)
+                g = ck.gps_normalization.normalize_array(gps[:rows]) if config.use_gps else None
+                want, _, _ = forward(config, ck.values, x[:rows].astype(np.float64), g)
+                assert got[:rows].tobytes() == want.tobytes(), (variant, n)
+                assert ck.reconstruct(x.astype(np.float32), gps).tobytes() == got.tobytes()
+                if not config.use_gps:
+                    assert ck.reconstruct(x, None).tobytes() == got.tobytes()
                 results.append((got, got.tobytes()))
             for got, kept in results:
                 assert got.tobytes() == kept, variant
 
     @pytest.mark.parametrize("epochs", [0, 3], ids=["untrained", "trained-3-epochs"])
     def test_row_invariant_rows_have_the_bits_of_single_row_calls(self, epochs):
-        """600 world scenes (two 512-row chunks) in the row-invariant mode,
-        with and without a scratch, equal 600 one-row calls bit for bit: on
-        the untrained checkpoint of acceptance criterion 8 and on a
-        ``uav_adnet`` trained for a few epochs."""
+        """600 world scenes (several passes) in the row-invariant mode equal
+        600 one-row calls bit for bit: on the untrained checkpoint of
+        acceptance criterion 8 and on a ``uav_adnet`` trained for a few
+        epochs."""
         config = ModelConfig("uav_adnet")
         w = default_world()
         if epochs:
@@ -910,17 +936,13 @@ class TestCheckpointPersistence:
             ck, _ = train(config, Dataset.from_scenes(sample_dataset(w, 600, seed=5)),
                           Dataset.from_scenes(sample_dataset(w, 60, seed=6)), tc)
         else:
-            ck = Checkpoint(
-                config, GpsNormalization(41.1, 29.0), init_params(config, 0).copy_values()
-            )
+            ck = untrained_checkpoint()
         data = Dataset.from_scenes(sample_dataset(w, 600, seed=7))
         single = np.concatenate(
             [ck.reconstruct(data.x[i : i + 1], data.gps[i : i + 1]) for i in range(data.n)]
         )
-        scratch = adnet.Scratch()
-        for s in (None, scratch, scratch):
-            got = ck.reconstruct(data.x, data.gps, s, row_invariant=True)
-            assert got.tobytes() == single.tobytes()
+        got = ck.reconstruct(data.x, data.gps, row_invariant=True)
+        assert got.tobytes() == single.tobytes()
 
     def test_reconstruct_requires_gps_for_gps_variants(self):
         ck = tiny_checkpoint("uav_adnet")

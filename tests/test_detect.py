@@ -260,25 +260,30 @@ class TestDetectBatch:
         write_reports(reports, str(tmp_path / "reports.jsonl"))
         assert len((tmp_path / "reports.jsonl").read_text().splitlines()) == len(reports)
 
-    def test_training_and_detection_make_no_scratch(self, tmp_path, monkeypatch):
-        """Training, validation and detection run on fresh arrays: with
-        Scratch made to raise, a tiny train and detect_batch + write_reports
-        still run. Only evaluate.run_benchmark reuses inference buffers."""
-        scenes, path = self.write_scenes(tmp_path, n=20)
+    def test_training_and_detection_results_outlive_later_calls(self, tmp_path):
+        """A checkpoint and the reports made from it own their arrays: after
+        a second train and detect_batch on other scenes, the first ones
+        write the same bytes as before."""
+        runs = []
+        for n, seed in ((20, 8), (70, 9)):
+            scenes, path = self.write_scenes(tmp_path, n=n, seed=seed)
+            data = Dataset.from_scenes(scenes)
+            ck, _ = adnet.train(
+                ModelConfig("uav_adnet", n_h=4, hidden1=8),
+                Dataset(data.x[:16], data.gps[:16]), Dataset(data.x[16:], data.gps[16:]),
+                TrainConfig(batch_size=8, max_epochs=1, seed=seed),
+            )
+            reports = detect_batch(ck, path)
+            assert len(reports) == n
+            runs.append((ck, reports, self.written(tmp_path, ck, reports)))
+        for ck, reports, written in runs:
+            assert self.written(tmp_path, ck, reports) == written
 
-        def no_scratch(*_):
-            raise AssertionError("a Scratch was made")
-
-        monkeypatch.setattr(adnet.Scratch, "__init__", no_scratch)
-        data = Dataset.from_scenes(scenes)
-        ck, _ = adnet.train(
-            ModelConfig("uav_adnet", n_h=4, hidden1=8),
-            Dataset(data.x[:16], data.gps[:16]), Dataset(data.x[16:], data.gps[16:]),
-            TrainConfig(batch_size=8, max_epochs=1, seed=3),
-        )
-        reports = detect_batch(ck, path)
+    @staticmethod
+    def written(tmp_path, ck, reports) -> tuple[bytes, bytes]:
+        adnet.save_checkpoint(ck, str(tmp_path / "ck.json"))
         write_reports(reports, str(tmp_path / "reports.jsonl"))
-        assert len((tmp_path / "reports.jsonl").read_text().splitlines()) == len(scenes)
+        return (tmp_path / "ck.json").read_bytes(), (tmp_path / "reports.jsonl").read_bytes()
 
     def test_bad_records_carry_line_numbers(self, tmp_path):
         path = tmp_path / "scenes.jsonl"

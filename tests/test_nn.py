@@ -1,6 +1,5 @@
 """Tests for the hand-written layers, optimizer, and counter-based RNG."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -432,24 +431,19 @@ class TestDense:
 
     @pytest.mark.parametrize("n_in, n_out", [(2048, 128), (128, 32), (34, 2048)])
     def test_row_invariant_rows_have_the_bits_of_single_row_calls(self, n_in, n_out):
-        """The model's three dense shapes: each row of a row-invariant batch,
-        with or without ``out=``, equals the default form on that row alone."""
+        """The model's three dense shapes: each row of a row-invariant batch
+        equals the default form on that row alone."""
         rng = np.random.default_rng(n_in + n_out)
         w = rng.standard_normal((n_out, n_in))
         b = rng.standard_normal(n_out)
-        buf = np.empty(65 * n_out + 3)
         for n in (1, 2, 7, 64, 65):
             if n_in == 2048:  # binary occupancy rows, as the encoder reads
                 x = (rng.random((n, n_in)) < 0.1).astype(np.float64)
             else:
                 x = rng.standard_normal((n, n_in))
             single = np.concatenate([dense_forward(x[i : i + 1], w, b) for i in range(n)])
-            fresh = dense_forward(x, w, b, row_invariant=True)
-            out = buf[3 : 3 + n * n_out].reshape(n, n_out)
-            out.fill(np.nan)
-            assert dense_forward(x, w, b, out, row_invariant=True) is out
-            assert fresh.tobytes() == single.tobytes(), n
-            assert out.tobytes() == single.tobytes(), n
+            got = dense_forward(x, w, b, row_invariant=True)
+            assert got.tobytes() == single.tobytes(), n
 
 
 def reference_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -580,10 +574,10 @@ class TestConv1x1:
     @pytest.mark.parametrize("batch", [1, 8, 9, 64, 513])
     def test_blocked_kernels_have_the_bits_of_the_batched_forms(self, batch):
         """256 pixels per scene, so batches of 8, 9, 64 and 513 end on and
-        cross the forward GEMM's block edges. The forward, with and without
-        out=, has the bits of one 4-D matmul, the einsum bias gradient those
-        of sum(axis=0), and the input gradient of the first 8 channels those
-        of the same channels of the full one, itself the 4-D matmul."""
+        cross the forward GEMM's block edges. The forward has the bits of one
+        4-D matmul, the einsum bias gradient those of sum(axis=0), and the
+        input gradient of the first 8 channels those of the same channels of
+        the full one, itself the 4-D matmul."""
         rng = np.random.default_rng(batch)
         x = rng.standard_normal((batch, 16, 16, 16))
         dy = rng.standard_normal((batch, 16, 16, 8)) * 1e-3
@@ -592,9 +586,6 @@ class TestConv1x1:
         want = np.matmul(x, k_value.T)
         want += b_value
         assert conv1x1_forward(x, k_value, b_value).tobytes() == want.tobytes()
-        out = np.full(want.shape, np.nan)
-        assert conv1x1_forward(x, k_value, b_value, out=out) is out
-        assert out.tobytes() == want.tobytes()
 
         dy2 = dy.reshape(-1, 8)
         want_k, want_b = np.zeros((8, 16)), np.zeros(8)
@@ -619,30 +610,6 @@ class TestConcat:
         assert y.shape == (4, 5)
         np.testing.assert_array_equal(y[:, :3], a)
         np.testing.assert_array_equal(y[:, 3:], b)
-
-
-class TestOutArguments:
-    def test_forward_kernels_write_the_same_bits_into_out(self):
-        """dense, 1x1 conv and concat give a fresh result's bits when writing
-        into a view of a larger buffer, as an inference scratch makes them."""
-        rng = np.random.default_rng(9)
-        h3 = rng.standard_normal((120, 16, 16, 8))
-        x4 = (rng.random((120, 16, 16, 8)) < 0.1).astype(np.float64)
-        cases = [
-            (dense_forward,
-             (rng.standard_normal((120, 34)), rng.standard_normal((2048, 34)),
-              rng.standard_normal(2048)), (120, 2048)),
-            (concat_forward, (h3, x4), (120, 16, 16, 16)),
-            (conv1x1_forward,
-             (np.concatenate([h3, x4], axis=-1), rng.standard_normal((8, 16)),
-              rng.standard_normal(8)), (120, 16, 16, 8)),
-        ]
-        buf = np.empty(200 * 16 * 16 * 16)
-        for fn, args, shape in cases:
-            out = buf[: math.prod(shape)].reshape(shape)
-            out.fill(np.nan)
-            assert fn(*args, out=out) is out
-            assert out.tobytes() == fn(*args).tobytes(), fn.__name__
 
 
 class TestReparameterize:
