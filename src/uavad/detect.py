@@ -73,7 +73,9 @@ class AnomalyReport:
     read-only arrays over a ``shape`` grid; the AnomalyCell tuples are built
     when first read. ``score`` is the lowest reconstruction probability among
     occupied cells, 1.0 for an empty scene: the scene has an anomaly exactly
-    when ``score < threshold``. Reports with equal headers and cells are equal."""
+    when ``score < threshold``. Two reports are equal when their shape,
+    threshold, variant and GPS are and their cell arrays hold the same values;
+    ``==`` builds no AnomalyCell."""
 
     shape: tuple[int, int, int]
     missing: CellArrays
@@ -95,9 +97,14 @@ class AnomalyReport:
         return {(a.category, a.row, a.col) for a in self.anomalies}
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, AnomalyReport) and (
-            self.threshold, self.model_variant, self.gps, self.anomalies, self.hallucinated
-        ) == (other.threshold, other.model_variant, other.gps, other.anomalies, other.hallucinated)
+        return (
+            isinstance(other, AnomalyReport)
+            and (self.shape, self.threshold, self.model_variant, self.gps)
+            == (other.shape, other.threshold, other.model_variant, other.gps)
+            and all(map(
+                np.array_equal, (*self.missing, *self.added), (*other.missing, *other.added)
+            ))
+        )
 
 
 def _check_threshold(threshold: float) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 from .adnet import VARIANTS, Checkpoint, Dataset
 from .adnet import forward  # noqa: F401  (perfbench/spans.py traces evaluate.forward)
 from .detect import detection_masks
-from .grid import CATEGORY_IDS, N_CATEGORIES, GpsLabel, GridTensor, atomic_write
+from .grid import CATEGORY_IDS, N_CATEGORIES, atomic_write
 from .world import AnomalyCase, WorldSpec, load_scenes, read_benchmark
 
 __all__ = [
@@ -53,105 +53,53 @@ def prf1(c: MetricCounts) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-# ---------------------------------------------------------------------------
-# Batched model evaluation
-#
-# Each public metric flattens its scenes and calls an internal that takes
-# Dataset rows; run_benchmark flattens each scene set once.
-# ---------------------------------------------------------------------------
+def reconstruction_metrics(
+    checkpoint: Checkpoint, data: Dataset, threshold: float = 0.5
+) -> tuple[MetricCounts, tuple[float, float, float]]:
+    """Confusion counts and (precision, recall, f1) over ``data``'s cells,
+    reconstructed from ``data.gps``.
 
-
-def _counts(
-    checkpoint: Checkpoint,
-    data: Dataset,
-    gps: np.ndarray,
-    threshold: float,
-) -> MetricCounts:
-    missing, added = detection_masks(data.x, checkpoint.reconstruct(data.x, gps), threshold)
+    A missing cell is a false negative and an added cell a false positive.
+    """
+    missing, added = detection_masks(data.x, checkpoint.reconstruct(data.x, data.gps), threshold)
     fn = int(missing.sum())
     fp = int(added.sum())
     occupied = int(data.x.sum())
-    return MetricCounts(tp=occupied - fn, fp=fp, fn=fn, tn=data.x.size - occupied - fp)
-
-
-def _injected_cells(
-    records: Sequence[tuple[GridTensor, GpsLabel, AnomalyCase]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (row, col, category) index arrays of the records' injected cells."""
-    cases = [case for _, _, case in records]
-    return (
-        np.array([c.row for c in cases], dtype=np.intp),
-        np.array([c.col for c in cases], dtype=np.intp),
-        np.array([CATEGORY_IDS[c.category] for c in cases], dtype=np.intp),
-    )
-
-
-def _hit_rate(
-    checkpoint: Checkpoint,
-    data: Dataset,
-    cells: tuple[np.ndarray, np.ndarray, np.ndarray],
-    threshold: float,
-) -> float:
-    """Fraction of ``data``'s rows whose injected cell, given per row by the
-    (row, col, category) arrays ``cells``, detection flags as missing."""
-    missing, _ = detection_masks(data.x, checkpoint.reconstruct(data.x, data.gps), threshold)
-    grid = checkpoint.config.grid
-    missing = missing.reshape(-1, grid.cells_y, grid.cells_x, checkpoint.config.n_o)
-    return int(np.count_nonzero(missing[(np.arange(data.n), *cells)])) / data.n
-
-
-def _mse(checkpoint: Checkpoint, data: Dataset) -> float:
-    """Mean squared error of ``data.x`` against its reconstruction, computed
-    in the reconstruction's array."""
-    diff = checkpoint.reconstruct(data.x, data.gps)
-    np.subtract(data.x, diff, out=diff)
-    return float(np.mean(np.square(diff, out=diff)))
-
-
-def reconstruction_metrics(
-    checkpoint: Checkpoint,
-    scenes: Sequence[tuple[GridTensor, GpsLabel]],
-    threshold: float = 0.5,
-    gps_labels: Sequence[GpsLabel] | None = None,
-) -> tuple[MetricCounts, tuple[float, float, float]]:
-    """Confusion counts and (precision, recall, f1) over a scene set.
-
-    A missing cell is a false negative and an added cell a false positive.
-    ``gps_labels`` substitutes the scenes' own labels when given — used to
-    measure how much reconstruction relies on correct GPS conditioning.
-    """
-    data = Dataset.from_scenes(scenes)
-    gps = data.gps
-    if gps_labels is not None:
-        if len(gps_labels) != len(scenes):
-            raise ValueError("gps override length does not match scenes")
-        gps = np.array([[g.latitude, g.longitude] for g in gps_labels], dtype=np.float64)
-    counts = _counts(checkpoint, data, gps, threshold)
+    counts = MetricCounts(tp=occupied - fn, fp=fp, fn=fn, tn=data.x.size - occupied - fp)
     return counts, prf1(counts)
 
 
 def task_accuracy(
     checkpoint: Checkpoint,
-    records: Sequence[tuple[GridTensor, GpsLabel, AnomalyCase]],
+    data: Dataset,
+    cases: Sequence[AnomalyCase],
     threshold: float = 0.5,
 ) -> float:
-    """Fraction of injected cells that detection flags as missing.
+    """Fraction of ``data``'s rows whose injected cell, ``cases[i]`` for row
+    i, detection flags as missing.
 
     Scores what a detection report per scene would flag, without building
     the reports. ``detect`` and ``detect_batch`` give each scene the bits of
     a one-row reconstruction, while this runs 64-row GEMM batches: the two
     agree except where a probability lies within ~3e-16 of the threshold.
     """
-    if not records:
+    if not cases:
         raise ValueError("no benchmark records to score")
-    data = Dataset.from_scenes((g, gps) for g, gps, _ in records)
-    return _hit_rate(checkpoint, data, _injected_cells(records), threshold)
+    if len(cases) != data.n:
+        raise ValueError(f"{len(cases)} cases for {data.n} scenes")
+    cells = np.array([(c.row, c.col, CATEGORY_IDS[c.category]) for c in cases], dtype=np.intp)
+    missing, _ = detection_masks(data.x, checkpoint.reconstruct(data.x, data.gps), threshold)
+    grid = checkpoint.config.grid
+    missing = missing.reshape(-1, grid.cells_y, grid.cells_x, checkpoint.config.n_o)
+    return int(np.count_nonzero(missing[(np.arange(data.n), *cells.T)])) / data.n
 
 
-def mse_on_scenes(
-    checkpoint: Checkpoint, scenes: Sequence[tuple[GridTensor, GpsLabel]]
-) -> float:
-    return _mse(checkpoint, Dataset.from_scenes(scenes))
+def mse_on_scenes(checkpoint: Checkpoint, data: Dataset) -> float:
+    """Mean squared error of ``data.x`` against its reconstruction, computed
+    in the reconstruction's array."""
+    diff = checkpoint.reconstruct(data.x, data.gps)
+    np.subtract(data.x, diff, out=diff)
+    return float(np.mean(np.square(diff, out=diff)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,20 +155,20 @@ def run_benchmark(
     val_data = Dataset.from_scenes(val_scenes)
     test_data = Dataset.from_scenes(test_scenes)
     task_data = {
-        name: (Dataset.from_scenes((g, gps) for g, gps, _ in records), _injected_cells(records))
+        name: (Dataset.from_scenes((g, gps) for g, gps, _ in records), [c for *_, c in records])
         for name, records in tasks.items()
     }
     for variant in VARIANTS:
         ckpt = checkpoints[variant]
-        precision, recall, f1 = prf1(_counts(ckpt, test_data, test_data.gps, threshold))
+        _, (precision, recall, f1) = reconstruction_metrics(ckpt, test_data, threshold)
         entry = {
             "precision": precision,
             "recall": recall,
             "f1": f1,
-            "val_mse": _mse(ckpt, val_data),
+            "val_mse": mse_on_scenes(ckpt, val_data),
         }
-        for name, (data, cells) in task_data.items():
-            entry[f"{name}_acc"] = _hit_rate(ckpt, data, cells, threshold)
+        for name, (data, cases) in task_data.items():
+            entry[f"{name}_acc"] = task_accuracy(ckpt, data, cases, threshold)
         result["variants"][variant] = entry
         logger.info(
             "%s: f1 %.4f task1 %.4f task2 %.4f task3 %.4f",

@@ -94,6 +94,7 @@ def pipeline():
     train_set = Dataset.from_scenes(scenes[:n_train])
     val_set = Dataset.from_scenes(scenes[n_train : n_train + n_val])
     test_scenes = scenes[n_train + n_val :]
+    test_set = Dataset.from_scenes(test_scenes)
 
     checkpoints, train_seconds = {}, {}
     for variant in VARIANTS:
@@ -108,11 +109,15 @@ def pipeline():
         task: world_mod.build_benchmark(w, test_scenes, task, Rng(PIPELINE_SEED + task))
         for task in (1, 2, 3)
     }
+    task_sets = {
+        task: (Dataset.from_scenes((g, gps) for g, gps, _ in records), [c for *_, c in records])
+        for task, records in benchmarks.items()
+    }
 
     metrics = {}
     for variant in VARIANTS:
         counts, (precision, recall, f1) = evaluate.reconstruction_metrics(
-            checkpoints[variant], test_scenes, THRESHOLD
+            checkpoints[variant], test_set, THRESHOLD
         )
         metrics[variant] = {
             "counts": counts,
@@ -121,18 +126,16 @@ def pipeline():
             "f1": f1,
             **{
                 f"task{task}": evaluate.task_accuracy(
-                    checkpoints[variant], benchmarks[task], THRESHOLD
+                    checkpoints[variant], *task_sets[task], THRESHOLD
                 )
                 for task in (1, 2, 3)
             },
         }
 
-    order = Rng(0).permutation(len(test_scenes))
-    permuted_labels = [test_scenes[i][1] for i in order]
+    order = Rng(0).permutation(test_set.n)
+    permuted_set = Dataset(test_set.x, test_set.gps[order])
     permuted = {
-        variant: evaluate.reconstruction_metrics(
-            checkpoints[variant], test_scenes, THRESHOLD, gps_labels=permuted_labels
-        )
+        variant: evaluate.reconstruction_metrics(checkpoints[variant], permuted_set, THRESHOLD)
         for variant in (ADNET, WO_GPS)
     }
 

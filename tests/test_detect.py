@@ -1,5 +1,6 @@
 """Tests for reconstruction-comparison detection and report serialization."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -370,7 +371,7 @@ class TestReference:
             fn += len(anomalies)
             fp += len(hallucinated)
         occupied = int(x.sum())
-        counts, _ = reconstruction_metrics(ck, scenes, threshold)
+        counts, _ = reconstruction_metrics(ck, Dataset.from_scenes(scenes), threshold)
         assert (counts.tp, counts.fp, counts.fn, counts.tn) == (
             occupied - fn, fp, fn, x.size - occupied - fp
         )
@@ -442,15 +443,41 @@ class FixedCheckpoint:
 
 class TestReport:
     def test_reports_with_the_same_header_and_cells_are_equal(self):
-        """The score and the grid shape do not take part in ==."""
+        """The score does not take part in ==; the grid shape does."""
         cells = (AnomalyCell("car", 1, 2, 0.25),)
         report = cell_report(cells, (), 0.5, "vae", None)
-        assert report == AnomalyReport((20, 20, N_CATEGORIES), cell_arrays(
+        assert report == AnomalyReport(
+            GRID_SHAPE, cell_arrays(cells), cell_arrays(()), 0.125, 0.5, "vae", None
+        )
+        assert report != AnomalyReport((20, 20, N_CATEGORIES), cell_arrays(
             cells, (20, 20, N_CATEGORIES)
-        ), cell_arrays(()), 0.125, 0.5, "vae", None)
+        ), cell_arrays(()), 0.25, 0.5, "vae", None)
         assert report != cell_report(cells, (), 0.5, "cvae", None)
         assert report != cell_report((), cells, 0.5, "vae", None)
         assert report != cell_report((AnomalyCell("car", 1, 2, 0.375),), (), 0.5, "vae", None)
+
+    def test_equality_compares_the_cell_arrays_and_builds_no_cells(self):
+        """Two detections of one scene are equal without building their
+        AnomalyCells; one ulp, one cell index or the grid shape tells apart."""
+        ck = random_checkpoint("uav_adnet", seed=7)
+        grid, gps = sample_dataset(default_world(), 1, seed=8)[0]
+        a, b = detect(ck, grid, gps), detect(ck, grid, gps)
+        assert a.missing.index.size and a.added.index.size
+        assert a == b
+        for report in (a, b):
+            assert "anomalies" not in report.__dict__
+            assert "hallucinated" not in report.__dict__
+
+        prob = a.missing.prob.copy()
+        prob[0] = np.nextafter(prob[0], 1.0)
+        index = a.added.index.copy()
+        index[-1] = (index[-1] + 1) % grid.data.size
+        for other in (
+            dataclasses.replace(a, missing=CellArrays(a.missing.index, prob)),
+            dataclasses.replace(a, added=CellArrays(index, a.added.prob)),
+            dataclasses.replace(a, shape=(20, 20, N_CATEGORIES)),
+        ):
+            assert a != other
 
     @settings(max_examples=300, deadline=None)
     @given(

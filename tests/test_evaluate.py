@@ -65,6 +65,12 @@ def car_suppressing_checkpoint() -> Checkpoint:
     return constant_checkpoint(bias)
 
 
+def task_set(records) -> tuple[Dataset, list[AnomalyCase]]:
+    """Benchmark records as task_accuracy takes them: their scenes as one
+    Dataset and their cases in the same order."""
+    return Dataset.from_scenes((g, gps) for g, gps, _ in records), [c for *_, c in records]
+
+
 def scene(*cells: tuple[str, int, int]) -> GridTensor:
     g = GridTensor(GridSpec())
     for category, row, col in cells:
@@ -85,7 +91,9 @@ class TestReconstructionCounts:
     def test_hand_checked_confusion(self):
         spec = GridSpec()
         x = scene(("car", 0, 0), ("bus", 1, 1))
-        counts, _ = reconstruction_metrics(car_suppressing_checkpoint(), [(x, GPS)])
+        counts, _ = reconstruction_metrics(
+            car_suppressing_checkpoint(), Dataset.from_scenes([(x, GPS)])
+        )
         kept = (N_CATEGORIES - 1) * spec.n_cells  # every non-car cell is reconstructed
         assert (counts.tp, counts.fp, counts.fn) == (1, kept - 1, 1)
         assert counts.tn == spec.vector_length - kept - 1
@@ -94,7 +102,7 @@ class TestReconstructionCounts:
     def test_spec_mismatch_is_rejected(self):
         small = GridTensor(GridSpec(cells_x=4, cells_y=4))
         with pytest.raises(ValueError, match="components"):
-            reconstruction_metrics(constant_checkpoint(0.0), [(small, GPS)])
+            reconstruction_metrics(constant_checkpoint(0.0), Dataset.from_scenes([(small, GPS)]))
 
 
 class TestPrf1:
@@ -127,19 +135,20 @@ class TestAnomalyAccuracy:
             (scene(("bus", 3, 4), ("car", 0, 0)), GPS, case("bus", 3, 4)),
             (scene(("van", 5, 5)), GPS, case("van", 5, 5)),
         ]
-        assert task_accuracy(car_suppressing_checkpoint(), records) == pytest.approx(1 / 3)
+        accuracy = task_accuracy(car_suppressing_checkpoint(), *task_set(records))
+        assert accuracy == pytest.approx(1 / 3)
 
     def test_category_must_match_not_just_the_cell(self):
         """The car at the injected cell is missing, the injected bus is not."""
         records = [(scene(("car", 1, 2), ("bus", 1, 2)), GPS, case("bus", 1, 2))]
-        assert task_accuracy(car_suppressing_checkpoint(), records) == 0.0
+        assert task_accuracy(car_suppressing_checkpoint(), *task_set(records)) == 0.0
 
 
 class TestReconstructionMetrics:
     def test_suppressing_model_has_precision_one_recall_zero(self):
         scenes = sample_dataset(WORLD, 6, seed=1)
         counts, (precision, recall, f1) = reconstruction_metrics(
-            constant_checkpoint(-2.0), scenes
+            constant_checkpoint(-2.0), Dataset.from_scenes(scenes)
         )
         occupied = sum(g.popcount() for g, _ in scenes)
         assert (counts.tp, counts.fp) == (0, 0)
@@ -149,7 +158,7 @@ class TestReconstructionMetrics:
     def test_saturating_model_has_recall_one(self):
         scenes = sample_dataset(WORLD, 6, seed=1)
         counts, (precision, recall, f1) = reconstruction_metrics(
-            constant_checkpoint(2.0), scenes
+            constant_checkpoint(2.0), Dataset.from_scenes(scenes)
         )
         occupied = sum(g.popcount() for g, _ in scenes)
         total = len(scenes) * WORLD.grid.vector_length
@@ -158,34 +167,17 @@ class TestReconstructionMetrics:
         assert recall == 1.0
         assert precision == pytest.approx(occupied / total)
 
-    def test_gps_override_with_own_labels_changes_nothing(self):
-        scenes = sample_dataset(WORLD, 6, seed=2)
-        config = ModelConfig("uav_adnet")
-        ck = Checkpoint(
-            config, GpsNormalization(41.1, 29.0), init_params(config, 3).copy_values()
-        )
-        plain = reconstruction_metrics(ck, scenes)
-        overridden = reconstruction_metrics(ck, scenes, gps_labels=[g for _, g in scenes])
-        assert plain == overridden
-
-    def test_gps_override_length_is_checked(self):
-        scenes = sample_dataset(WORLD, 4, seed=3)
-        with pytest.raises(ValueError, match="override length"):
-            reconstruction_metrics(
-                constant_checkpoint(0.0, "cvae"), scenes, gps_labels=[GpsLabel(41.1, 29.0)]
-            )
-
 
 class TestTaskAccuracy:
     def test_suppressing_model_flags_every_injection(self):
         scenes = sample_dataset(WORLD, 6, seed=4)
         records = build_benchmark(WORLD, scenes, task=2, rng=Rng(5))
-        assert task_accuracy(constant_checkpoint(-2.0), records) == 1.0
+        assert task_accuracy(constant_checkpoint(-2.0), *task_set(records)) == 1.0
 
     def test_saturating_model_misses_every_injection(self):
         scenes = sample_dataset(WORLD, 6, seed=4)
         records = build_benchmark(WORLD, scenes, task=2, rng=Rng(5))
-        assert task_accuracy(constant_checkpoint(2.0), records) == 0.0
+        assert task_accuracy(constant_checkpoint(2.0), *task_set(records)) == 0.0
 
     def test_agrees_with_full_detection_reports(self, tmp_path):
         """Scoring probabilities directly must match running the detector
@@ -202,11 +194,18 @@ class TestTaskAccuracy:
         hits = sum(
             case.injected in report.flagged() for report, (_, _, case) in zip(reports, records)
         )
-        assert task_accuracy(ck, records) == hits / len(records)
+        assert task_accuracy(ck, *task_set(records)) == hits / len(records)
 
     def test_empty_benchmark_is_rejected(self):
+        empty = Dataset(np.zeros((0, WORLD.grid.vector_length)), np.zeros((0, 2)))
         with pytest.raises(ValueError, match="no benchmark records"):
-            task_accuracy(constant_checkpoint(0.0), [])
+            task_accuracy(constant_checkpoint(0.0), empty, [])
+
+    def test_one_case_per_scene_is_checked(self):
+        scenes = sample_dataset(WORLD, 6, seed=4)
+        data, cases = task_set(build_benchmark(WORLD, scenes, task=2, rng=Rng(5)))
+        with pytest.raises(ValueError, match="cases for"):
+            task_accuracy(constant_checkpoint(-2.0), data, cases[:-1])
 
 
 class TestMseOnScenes:
@@ -216,7 +215,7 @@ class TestMseOnScenes:
         occupied = sum(g.popcount() for g, _ in scenes)
         total = len(scenes) * WORLD.grid.vector_length
         want = (occupied * (1.0 - p) ** 2 + (total - occupied) * p * p) / total
-        got = mse_on_scenes(constant_checkpoint(-2.0), scenes)
+        got = mse_on_scenes(constant_checkpoint(-2.0), Dataset.from_scenes(scenes))
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -301,6 +300,30 @@ class TestRunBenchmark:
             result = run_benchmark(WORLD, data_dir, self.checkpoints(-2.0), bench_dir)
             assert list(result["variants"]) == list(variants)
             assert len(calls) == 5
+
+    def test_scores_through_the_public_metrics(self, artifacts, monkeypatch):
+        """Every score comes from the public metric of that name: one
+        reconstruction and one MSE per variant, one task accuracy per
+        variant and task, and the result is what they return."""
+        data_dir, bench_dir = artifacts
+        checkpoints = {
+            v: Checkpoint(
+                ModelConfig(v), GpsNormalization(41.1, 29.0),
+                init_params(ModelConfig(v), 3).copy_values(),
+            )
+            for v in VARIANTS
+        }
+        want = run_benchmark(WORLD, data_dir, checkpoints, bench_dir)
+        calls = dict.fromkeys(("reconstruction_metrics", "task_accuracy", "mse_on_scenes"), 0)
+        for name in calls:
+            def counting(*args, _name=name, _metric=getattr(evaluate, name)):
+                calls[_name] += 1
+                return _metric(*args)
+
+            monkeypatch.setattr(evaluate, name, counting)
+        assert run_benchmark(WORLD, data_dir, checkpoints, bench_dir) == want
+        n = len(VARIANTS)
+        assert calls == {"reconstruction_metrics": n, "task_accuracy": 3 * n, "mse_on_scenes": n}
 
     def test_format_table_lists_every_variant(self, artifacts):
         data_dir, bench_dir = artifacts
