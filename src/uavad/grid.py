@@ -174,7 +174,12 @@ class GridTensor:
         if data is None:
             data = np.zeros((spec.cells_y, spec.cells_x, N_CATEGORIES), dtype=np.uint8)
         else:
-            data = np.asarray(data, dtype=np.uint8)
+            data = np.asarray(data)
+            if data.dtype != np.uint8:
+                # Checked before the cast, which would turn 0.5 into 0.
+                if not ((data == 0) | (data == 1)).all():
+                    raise ValueError("grid data must be binary")
+                data = data.astype(np.uint8)
             expected = (spec.cells_y, spec.cells_x, N_CATEGORIES)
             if data.shape != expected:
                 raise ValueError(f"grid data shape {data.shape} != {expected}")

@@ -64,15 +64,11 @@ _ADAM_BLOCK = 16384
 # training's peak RSS by ~9%; blocks of this size did not.
 _CONV_BLOCK = 2048
 
-# Scalar uniforms drawn ahead per array draw. A refill costs ~16 us plus
-# ~19 ns per value, and a scene of the default world takes ~250 scalar
-# draws: 2048 serves ~8 scenes per refill, where 256 took one per scene.
+# Scalar uniforms drawn ahead per array draw; a refill costs ~16 us plus
+# ~19 ns per value. A request for at least _AHEAD_LARGE values refills only
+# what it takes: it is a shuffle of a whole collection, as train's epoch
+# permutation, which an array draw that drops the read-ahead usually follows.
 _AHEAD = 2048
-
-# A request for at least this many values refills only what it takes. Such a
-# request is a shuffle of a whole collection, as train's epoch permutation,
-# which an array draw that drops the read-ahead usually follows; the draws of
-# a scene ask for at most a few dozen.
 _AHEAD_LARGE = _AHEAD // 16
 
 
@@ -86,7 +82,8 @@ class Rng:
     Box-Muller; array draws consume the same stream as repeated scalar draws.
     Scalar draws are served from a read-ahead block that one array draw
     fills; ``_state`` counts only the values handed out, so scalar and array
-    draws give the same bits and leave the same state.
+    draws give the same bits and leave the same state. The scene sampler
+    ``_peek``s at a block of the stream and ``_skip``s the part it used.
     """
 
     __slots__ = ("_state", "_spare", "_ahead")
@@ -130,7 +127,7 @@ class Rng:
         out = ahead[-k:]
         del ahead[-k:]
         out.reverse()
-        self._state = (self._state + k * _GAMMA) & _MASK64
+        self._skip(k)
         return out
 
     def uniform(self, shape: int | tuple[int, ...] | None = None) -> float | np.ndarray:
@@ -150,11 +147,8 @@ class Rng:
             if self._spare is not None:
                 z, self._spare = self._spare, None
                 return z
-            u = np.array(self._next(2))
-            r = np.sqrt(-2.0 * np.log1p(-u[0]))  # 1-u in (0, 1] avoids log(0)
-            z0 = r * np.cos(2.0 * np.pi * u[1])
-            self._spare = float(r * np.sin(2.0 * np.pi * u[1]))
-            return float(z0)
+            z, self._spare = _box_muller(*self._next(2))
+            return z
         n = int(np.prod(shape))
         pairs = (n + 1) // 2
         u = self.uniform((2, pairs))
@@ -169,43 +163,82 @@ class Rng:
             raise ValueError("randint needs n >= 1")
         return min(int(self.uniform() * n), n - 1)
 
-    def _shuffled(self, seq, k: int) -> list:
-        """First k entries of a Fisher-Yates shuffle of a copy of seq.
-
-        Step i (n-1 down to 1) swaps slot i with slot randint(i + 1), written
-        out on the next uniform; the clamp is randint's min(), as a branch.
-        Slot i is final once its step has run and no later step reads it, so
-        the steps n-1 ... k, whose slot falls past the sample, only copy it
-        down. Every k draws the same n - 1 values.
-        """
-        out = list(seq)
-        n = len(out)
-        us = self._next(max(n - 1, 0))
-        cut = len(us) - max(k - 1, 0)  # the copy steps; the last k - 1 swap
-        for i, u in zip(range(n - 1, n - 1 - cut, -1), us):
-            j = int(u * (i + 1))
-            if j > i:
-                j = i
-            out[j] = out[i]
-        for i, u in zip(range(k - 1, 0, -1), us[cut:]):
-            j = int(u * (i + 1))
-            if j > i:
-                j = i
-            out[i], out[j] = out[j], out[i]
-        del out[k:]
-        return out
-
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
         if n < 0:
             raise ValueError(f"permutation needs n >= 0, got {n}")
-        return np.array(self._shuffled(range(n), n), dtype=np.intp)
+        return np.array(_fisher_yates(range(n), n, self._next(max(n - 1, 0))), dtype=np.intp)
 
     def sample_without_replacement(self, seq, k: int) -> list:
         """First k entries of a Fisher-Yates shuffle of seq."""
         if not 0 <= k <= len(seq):
             raise ValueError(f"cannot sample {k} from {len(seq)} items")
-        return self._shuffled(seq, k)
+        return _fisher_yates(seq, k, self._next(max(len(seq) - 1, 0)))
+
+    def _peek(self, n: int) -> np.ndarray:
+        """The next n uniforms, leaving the stream where it was for ``_skip``."""
+        state, block = self._state, self.uniform(n)
+        self._state = state
+        return block
+
+    def _skip(self, k: int) -> None:
+        self._state = (self._state + k * _GAMMA) & _MASK64
+
+
+def _box_muller(u0: float, u1: float) -> tuple[float, float]:
+    """Box-Muller on two uniforms: a scalar draw's gaussian, then its spare."""
+    r = np.sqrt(-2.0 * np.log1p(-u0))  # 1-u in (0, 1] avoids log(0)
+    theta = 2.0 * np.pi * u1
+    return float(r * np.cos(theta)), float(r * np.sin(theta))
+
+
+def _fisher_yates(seq, k: int, us) -> list:
+    """First k entries of a Fisher-Yates shuffle of a copy of seq, on the
+    len(seq) - 1 uniforms ``us`` in draw order.
+
+    Step i (n-1 down to 1) swaps slot i with slot randint(i + 1), written
+    out on the next uniform; the clamp is randint's min(), as a branch.
+    Slot i is final once its step has run and no later step reads it, so
+    the steps n-1 ... k, whose slot falls past the sample, only copy it
+    down. Every k reads the same n - 1 values.
+    """
+    out = list(seq)
+    n = len(out)
+    cut = len(us) - max(k - 1, 0)  # the copy steps; the last k - 1 swap
+    for i, u in zip(range(n - 1, n - 1 - cut, -1), us):
+        j = int(u * (i + 1))
+        if j > i:
+            j = i
+        out[j] = out[i]
+    for i, u in zip(range(k - 1, 0, -1), us[cut:]):
+        j = int(u * (i + 1))
+        if j > i:
+            j = i
+        out[i], out[j] = out[j], out[i]
+    del out[k:]
+    return out
+
+
+def _lockstep_shuffle(n: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Fisher-Yates shuffles of range(n[r]) on ``us[r, :n[r] - 1]`` in
+    lockstep: for every k, row r's first k slots are those of
+    ``_fisher_yates(range(n[r]), k, us[r, :n[r] - 1])``. Every step swaps, as
+    slot i is never read after step i; a step past a row's end reads 1.0,
+    which clamps to a swap of slot i with itself."""
+    rows, width = len(n), int(n.max(initial=1))
+    perm = np.repeat(np.arange(width)[:, None], rows, axis=1)  # perm[i, r]: slot i of row r
+    steps = np.arange(1, width)[:, None]
+    # Step i of row r reads us[r, n[r] - 1 - i]: column n[r] - i behind 1.0.
+    padded = np.hstack([np.ones((rows, 1)), us[:, : width - 1]])
+    col = np.maximum(n - steps, 0) + np.arange(0, padded.size, width)
+    j = np.minimum((padded.reshape(-1)[col] * (steps + 1)).astype(np.intp), steps)
+    j = j * rows + np.arange(rows)  # the flat index in perm of slot j of row r
+    flat = perm.reshape(-1)
+    for i in range(width - 1, 0, -1):
+        top = flat[j[i - 1]]
+        flat[j[i - 1]] = perm[i]
+        perm[i] = top
+    return perm.T
 
 
 # ---------------------------------------------------------------------------

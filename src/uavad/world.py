@@ -41,7 +41,7 @@ from .grid import (
     scene_to_record,
     whole,
 )
-from .nn import Rng
+from .nn import Rng, _box_muller, _fisher_yates, _lockstep_shuffle
 
 __all__ = [
     "ZONE_KINDS",
@@ -215,11 +215,16 @@ class WorldSpec:
     rules: list[PlacementRule]
     rare_list: list[tuple[str, str]] = field(default_factory=lambda: list(DEFAULT_RARE_LIST))
     seed: int = 0
-    # Built by validate(), per waypoint: each rule's flat tensor indices, and
-    # each task's injection candidates as flat tensor indices in draw order.
+    # Built by validate(), per waypoint: each rule's flat tensor indices, as a
+    # list and in one padded (waypoints, rules, cells) table; each task's
+    # injection candidates as flat tensor indices in draw order; the uniforms
+    # a scene draws at most; and which rules share a cell with their category.
     # A world changed after construction is validated again to rebuild them.
     _placements: list = field(init=False, default_factory=list, repr=False, compare=False)
     _candidates: list = field(init=False, default_factory=list, repr=False, compare=False)
+    _bounds: list = field(init=False, default_factory=list, repr=False, compare=False)
+    _shared: list = field(init=False, default_factory=list, repr=False, compare=False)
+    _table: np.ndarray = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -240,6 +245,7 @@ class WorldSpec:
                 raise WorldConfigError(f"rare list references unknown zone {zone!r}")
         tasks = {1: _TASK1_PAIRS, 2: _TASK2_PAIRS, 3: self.rare_list}
         self._placements, self._candidates = [], []
+        unions = [np.empty(0, np.intp)]  # every rule's cells, waypoint by waypoint
         for wp in self.waypoints:
             # flat[cat, k]: the flat tensor index of the waypoint's k-th cell
             # in kind order, in the plane of category cat.
@@ -252,8 +258,8 @@ class WorldSpec:
             for rule in self.rules:
                 parts = cells([(rule.category, zone) for zone in rule.allowed_zones])
                 # One zone's cells are row-major already; a union is sorted back.
-                union = parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
-                placements.append(union.tolist())
+                unions.append(parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts)))
+                placements.append(unions[-1].tolist())
             self._placements.append(placements)
             self._candidates.append({
                 task: np.concatenate(cells(pairs) or [np.empty(0, np.intp)])
@@ -271,6 +277,16 @@ class WorldSpec:
                         f"rule for {rule.category!r} allows zones {rule.allowed_zones} "
                         f"but waypoint {wi} has no such cells"
                     )
+        # A scene draws 2 uniforms for its GPS, then per rule a count and n - 1 to shuffle n cells.
+        sizes = np.array([len(u) for u in unions[1:]], np.intp).reshape(len(self.waypoints), -1)
+        self._bounds = (2 + len(self.rules) + np.maximum(sizes - 1, 0).sum(axis=1)).tolist()
+        listed = np.arange(sizes.max(initial=0)) < sizes[..., None]
+        self._table = np.zeros(listed.shape, np.intp)
+        self._table[listed] = np.concatenate(unions)
+        # A flat index names its category: two rules listing it share a cell.
+        keys = self._table + np.arange(len(self.waypoints))[:, None, None] * self.grid.vector_length
+        rules_per_cell = np.bincount(keys[listed], minlength=1)
+        self._shared = ((rules_per_cell[keys] > 1) & listed).any(axis=2).tolist()
 
     def rule_cells(self, rule_index: int, waypoint_index: int) -> list[tuple[int, int]]:
         """Cells where ``rules[rule_index]`` may place objects at a waypoint, row-major."""
@@ -512,40 +528,86 @@ def nearest_waypoint(world: WorldSpec, gps: GpsLabel) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Scenes per batch: one array draw and one lockstep shuffle each. Batches of
+# 32, 64, 128 and 256 sampled default-world scenes in 33, 32, 39 and 39 us.
+_SCENE_BATCH = 64
+
+
 def sample_scene(world: WorldSpec, waypoint_index: int, rng: Rng) -> tuple[GridTensor, GpsLabel]:
-    """One normal scene: rule-driven placements plus jittered waypoint GPS."""
+    """One normal scene: rule-driven placements plus jittered waypoint GPS,
+    from the batch sampler of ``sample_dataset``. Each rule fills a drawn,
+    weighted count of its cells that no earlier rule of its category took:
+    the head of a Fisher-Yates shuffle of them."""
     if not 0 <= waypoint_index < len(world.waypoints):
         raise ValueError(f"waypoint index {waypoint_index} out of range")
-    wp = world.waypoints[waypoint_index]
-    spec = world.grid
-
-    lat = wp.gps.latitude + wp.gps_jitter * rng.gaussian()
-    lon = wp.gps.longitude + wp.gps_jitter * rng.gaussian()
-    gps = GpsLabel(lat, lon)
-
-    placed: list[int] = []  # flat tensor indices of the objects placed so far
-    taken = [set() for _ in range(N_CATEGORIES)]  # the same, per category
-    for ri, rule in enumerate(world.rules):
-        weight = rule.weights[waypoint_index]
-        drawn = rule.count_min + rng.randint(rule.count_max - rule.count_min + 1)
-        count = int(round(weight * drawn))
-        if count <= 0:
-            continue
-        seen = taken[CATEGORY_IDS[rule.category]]
-        cells = world._placements[waypoint_index][ri]
-        free = [i for i in cells if i not in seen] if seen else cells
-        picked = rng.sample_without_replacement(free, min(count, len(free)))
-        seen.update(picked)
-        placed += picked
-    data = np.zeros(spec.cells_y * spec.cells_x * N_CATEGORIES, dtype=np.uint8)
-    data[placed] = 1
-    return GridTensor(spec, data.reshape(spec.cells_y, spec.cells_x, N_CATEGORIES)), gps
+    return _sample_batch(world, [waypoint_index], rng)[0]
 
 
 def sample_dataset(world: WorldSpec, n: int, seed: int) -> list[tuple[GridTensor, GpsLabel]]:
-    """n scenes cycling waypoints round-robin, from one seeded stream."""
-    rng = Rng(seed)
-    return [sample_scene(world, i % len(world.waypoints), rng) for i in range(n)]
+    """n scenes cycling waypoints round-robin, from one seeded stream: those of
+    n ``sample_scene`` calls on one ``Rng(seed)``, ``_SCENE_BATCH`` at a time."""
+    rng, n_wp, scenes = Rng(seed), len(world.waypoints), []
+    for start in range(0, n, _SCENE_BATCH):
+        batch = range(start, min(n, start + _SCENE_BATCH))
+        scenes += _sample_batch(world, [i % n_wp for i in batch], rng)
+    return scenes
+
+
+def _sample_batch(world: WorldSpec, waypoints: Sequence[int],
+                  rng: Rng) -> list[tuple[GridTensor, GpsLabel]]:
+    """A scene per waypoint index, with the bits and stream use of one
+    ``sample_scene`` call per scene in turn. One array draw peeks at the
+    batch's bounded block of uniforms; a scalar pass takes the GPS, the
+    counts and each shuffle's offset in the block, and shuffles a rule that
+    shares cells with its category on the cells still free; one lockstep
+    Fisher-Yates shuffles the other (scene, rule) rows."""
+    spec = world.grid
+    block = rng._peek(sum(world._bounds[wi] for wi in waypoints))
+    us = memoryview(block)  # its items are Python floats, as scalar draws give
+    data = np.zeros((len(waypoints), spec.vector_length), np.uint8)
+    # Per waypoint of the batch: each rule's index, least count, count span and weight.
+    draws = {wi: [(ri, r.count_min, r.count_max - r.count_min + 1, r.weights[wi])
+                  for ri, r in enumerate(world.rules)] for wi in set(waypoints)}
+    gps, rows = [], []  # rows: scene, waypoint, rule, offset, cells and picks per shuffle
+    pos, spare = 0, rng._spare
+    for s, wi in enumerate(waypoints):
+        wp, placements, shared = world.waypoints[wi], world._placements[wi], world._shared[wi]
+        z0, z1 = _box_muller(us[pos], us[pos + 1])
+        if spare is not None:
+            z0, z1, spare = spare, z0, z1
+        gps.append(GpsLabel(wp.gps.latitude + wp.gps_jitter * z0,
+                            wp.gps.longitude + wp.gps_jitter * z1))
+        pos += 2
+        taken: dict[str, set] = {}  # per category, the cells its shared rules took
+        for ri, low, span, weight in draws[wi]:
+            drawn = int(us[pos] * span)  # Rng.randint(span), clamped below
+            pos += 1
+            count = round(weight * (low + (drawn if drawn < span else span - 1)))
+            if count <= 0:
+                continue
+            cells = placements[ri]
+            if shared[ri]:
+                seen = taken.setdefault(world.rules[ri].category, set())
+                free = [i for i in cells if i not in seen] if seen else cells
+                n = len(free)
+                picked = _fisher_yates(free, min(count, n), us[pos : pos + max(n - 1, 0)])
+                seen.update(picked)
+                data[s, picked] = 1
+            else:
+                n = len(cells)
+                rows += (s, wi, ri, pos, n, count if count < n else n)
+            pos += n - 1 if n else 0
+    rng._skip(pos)
+    rng._spare = spare
+    if rows:
+        scene, wps, rule, offset, n, k = np.fromiter(rows, np.intp, len(rows)).reshape(-1, 6).T
+        width = int(n.max())
+        at = np.minimum(offset[:, None] + np.arange(width - 1), block.size - 1)
+        cells = world._table[wps[:, None], rule[:, None], _lockstep_shuffle(n, block[at])]
+        picks = np.arange(width) < k[:, None]
+        data[np.broadcast_to(scene[:, None], picks.shape)[picks], cells[picks]] = 1
+    shape = (spec.cells_y, spec.cells_x, N_CATEGORIES)
+    return [(GridTensor(spec, d.reshape(shape)), g) for d, g in zip(data, gps)]
 
 
 def split_sizes(n: int, fracs: tuple[float, float, float] = (0.6, 0.1, 0.3)) -> tuple[int, int, int]:

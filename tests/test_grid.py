@@ -179,6 +179,21 @@ class TestGridTensor:
         with pytest.raises(ValueError, match="binary"):
             GridTensor(SPEC, data)
 
+    @pytest.mark.parametrize("value", [0.5, 1.7, np.nan])
+    def test_rejects_non_binary_floats_before_the_cast(self, value):
+        """A cast to uint8 would load 0.5 as 0 and 1.7 as 1."""
+        data = np.zeros((16, 16, 8))
+        data[2, 3, 4] = value
+        with pytest.raises(ValueError, match="binary"):
+            GridTensor(SPEC, data)
+
+    def test_loads_bool_and_float_binary_data(self):
+        data = np.zeros((16, 16, 8), bool)
+        data[2, 3, 4] = True
+        assert GridTensor(SPEC, data).occupied_cells() == [(2, 3, 4)]
+        assert GridTensor(SPEC, data.astype(np.float64)) == GridTensor(SPEC, data)
+        assert GridTensor(SPEC, data).data.dtype == np.uint8
+
     def test_equality_includes_spec(self):
         small = GridSpec(image_width=64, image_height=64, cells_x=4, cells_y=4)
         assert GridTensor(SPEC) != GridTensor(small)

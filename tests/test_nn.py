@@ -16,6 +16,8 @@ from uavad.nn import (
     _GAMMA,
     _MASK64,
     ParamSet,
+    _fisher_yates,
+    _lockstep_shuffle,
     Rng,
     adam_step,
     concat_forward,
@@ -253,6 +255,48 @@ class TestRngStreams:
         assert rng._ahead == []
         rng.permutation(_AHEAD_LARGE)
         assert len(rng._ahead) == _AHEAD - (_AHEAD_LARGE - 1)
+
+
+    def test_peek_reads_ahead_and_skip_advances_past_the_values_used(self):
+        rng, ref, ahead = Rng(2**64 - 3), ReferenceRng(2**64 - 3), ReferenceRng(2**64 - 3)
+        for r in (rng, ref, ahead):
+            r.uniform()  # start part-way through a read-ahead block
+        assert rng._peek(300).tobytes() == ahead.uniforms(300).tobytes()
+        assert rng._state == ref.state
+        rng._skip(120)
+        ref.uniforms(120)
+        assert rng._state == ref.state
+        assert rng.uniform() == ref.uniform()
+
+
+# Uniforms in [0, 1), with both ends often: 0.0 picks slot 0, and the largest
+# double below 1.0 picks slot i itself (the product never rounds up to i + 1).
+TOP = float(np.nextafter(1.0, 0.0))
+UNIFORMS = st.one_of(st.just(0.0), st.just(TOP), st.floats(0.0, 1.0, exclude_max=True))
+# (n, k, uniforms) per row; past n - 1 a row's uniforms stand for later draws.
+LOCKSTEP_ROWS = st.lists(
+    st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, n), st.lists(UNIFORMS, min_size=39, max_size=39)
+    )),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestLockstepShuffle:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=LOCKSTEP_ROWS)
+    @example(rows=[(40, 40, [TOP] * 39), (1, 1, [0.0] * 39), (2, 0, [0.0] * 39)])
+    @example(rows=[(3, 2, [0.0] * 39), (40, 1, [0.0] * 39)])
+    def test_each_row_heads_the_scalar_loops_shuffle(self, rows):
+        """Row r's first n slots are a shuffle of range(n), and its first k
+        are the scalar loop's sample of k on the row's first n - 1 uniforms."""
+        n = np.array([size for size, _, _ in rows])
+        perm = _lockstep_shuffle(n, np.array([us for _, _, us in rows]))
+        for r, (size, k, us) in enumerate(rows):
+            assert perm[r, :size].tolist() == _fisher_yates(range(size), size, us[: size - 1])
+            assert perm[r, :k].tolist() == _fisher_yates(range(size), k, us[: size - 1])
+            assert sorted(perm[r, :size].tolist()) == list(range(size))
 
 
 class TestSampleWithoutReplacement:

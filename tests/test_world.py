@@ -8,10 +8,11 @@ import re
 import numpy as np
 import pytest
 
-from uavad import adnet
+from uavad import adnet, nn
+from uavad import world as world_module
 from uavad.adnet import Dataset, ModelConfig, TrainConfig, save_checkpoint
 from uavad.evaluate import run_benchmark
-from uavad.grid import CATEGORIES, CATEGORY_IDS, GpsLabel, GridSpec, GridTensor
+from uavad.grid import CATEGORIES, CATEGORY_IDS, N_CATEGORIES, GpsLabel, GridSpec, GridTensor
 from uavad.nn import Rng
 from uavad.world import (
     DEFAULT_RARE_LIST,
@@ -64,6 +65,43 @@ def toy_world() -> WorldSpec:
     ]
     rules = [PlacementRule("car", ("road",), 2, 4, (1.0, 1.0))]
     return WorldSpec(grid=spec, waypoints=waypoints, rules=rules, rare_list=[], seed=1)
+
+
+def shared_zone_world() -> WorldSpec:
+    """The default world plus three car rules that share the road with its
+    own car rule. The first of them takes every road cell at most waypoints,
+    so the next finds only the zebra crossing free, and the last nothing."""
+    rules = list(WORLD.rules) + [
+        PlacementRule("car", ("road",), 30, 40, (1.0, 1.0, 0.0, 1.0, 0.5, 1.0)),
+        PlacementRule("car", ("road", "zebra_crossing"), 0, 3, (1.0,) * 6),
+        PlacementRule("car", ("road",), 1, 2, (1.0,) * 6),
+    ]
+    return WorldSpec(grid=WORLD.grid, waypoints=WORLD.waypoints, rules=rules, seed=1)
+
+
+def reference_sample_scene(world: WorldSpec, wi: int, rng: Rng) -> tuple[GridTensor, GpsLabel]:
+    """One scene, one scalar draw at a time: the GPS from two gaussians, then
+    per rule a randint count and a partial shuffle of the rule's cells that
+    no earlier rule of its category took."""
+    wp, spec = world.waypoints[wi], world.grid
+    lat = wp.gps.latitude + wp.gps_jitter * rng.gaussian()
+    lon = wp.gps.longitude + wp.gps_jitter * rng.gaussian()
+    placed: list[int] = []
+    taken = [set() for _ in range(N_CATEGORIES)]
+    for ri, rule in enumerate(world.rules):
+        drawn = rule.count_min + rng.randint(rule.count_max - rule.count_min + 1)
+        count = int(round(rule.weights[wi] * drawn))
+        if count <= 0:
+            continue
+        cat = CATEGORY_IDS[rule.category]
+        cells = [(r * spec.cells_x + c) * N_CATEGORIES + cat for r, c in world.rule_cells(ri, wi)]
+        free = [i for i in cells if i not in taken[cat]]
+        picked = rng.sample_without_replacement(free, min(count, len(free)))
+        taken[cat].update(picked)
+        placed += picked
+    data = np.zeros((spec.cells_y, spec.cells_x, N_CATEGORIES), dtype=np.uint8)
+    data.reshape(-1)[placed] = 1
+    return GridTensor(spec, data), GpsLabel(lat, lon)
 
 
 def rule_reachable_pairs(world: WorldSpec) -> set[tuple[int, int, int]]:
@@ -381,6 +419,75 @@ class TestSampling:
             saturated += i % 2 == 1 and grid.popcount() == 8
         assert saturated > 0  # some scenes fill all 8 road cells of waypoint 1
         assert h.hexdigest() == "ad66e2329727a36845fb6901718f1cd544185a407d99bffc8793579ab1b00928"
+
+
+SAMPLER_WORLDS = {"default": WORLD, "shared": shared_zone_world()}
+
+
+class TestBatchSampler:
+    """Scenes are sampled in batches; each must keep the bits, and the
+    stream the bits and state, of one scalar-draw scene at a time."""
+
+    def test_the_worlds_cover_rules_with_and_without_shared_cells(self):
+        assert not any(flag for row in WORLD._shared for flag in row)
+        shared = SAMPLER_WORLDS["shared"]._shared
+        assert all(row[len(WORLD.rules):] == [True] * 3 for row in shared)
+        assert [row[:len(WORLD.rules)] for row in shared] == [
+            [ri == 0 for ri in range(len(WORLD.rules))] for _ in shared
+        ]
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("name", SAMPLER_WORLDS)
+    def test_a_dataset_equals_the_per_scene_reference(self, name, n):
+        world = SAMPLER_WORLDS[name]
+        ref = Rng(91)
+        expected = [reference_sample_scene(world, i % len(world.waypoints), ref) for i in range(n)]
+        got = sample_dataset(world, n, seed=91)
+        assert [g for g, _ in got] == [g for g, _ in expected]
+        assert [gps for _, gps in got] == [gps for _, gps in expected]
+
+    @pytest.mark.parametrize("spare", [False, True], ids=["no-spare", "spare"])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("name", SAMPLER_WORLDS)
+    def test_a_batch_leaves_the_stream_as_the_reference_does(self, name, n, spare):
+        """One batch call from part-way through the stream, with or without
+        a gaussian spare held on entry: the same scenes, then the same
+        state, spare and next draws as scene-by-scene scalar sampling."""
+        world = SAMPLER_WORLDS[name]
+        rng, ref = Rng(2**64 - 5), Rng(2**64 - 5)
+        for r in (rng, ref):
+            r.uniform()
+            if spare:
+                r.gaussian()
+        waypoints = [(3 + 5 * i) % len(world.waypoints) for i in range(n)]
+        got = world_module._sample_batch(world, waypoints, rng)
+        assert got == [reference_sample_scene(world, wi, ref) for wi in waypoints]
+        assert rng._state == ref._state
+        assert rng._spare == ref._spare and (rng._spare is None) == (not spare)
+        assert rng.uniform() == ref.uniform()
+        assert rng.gaussian() == ref.gaussian()
+        assert rng.gaussian() == ref.gaussian()
+
+    def test_a_dataset_draws_once_per_batch_and_shuffles_in_lockstep(self, monkeypatch):
+        """Per batch of scenes, one array draw reads the stream and no scene
+        runs the scalar Fisher-Yates loop of the default world's rules."""
+        calls = {"draws": 0, "scalar": 0, "sample": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        expected = sample_dataset(WORLD, 200, seed=5)
+        monkeypatch.setattr(Rng, "_raw", counting("draws", Rng._raw))
+        monkeypatch.setattr(nn, "_fisher_yates", counting("scalar", nn._fisher_yates))
+        monkeypatch.setattr(world_module, "_fisher_yates", counting("scalar", nn._fisher_yates))
+        monkeypatch.setattr(
+            Rng, "sample_without_replacement", counting("sample", Rng.sample_without_replacement)
+        )
+        assert sample_dataset(WORLD, 200, seed=5) == expected
+        assert calls == {"draws": math.ceil(200 / world_module._SCENE_BATCH), "scalar": 0, "sample": 0}
 
 
 class TestSplitSizes:
