@@ -18,10 +18,10 @@ averaged over the batch, with Adam and early stopping on validation loss.
 
 from __future__ import annotations
 
-import base64
 import json
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -75,12 +75,7 @@ __all__ = [
 
 logger = logging.getLogger("uavad.adnet")
 
-CHECKPOINT_FORMAT_VERSION = 2
-
-# Bytes per piece of a parameter's base64 in save_checkpoint: whole 3-byte
-# groups, so the pieces join to the base64 of all the bytes, and no piece
-# holds enc.w's 2.8 MB at once.
-_B64_BLOCK = 3 * 65536
+CHECKPOINT_FORMAT_VERSION = 3
 
 # Loss-side clamp keeping log() finite; forward outputs are not clamped.
 _LOSS_CLIP = 1e-7
@@ -778,76 +773,85 @@ class Checkpoint:
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
-    """Write ``checkpoint`` to ``path`` as JSON, through ``atomic_write``: on
-    failure ``path`` is left as it was. Each parameter's ``data`` is the
-    base64 of its little-endian float64 bytes."""
-    # The text of json.dumps of the whole document, written in pieces. Every
-    # field but the base64 goes through json.dumps (the C encoder; json.dump
-    # would run the pure-Python one); the base64 needs no escaping, so it is
-    # written as it is rather than scanned again by the encoder.
-    dumps = json.dumps
-    head = (
-        f'{{"format_version": {dumps(CHECKPOINT_FORMAT_VERSION)}, '
-        f'"config": {dumps(checkpoint.config.to_dict())}, '
-        f'"gps_normalization": {dumps(checkpoint.gps_normalization.to_dict())}, "params": {{'
-    )
+    """Write ``checkpoint`` to ``path`` through ``atomic_write``: on failure
+    ``path`` is left as it was.
+
+    The file is one JSON header line (``format_version``, ``config``,
+    ``gps_normalization``, ``params`` as ``[name, shape]`` pairs in sorted
+    name order, and ``training_meta``), so ``head -1`` shows what a
+    checkpoint was trained from. Each parameter's little-endian float64
+    bytes follow, in the order of ``params``, written from the array itself.
+    """
+    values = checkpoint.values
+    names = sorted(values)
+    header = {
+        "format_version": CHECKPOINT_FORMAT_VERSION,
+        "config": checkpoint.config.to_dict(),
+        "gps_normalization": checkpoint.gps_normalization.to_dict(),
+        "params": [[name, list(values[name].shape)] for name in names],
+        "training_meta": checkpoint.training_meta,
+    }
     with atomic_write(path) as f:
-        f.write(head)
-        for i, name in enumerate(sorted(checkpoint.values)):
-            arr = np.ascontiguousarray(checkpoint.values[name], dtype="<f8")
-            f.write(f'{", " if i else ""}{dumps(name)}: {{"shape": {dumps(list(arr.shape))}, "data": "')
-            raw = memoryview(arr).cast("B")
-            for lo in range(0, len(raw), _B64_BLOCK):
-                f.write(base64.b64encode(raw[lo : lo + _B64_BLOCK]).decode("ascii"))
-            f.write('"}')
-        f.write(f'}}, "training_meta": {dumps(checkpoint.training_meta)}}}')
+        f.write(json.dumps(header) + "\n")
+        f.flush()  # the text layer's buffer goes out before the bytes below it
+        for name in names:
+            f.buffer.write(memoryview(np.ascontiguousarray(values[name], "<f8")))
 
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint written by ``save_checkpoint``.
 
-    Every malformed field raises a ``CheckpointError`` whose message starts
-    with ``path``: an unsupported ``format_version`` a version error, names
-    or shapes that do not match the configuration a shape error, anything
-    else a corrupt error.
+    Nothing is allocated until the header's shapes account for exactly the
+    bytes that follow it; each parameter is then read straight into its own
+    writeable float64 array. Every malformed field raises a
+    ``CheckpointError`` whose message starts with ``path``: an unsupported
+    ``format_version`` a version error, names or shapes that do not match
+    the configuration a shape error, anything else a corrupt error.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise CheckpointCorruptError(f"{path}: not a valid checkpoint document: {e}") from e
-    if not isinstance(doc, dict) or "format_version" not in doc:
-        raise CheckpointCorruptError(f"{path}: missing format_version")
-    version = doc["format_version"]
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointVersionError(
-            f"{path}: format version {version!r}, supported {CHECKPOINT_FORMAT_VERSION}"
-        )
-    try:
-        config = ModelConfig.from_dict(doc["config"])
-        gn = GpsNormalization.from_dict(doc["gps_normalization"])
-        params_doc = doc["params"]
-        meta = doc.get("training_meta", {})
-        for field, value in (("params", params_doc), ("training_meta", meta)):
-            if not isinstance(value, dict):
-                raise TypeError(f"{field} must be a JSON object, got {type(value).__name__}")
-    except RECORD_ERRORS as e:
-        raise CheckpointCorruptError(f"{path}: malformed checkpoint fields: {e}") from e
-
-    values = {}
-    for name, entry in params_doc.items():
+    with open(path, "rb") as f:
         try:
-            shape = tuple(whole(s, "shape entry") for s in entry["shape"])
-            # A bytearray, so the array is writeable like any other.
-            raw = bytearray(base64.b64decode(entry["data"], validate=True))
-            if len(raw) != 8 * math.prod(shape):
-                raise ValueError(f"{len(raw)} bytes for shape {shape}")
-            data = np.frombuffer(raw, "<f8")
-            values[name] = data.reshape(shape)
+            doc = json.loads(f.readline())
+        except ValueError as e:
+            raise CheckpointCorruptError(f"{path}: not a valid checkpoint header: {e}") from e
+        if not isinstance(doc, dict) or "format_version" not in doc:
+            raise CheckpointCorruptError(f"{path}: missing format_version")
+        version = doc["format_version"]
+        if version != CHECKPOINT_FORMAT_VERSION:
+            raise CheckpointVersionError(
+                f"{path}: format version {version!r}, supported {CHECKPOINT_FORMAT_VERSION}"
+            )
+        try:
+            config = ModelConfig.from_dict(doc["config"])
+            gn = GpsNormalization.from_dict(doc["gps_normalization"])
+            params, meta = doc["params"], doc.get("training_meta", {})
+            if not isinstance(params, list):
+                raise TypeError(f"params must be a JSON array, got {type(params).__name__}")
+            if not isinstance(meta, dict):
+                raise TypeError(f"training_meta must be a JSON object, got {type(meta).__name__}")
+            shapes = {}
+            for entry in params:
+                if not (isinstance(entry, list) and len(entry) == 2
+                        and isinstance(entry[0], str) and isinstance(entry[1], list)):
+                    raise ValueError(f"params entry {entry!r} is not a [name, shape] pair")
+                name, dims = entry
+                if name in shapes:
+                    raise ValueError(f"params lists {name!r} twice")
+                shapes[name] = tuple(whole(d, f"parameter {name!r} shape entry") for d in dims)
+            size = 8 * sum(math.prod(shape) for shape in shapes.values())
+            left = os.fstat(f.fileno()).st_size - f.tell()
+            if size != left:
+                raise ValueError(f"the payload holds {left} bytes, the params' shapes {size}")
+            values = {}
+            for name, shape in shapes.items():
+                values[name] = arr = np.empty(shape, "<f8")
+                if f.readinto(arr) != arr.nbytes:
+                    raise ValueError(f"parameter {name!r} is cut short")
+                # min and max propagate NaN and reach any infinity, without
+                # the temporary of np.isfinite.
+                if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
+                    raise ValueError(f"parameter {name!r} has non-finite values")
         except RECORD_ERRORS as e:
-            raise CheckpointCorruptError(f"{path}: malformed parameter {name!r}: {e}") from e
-        if not np.isfinite(data).all():
-            raise CheckpointCorruptError(f"{path}: parameter {name!r} has non-finite values")
+            raise CheckpointCorruptError(f"{path}: malformed checkpoint fields: {e}") from e
     try:
         return Checkpoint(config=config, gps_normalization=gn, values=values, training_meta=meta)
     except CheckpointShapeError as e:

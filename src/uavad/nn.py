@@ -64,14 +64,6 @@ _ADAM_BLOCK = 16384
 # training's peak RSS by ~9%; blocks of this size did not.
 _CONV_BLOCK = 2048
 
-# Scalar uniforms drawn ahead per array draw; a refill costs ~16 us plus
-# ~19 ns per value. A request for at least _AHEAD_LARGE values refills only
-# what it takes: it is a shuffle of a whole collection, as train's epoch
-# permutation, which an array draw that drops the read-ahead usually follows.
-_AHEAD = 2048
-_AHEAD_LARGE = _AHEAD // 16
-
-
 class Rng:
     """SplitMix64 stream with Box-Muller gaussians.
 
@@ -80,18 +72,15 @@ class Rng:
     SplitMix64 finalizer of the new state. Uniforms take the top 53 bits of
     the output, mapped to [0, 1). Gaussians transform uniform pairs with
     Box-Muller; array draws consume the same stream as repeated scalar draws.
-    Scalar draws are served from a read-ahead block that one array draw
-    fills; ``_state`` counts only the values handed out, so scalar and array
-    draws give the same bits and leave the same state. The scene sampler
-    ``_peek``s at a block of the stream and ``_skip``s the part it used.
+    The scene sampler and ``world.build_benchmark`` ``_peek`` at a block of
+    the stream and ``_skip`` the part they used.
     """
 
-    __slots__ = ("_state", "_spare", "_ahead")
+    __slots__ = ("_state", "_spare")
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
         self._spare: float | None = None
-        self._ahead: list[float] = []  # the next scalar uniforms, last first
 
     @staticmethod
     def _mix(z: np.ndarray) -> np.ndarray:
@@ -106,7 +95,6 @@ class Rng:
         return z
 
     def _raw(self, n: int) -> np.ndarray:
-        self._ahead = []
         start = self._state
         states = np.arange(1, n + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):
@@ -116,19 +104,8 @@ class Rng:
         return self._mix(states)
 
     def _next(self, k: int) -> list[float]:
-        """The next k scalar uniforms in draw order, from the read-ahead block."""
-        if k == 0:
-            return []  # ahead[-0:] would be the whole block
-        if len(self._ahead) < k:
-            state = self._state
-            ahead = self.uniform(k if k >= _AHEAD_LARGE else _AHEAD)[::-1].tolist()
-            self._state, self._ahead = state, ahead
-        ahead = self._ahead
-        out = ahead[-k:]
-        del ahead[-k:]
-        out.reverse()
-        self._skip(k)
-        return out
+        """The next k uniforms in draw order, as Python floats."""
+        return self.uniform(k).tolist()
 
     def uniform(self, shape: int | tuple[int, ...] | None = None) -> float | np.ndarray:
         """Uniform in [0, 1); scalar when shape is None."""

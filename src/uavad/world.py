@@ -16,12 +16,13 @@ scored on whether they flag that cell.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -695,20 +696,23 @@ def audit_scene(waypoint: Waypoint, grid: GridTensor) -> list[tuple[str, str, in
 
 
 def _inject(
-    world: WorldSpec,
     task: int,
+    world: WorldSpec,
     grid: GridTensor,
     waypoint_index: int,
-    rng: Rng,
+    draw: Callable[[], float],
     scene_index: int,
 ) -> tuple[GridTensor, AnomalyCase]:
+    """Plant one free candidate cell of ``task``, picked as ``Rng.randint``
+    picks on the uniform ``draw()``. An infeasible scene raises
+    ``InjectionError`` before ``draw`` is called."""
     candidates = world._candidates[waypoint_index].get(task)
     if candidates is None:
         raise ValueError(f"unknown task {task}")
     free = candidates[grid.data.reshape(-1)[candidates] == 0]
     if not free.size:
         raise InjectionError(f"no feasible task-{task} injection at waypoint {waypoint_index}")
-    cell, cat = divmod(int(free[rng.randint(free.size)]), N_CATEGORIES)
+    cell, cat = divmod(int(free[min(int(draw() * free.size), free.size - 1)]), N_CATEGORIES)
     row, col = divmod(cell, world.grid.cells_x)
     case = AnomalyCase(
         task=TASK_NAMES[task],
@@ -726,7 +730,7 @@ def inject_task1(
 ) -> tuple[GridTensor, AnomalyCase]:
     """Add one object into a forbidden strip (any category behind the
     building; vehicles on its left side)."""
-    return _inject(world, 1, grid, waypoint_index, rng, scene_index)
+    return _inject(1, world, grid, waypoint_index, rng.uniform, scene_index)
 
 
 def inject_task2(
@@ -734,17 +738,19 @@ def inject_task2(
 ) -> tuple[GridTensor, AnomalyCase]:
     """Add one traffic-rule violation: pedestrian on a road away from the
     crossing, bicycle off the bike road, or heavy vehicle on the bike road."""
-    return _inject(world, 2, grid, waypoint_index, rng, scene_index)
+    return _inject(2, world, grid, waypoint_index, rng.uniform, scene_index)
 
 
 def inject_task3(
     world: WorldSpec, grid: GridTensor, waypoint_index: int, rng: Rng, scene_index: int = -1
 ) -> tuple[GridTensor, AnomalyCase]:
     """Add one legal-but-rare placement from the world's rare list."""
-    return _inject(world, 3, grid, waypoint_index, rng, scene_index)
+    return _inject(3, world, grid, waypoint_index, rng.uniform, scene_index)
 
 
-_INJECTORS = {1: inject_task1, 2: inject_task2, 3: inject_task3}
+# build_benchmark calls the injectors through this table; perfbench wraps
+# its entries to time each injection.
+_INJECTORS = {task: functools.partial(_inject, task) for task in (1, 2, 3)}
 
 
 def build_benchmark(
@@ -753,19 +759,26 @@ def build_benchmark(
     task: int,
     rng: Rng,
 ) -> list[tuple[GridTensor, GpsLabel, AnomalyCase]]:
-    """One injection per eligible scene; ineligible scenes are skipped."""
+    """One injection per eligible scene; ineligible scenes are skipped.
+
+    The records and the stream ``rng`` is left at are those of calling
+    ``inject_task<task>`` on each scene in turn: one uniform per scene is
+    read ahead, each injection takes the next one, a skipped scene takes
+    none, and ``rng`` then moves past the ones taken."""
     if task not in _INJECTORS:
         raise ValueError(f"unknown task {task}")
+    draw = iter(rng._peek(len(scenes)).tolist()).__next__
     records = []
     skipped = 0
     for i, (g, gps) in enumerate(scenes):
         wi = nearest_waypoint(world, gps)
         try:
-            modified, case = _INJECTORS[task](world, g, wi, rng, scene_index=i)
+            modified, case = _INJECTORS[task](world, g, wi, draw, scene_index=i)
         except InjectionError:
             skipped += 1
             continue
         records.append((modified, gps, case))
+    rng._skip(len(records))
     if skipped:
         logger.info("task %d: skipped %d ineligible scenes", task, skipped)
     return records

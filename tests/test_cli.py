@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via its main() entry point."""
 
+import base64
 import hashlib
 import json
 import logging
@@ -23,6 +24,25 @@ def must_not_run(*args, **kwargs):
     raise AssertionError("work ran although the output cannot be written")
 
 
+def checkpoint_header(path) -> dict:
+    """The parsed JSON header line of a saved checkpoint."""
+    with open(path, "rb") as f:
+        return json.loads(f.readline())
+
+
+def with_header_field(src: str, dst, field: tuple, value) -> str:
+    """Copy checkpoint ``src`` to ``dst`` with ``value`` at key path ``field``
+    of its header line; the payload bytes after the header are kept."""
+    with open(src, "rb") as f:
+        header, payload = json.loads(f.readline()), f.read()
+    node = header
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
+    dst.write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+    return str(dst)
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One generated dataset, four one-epoch checkpoints, three benchmarks."""
@@ -33,7 +53,7 @@ def pipeline(tmp_path_factory):
     assert main(["generate", "--n", "20", "--out", str(data), "--seed", "11"]) == EXIT_OK
     ckpts = {}
     for variant in ("uav_adnet", "uav_adnet_wo_gps", "cvae", "vae"):
-        out = root / f"{variant}.json"
+        out = root / f"{variant}.ckpt"
         code = main(
             ["train", "--variant", variant, "--data", str(data), "--out", str(out),
              "--seed", "1", *FAST_TRAIN]
@@ -154,9 +174,11 @@ class TestTrain:
     def test_writes_checkpoint_and_history(self, pipeline, capsys):
         root = pipeline["root"]
         capsys.readouterr()
-        ckpt = json.loads((root / "vae.json").read_text())
-        assert ckpt["config"]["variant"] == "vae"
-        history = json.loads((root / "vae.json.history.json").read_text())
+        header = checkpoint_header(root / "vae.ckpt")
+        assert header["format_version"] == adnet.CHECKPOINT_FORMAT_VERSION
+        assert header["config"]["variant"] == "vae"
+        assert header["training_meta"]["seed"] == 1
+        history = json.loads((root / "vae.ckpt.history.json").read_text())
         assert len(history) == 1
         assert set(history[0]) == {"train_loss", "val_loss", "val_mse", "wall_s"}
         assert history[0]["wall_s"] > 0
@@ -307,10 +329,8 @@ class TestDetect:
 
 
     def test_malformed_checkpoint_field_is_a_config_error(self, pipeline, tmp_path, caplog):
-        doc = json.loads(open(pipeline["ckpts"]["vae"], encoding="utf-8").read())
-        doc["training_meta"] = 5
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad = with_header_field(pipeline["ckpts"]["vae"], tmp_path / "bad.ckpt",
+                                ("training_meta",), 5)
         with caplog.at_level(logging.ERROR):
             code = main(
                 ["detect", "--ckpt", str(bad),
@@ -322,20 +342,15 @@ class TestDetect:
 
     @pytest.mark.parametrize(
         "field, value",
-        [(("config", "n_h"), 4.9), (("params", "enc.b", "shape"), [128.5]),
+        [(("config", "n_h"), 4.9), (("params", 2, 1), [128.5]),
          (("gps_normalization", "scale"), float("nan"))],
         ids=["fractional-n_h", "fractional-shape", "nan-scale"],
     )
     def test_non_integer_or_non_finite_checkpoint_field_is_a_config_error(
         self, pipeline, tmp_path, caplog, field, value
     ):
-        doc = json.loads(open(pipeline["ckpts"]["uav_adnet"], encoding="utf-8").read())
-        node = doc
-        for key in field[:-1]:
-            node = node[key]
-        node[field[-1]] = value
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        # params lists dec.b, dec.w, enc.b, ...: entry 2 is enc.b.
+        bad = with_header_field(pipeline["ckpts"]["uav_adnet"], tmp_path / "bad.ckpt", field, value)
         with caplog.at_level(logging.ERROR):
             code = main(
                 ["detect", "--ckpt", str(bad),
@@ -343,6 +358,30 @@ class TestDetect:
             )
         assert code == EXIT_CONFIG
         assert str(bad) in caplog.text
+        assert not (tmp_path / "o").exists()
+
+    def test_format_2_checkpoint_is_a_config_error_naming_it(self, pipeline, tmp_path, caplog):
+        """A checkpoint in format 2's layout, one JSON document with base64
+        parameters, is no longer read."""
+        ck = adnet.load_checkpoint(pipeline["ckpts"]["vae"])
+        params = {
+            name: {"shape": list(arr.shape),
+                   "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")}
+            for name, arr in sorted(ck.values.items())
+        }
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({
+            "format_version": 2, "config": ck.config.to_dict(),
+            "gps_normalization": ck.gps_normalization.to_dict(), "params": params,
+            "training_meta": ck.training_meta,
+        }))
+        with caplog.at_level(logging.ERROR):
+            code = main(
+                ["detect", "--ckpt", str(old),
+                 "--in", str(pipeline["data"] / "test.jsonl"), "--out", str(tmp_path / "o")]
+            )
+        assert code == EXIT_CONFIG
+        assert f"{old}: format version 2, supported 3" in caplog.text
         assert not (tmp_path / "o").exists()
 
 
@@ -366,10 +405,8 @@ class TestEval:
 
     def test_checkpoints_from_different_data_log_a_warning(self, pipeline, tmp_path, caplog):
         ckpts = dict(pipeline["ckpts"])
-        doc = json.loads(open(ckpts["vae"], encoding="utf-8").read())
-        doc["training_meta"]["data_manifest_sha256"] = "0" * 64
-        ckpts["vae"] = str(tmp_path / "vae.json")
-        (tmp_path / "vae.json").write_text(json.dumps(doc))
+        ckpts["vae"] = with_header_field(ckpts["vae"], tmp_path / "vae.ckpt",
+                                         ("training_meta", "data_manifest_sha256"), "0" * 64)
         args = ["eval", "--data", str(pipeline["data"]), "--bench", str(pipeline["bench"]),
                 "--out", str(tmp_path / "r.json"), "--ckpts"]
         with caplog.at_level(logging.WARNING):
@@ -383,10 +420,8 @@ class TestEval:
         """Same cell counts, other image size: eval names the variant and
         writes nothing."""
         ckpts = dict(pipeline["ckpts"])
-        doc = json.loads(open(ckpts["vae"], encoding="utf-8").read())
-        doc["config"]["grid"]["image_width"] = 540
-        ckpts["vae"] = str(tmp_path / "vae.json")
-        (tmp_path / "vae.json").write_text(json.dumps(doc))
+        ckpts["vae"] = with_header_field(ckpts["vae"], tmp_path / "vae.ckpt",
+                                         ("config", "grid", "image_width"), 540)
         out = tmp_path / "r.json"
         with caplog.at_level(logging.ERROR):
             code = main(

@@ -11,8 +11,6 @@ from hypothesis.extra import numpy as hnp
 from uavad.adnet import ModelConfig, init_params
 from uavad.nn import (
     _ADAM_BLOCK,
-    _AHEAD,
-    _AHEAD_LARGE,
     _GAMMA,
     _MASK64,
     ParamSet,
@@ -156,12 +154,8 @@ class ReferenceRng:
         return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n].reshape(shape)
 
 
-# Sizes around 0, 1, 256, the request that refills only itself and the
-# _AHEAD values of one scalar read-ahead block.
-SIZES = st.sampled_from([
-    0, 1, 2, 17, _AHEAD_LARGE, _AHEAD_LARGE + 1, 255, 256, 257, 300, _AHEAD - 1, _AHEAD,
-    _AHEAD + 1,
-])
+# Sizes around 0, 1, 128, 256 and 2048.
+SIZES = st.sampled_from([0, 1, 2, 17, 128, 129, 255, 256, 257, 300, 2047, 2048, 2049])
 SHAPES = st.one_of(SIZES, st.just((3, 5)))
 OPERATIONS = st.one_of(
     st.tuples(st.just("uniform")),
@@ -207,8 +201,8 @@ def reference_permutation(rng: Rng, n: int) -> np.ndarray:
 
 
 class TestRngStreams:
-    """Scalar draws come from a read-ahead block, array draws straight from
-    the state; both must be one stream, bit for bit, across the 64-bit wrap."""
+    """Scalar and array draws must be one stream, bit for bit, across the
+    64-bit wrap."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=SEEDS, n=st.integers(0, 300))
@@ -246,21 +240,10 @@ class TestRngStreams:
             assert got.tobytes() == expected.tobytes(), op
             assert rng._state == ref.state, op
 
-    def test_a_large_request_reads_no_values_ahead(self):
-        """A permutation of n >= _AHEAD_LARGE + 1 refills just its n - 1
-        values, which an array draw after it would drop; a smaller one still
-        fills a whole read-ahead block."""
-        rng = Rng(3)
-        rng.permutation(_AHEAD_LARGE + 1)
-        assert rng._ahead == []
-        rng.permutation(_AHEAD_LARGE)
-        assert len(rng._ahead) == _AHEAD - (_AHEAD_LARGE - 1)
-
-
     def test_peek_reads_ahead_and_skip_advances_past_the_values_used(self):
         rng, ref, ahead = Rng(2**64 - 3), ReferenceRng(2**64 - 3), ReferenceRng(2**64 - 3)
         for r in (rng, ref, ahead):
-            r.uniform()  # start part-way through a read-ahead block
+            r.uniform()
         assert rng._peek(300).tobytes() == ahead.uniforms(300).tobytes()
         assert rng._state == ref.state
         rng._skip(120)
@@ -306,12 +289,12 @@ class TestSampleWithoutReplacement:
     @pytest.mark.parametrize("seed", [0, 2**64 - 1, 4242])
     @pytest.mark.parametrize(
         "n, k", [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (17, 0), (17, 9), (17, 17),
-                 (230, 54), (_AHEAD + 1, 3)],
+                 (230, 54), (2049, 3)],
     )
     def test_first_k_of_the_full_shuffle(self, seed, n, k):
         seq = [f"item{i}" for i in range(n)]
         rng, ref = Rng(seed), ReferenceRng(seed)
-        rng.uniform()  # start part-way through a read-ahead block
+        rng.uniform()
         ref.uniform()
         sample = rng.sample_without_replacement(seq, k)
         assert sample == [seq[i] for i in ref.permutation(n)[:k]]
@@ -324,17 +307,17 @@ class TestSampleWithoutReplacement:
         assert sorted(map(id, sample)) == sorted(map(id, seq))
 
     @pytest.mark.parametrize("seed", [0, 2**64 - _GAMMA, 99])
-    def test_scalar_draws_across_a_refill_with_an_array_draw_between(self, seed):
+    def test_long_scalar_runs_samples_and_array_draws_are_one_stream(self, seed):
         rng, ref = Rng(seed), ReferenceRng(seed)
         program = [
-            ("scalars", _AHEAD - 2),  # all but two values of the first block
-            ("sample", 40, 6),  # needs 39 values: refills
+            ("scalars", 2046),
+            ("sample", 40, 6),
             ("scalars", 5),
-            ("array", 7),  # drops the block; the next scalar refills
-            ("scalars", _AHEAD + 3),  # crosses the end of the new block
+            ("array", 7),
+            ("scalars", 2051),
             ("sample", 3, 3),
             ("array", 1),
-            ("sample", _AHEAD + 5, 2),  # needs more values than one block holds
+            ("sample", 2053, 2),
             ("scalars", 4),
         ]
         for op, *args in program:

@@ -604,7 +604,7 @@ class TestBuildDataset:
         path = tmp_path / "checkpoint.json"
         save_checkpoint(digest_b_checkpoint, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "ebc2c46846f143d65507afc2735da0ba4d0a798c5391ffe5d5f456e2cc4f01ff"
+            "3843bd6b349f8479996e7cc2d5944ddf415b87073ddab53a09174cd84415418b"
         )
 
     def test_parameter_bytes_match_the_pinned_digest(self, digest_b_checkpoint, tmp_path):
@@ -822,6 +822,27 @@ class TestBenchmarks:
             assert case.scene_index == i
             assert case.waypoint_index == nearest_waypoint(WORLD, gps)
             assert grid.data[case.row, case.col, CATEGORY_IDS[case.category]] == 1
+
+    def test_build_benchmark_equals_one_public_injection_per_scene(self):
+        """Records and the stream left behind equal those of calling the
+        public injector on each scene with the same ``Rng``: a skipped scene
+        draws nothing (task 1 skips 20 of these 30 scenes)."""
+        scenes = sample_dataset(WORLD, 30, seed=66)
+        for task, inject in ((1, inject_task1), (2, inject_task2), (3, inject_task3)):
+            batch, one = Rng(67), Rng(67)
+            records = build_benchmark(WORLD, scenes, task, batch)
+            expected = []
+            for i, (grid, gps) in enumerate(scenes):
+                try:
+                    modified, case = inject(WORLD, grid, nearest_waypoint(WORLD, gps), one, i)
+                except InjectionError:
+                    continue
+                expected.append((modified, gps, case))
+            assert [(g.data.tobytes(), gps, case) for g, gps, case in records] == [
+                (g.data.tobytes(), gps, case) for g, gps, case in expected
+            ], task
+            assert len(records) == {1: 10, 2: 30, 3: 30}[task]
+            assert batch._state == one._state and batch.uniform() == one.uniform(), task
 
     def test_ineligible_scenes_are_skipped(self):
         world = toy_world()
