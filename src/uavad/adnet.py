@@ -190,7 +190,6 @@ class TrainConfig:
     max_epochs: int = 30
     patience: int = 5
     seed: int = 0
-    gps_normalization: GpsNormalization | None = None  # fitted from training data when None
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -290,10 +289,8 @@ def _pass_dtype(a: np.ndarray) -> type:
 def _as_batch(arr: np.ndarray | None, width: int, what: str) -> np.ndarray:
     a = np.asarray(arr)
     a = a.astype(_pass_dtype(a), copy=False)
-    if a.ndim == 1:
-        a = a[None, :]
     if a.ndim != 2 or a.shape[1] != width:
-        raise ValueError(f"{what} must have {width} components, got shape {a.shape}")
+        raise ValueError(f"{what} must be rows of {width} components, got shape {a.shape}")
     return a
 
 
@@ -377,16 +374,14 @@ def forward(
     """Reconstruction probabilities plus latent statistics.
 
     ``values`` maps each parameter name to its array: ``ParamSet.values``
-    while training, ``Checkpoint.values`` at inference. ``x`` is a flat
-    binary vector (or a batch of them). ``gps`` is the normalized
-    two-component location input, required exactly when the variant uses
-    GPS. ``eps`` is the latent noise; None means zeros, the
-    deterministic posterior-mean mode used at inference. A float32 ``x``
-    runs a float32 pass; any other runs in float64. ``out`` (n, D)
-    receives the probabilities; see ``_forward_cached``, also for
-    ``row_invariant``.
+    while training, ``Checkpoint.values`` at inference. ``x`` holds flat
+    binary vectors as rows; ``gps`` holds the normalized two-component
+    location inputs as rows, required exactly when the variant uses GPS.
+    ``eps`` is the latent noise; None means zeros, the deterministic
+    posterior-mean mode used at inference. A float32 ``x`` runs a float32
+    pass; any other runs in float64. ``out`` (n, D) receives the
+    probabilities; see ``_forward_cached``, also for ``row_invariant``.
     """
-    single = np.asarray(x).ndim == 1
     xb = _as_batch(x, config.hidden3, "input vector")
     if config.use_gps:
         if gps is None:
@@ -408,8 +403,6 @@ def forward(
     x_hat, mu, log_var, _ = _forward_cached(
         config, values, xb, gb, eb, out, row_invariant=row_invariant
     )
-    if single:
-        return x_hat[0], mu[0], log_var[0]
     return x_hat, mu, log_var
 
 
@@ -517,25 +510,23 @@ def train(
     Each step's forward pass, loss, backward and Adam update run in
     float32: the store, its gradients and moments, the batch rows, the
     normalized GPS and the latent noise. Validation and the checkpoint stay
-    float64. After every epoch the store is widened, exactly, into one
-    float64 vector allocated once per call, and validation reads that.
+    float64: they read the float64 arrays that ``init_params`` drew for a
+    full-width model, into which the float32 store is widened, exactly,
+    after every epoch. The GPS normalization is fitted to the training set.
 
     ``enc.w`` trains as its block of live columns, those that some training
     row sets: no other column gets a gradient. The encoder of each step
     reads just those columns of its rows, gathered once per call as uint8.
-    The parameters are drawn in float64 by ``init_params`` as for a
-    full-width model, and the store holds them rounded to float32. The
-    widened block is written back into the full float64 ``enc.w`` after
-    every epoch, and validation and the checkpoint read that full array. A
-    column that no training row sets keeps its exact float64 initial
+    The store holds the drawn parameters rounded to float32, and widening
+    writes the block back into the live columns of the float64 ``enc.w``.
+    A column that no training row sets keeps its exact float64 initial
     weights, so an anomalous input there still meets them.
 
     Each step gathers its batch rows into fresh float32 arrays, and its
     activations and gradients are fresh arrays too. At a best epoch the
     float32 store is copied into one vector allocated once. At the end that
-    copy is widened into the float64 vector, and the checkpoint gets copies
-    of its arrays and the full ``enc.w``: the values that the best epoch
-    validated, bit for bit.
+    copy is widened, and the checkpoint gets copies of the float64 arrays:
+    the values that the best epoch validated, bit for bit.
     """
     if train_set.n == 0 or val_set.n == 0:
         raise ValueError("train and validation sets must be non-empty")
@@ -543,16 +534,16 @@ def train(
         raise ValueError("dataset vector length does not match model configuration")
 
     rng = Rng(tc.seed)
-    # Of the full-width store that init_params draws, only enc.w is kept.
-    drawn = init_params(config, rng).values
+    values = init_params(config, rng).values  # what validation and the checkpoint read
     live = np.flatnonzero(train_set.x.any(axis=0))
-    enc_w = drawn["enc.w"].copy()
-    params = ParamSet.from_values({**drawn, "enc.w": enc_w[:, live]}, np.float32)
-    del drawn
-    wide = np.empty(params.value.size)  # the store widened to float64
-    wide_values = params.views(wide)
-    values = {**wide_values, "enc.w": enc_w}  # what validation reads
-    gn = tc.gps_normalization or GpsNormalization.fit(train_set.gps)
+    params = ParamSet.from_values({**values, "enc.w": values["enc.w"][:, live]}, np.float32)
+
+    def widen(flat: np.ndarray) -> None:
+        """Write a float32 vector in the store's layout into ``values``."""
+        for name, a in params.views(flat).items():
+            values[name][(slice(None), live) if name == "enc.w" else ...] = a
+
+    gn = GpsNormalization.fit(train_set.gps)
 
     x_train = train_set.x
     x_live = x_train[:, live]
@@ -598,8 +589,7 @@ def train(
             loss_sum += lb.total * xb.shape[0]
 
         train_loss = loss_sum / n
-        np.copyto(wide, params.value)
-        enc_w[:, live] = wide_values["enc.w"]
+        widen(params.value)
         val_loss, val_mse = _validation_stats(config, values, x_val, g_val)
         history.append(EpochStats(
             train_loss, val_loss, val_mse, wall_s=time.perf_counter() - started
@@ -623,14 +613,13 @@ def train(
                 logger.info("early stop after epoch %d (no improvement in %d)", epoch, tc.patience)
                 break
 
-    np.copyto(wide, best)
-    enc_w[:, live] = wide_values["enc.w"]
+    widen(best)
     checkpoint = Checkpoint(
         config=config,
         gps_normalization=gn,
-        # Copies, so that the checkpoint keeps no part of wide: its enc.w
-        # block is dead weight once written back.
-        values={name: a if name == "enc.w" else a.copy() for name, a in values.items()},
+        # Copies, so that the drawn arrays are freed on return: a load right
+        # after training reuses their memory rather than faulting in new pages.
+        values={name: a.copy() for name, a in values.items()},
         training_meta={
             "epochs_run": len(history),
             "best_val_loss": float(best_val),

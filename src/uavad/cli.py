@@ -52,6 +52,28 @@ def _load_world(path: str | None) -> world_mod.WorldSpec:
     return world_mod.load_world(path)
 
 
+def _read_manifest(directory: str) -> tuple[grid.GridSpec, str | None]:
+    """The grid of the dataset manifest in ``directory`` and the manifest's
+    sha256; the default grid and None when there is no manifest."""
+    path = os.path.join(directory, "manifest.json")
+    if not os.path.exists(path):
+        return grid.GridSpec(), None
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        spec = grid.GridSpec.from_dict(json.loads(raw.decode("utf-8"))["grid"])
+    except grid.RECORD_ERRORS as e:
+        raise ConfigError(f"{path}: malformed manifest: {e}") from e
+    return spec, hashlib.sha256(raw).hexdigest()
+
+
+def _load_dataset(path: str, spec: grid.GridSpec) -> adnet.Dataset:
+    scenes = world_mod.load_scenes(path, spec)
+    if not scenes:
+        raise ConfigError(f"{path} holds no scenes")
+    return adnet.Dataset.from_scenes(scenes)
+
+
 def _require_parent_dir(path: str) -> None:
     """Fail before any work when ``path`` cannot be written: its directory is missing."""
     parent = os.path.dirname(path) or "."
@@ -89,20 +111,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     history_path = args.history or args.out + ".history.json"
     for path in (args.out, history_path):
         _require_parent_dir(path)
-    train_path = os.path.join(args.data, "train.jsonl")
-    val_path = os.path.join(args.data, "val.jsonl")
-    manifest_path = os.path.join(args.data, "manifest.json")
-    spec = grid.GridSpec()
-    manifest_sha256 = None
-    if os.path.exists(manifest_path):
-        with open(manifest_path, "rb") as f:
-            raw = f.read()
-        manifest_sha256 = hashlib.sha256(raw).hexdigest()
-        try:
-            spec = grid.GridSpec.from_dict(json.loads(raw.decode("utf-8"))["grid"])
-        except grid.RECORD_ERRORS as e:
-            raise ConfigError(f"{manifest_path}: malformed manifest: {e}") from e
-
+    spec, manifest_sha256 = _read_manifest(args.data)
     config = adnet.ModelConfig(variant=args.variant, grid=spec, n_h=args.n_h)
     tc = adnet.TrainConfig(
         lr=args.lr,
@@ -111,8 +120,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         patience=args.patience,
         seed=args.seed,
     )
-    train_set = adnet.Dataset.from_scenes(world_mod.load_scenes(train_path, spec))
-    val_set = adnet.Dataset.from_scenes(world_mod.load_scenes(val_path, spec))
+    train_set = _load_dataset(os.path.join(args.data, "train.jsonl"), spec)
+    val_set = _load_dataset(os.path.join(args.data, "val.jsonl"), spec)
 
     checkpoint, history = adnet.train(config, train_set, val_set, tc)
     checkpoint.training_meta["numpy_version"] = np.__version__
@@ -167,7 +176,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    scenes = world_mod.load_scenes(args.input, grid.GridSpec())
+    scenes = world_mod.load_scenes(args.input, _read_manifest(os.path.dirname(args.input))[0])
     if not 0 <= args.index < len(scenes):
         raise ConfigError(f"scene index {args.index} out of range (file has {len(scenes)})")
     g, _ = scenes[args.index]
@@ -248,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("render", help="print a scene as a text grid")
-    p.add_argument("--in", dest="input", required=True, help="scene JSON-Lines file")
+    p.add_argument("--in", dest="input", required=True,
+                   help="scene JSON-Lines file, on the grid of the manifest.json beside it")
     p.add_argument("--index", type=int, default=0)
     p.set_defaults(func=_cmd_render)
 
@@ -275,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     ) as e:
         logger.error("%s", e)
         return EXIT_CONFIG
-    except (world_mod.InjectionError, FloatingPointError, OSError) as e:
+    except (FloatingPointError, OSError) as e:
         logger.error("%s", e)
         return EXIT_RUNTIME
 

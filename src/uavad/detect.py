@@ -20,8 +20,8 @@ import numpy as np
 
 from .adnet import RECONSTRUCT_ROWS, Checkpoint, ModelConfig
 from .grid import (
-    CATEGORIES, GpsLabel, GridSpec, GridTensor, N_CATEGORIES, atomic_write, read_jsonl,
-    record_to_scene,
+    CATEGORIES, GpsLabel, GridSpec, GridTensor, N_CATEGORIES, _NAME_ORDER, atomic_write,
+    read_jsonl, record_to_scene,
 )
 
 __all__ = [
@@ -34,9 +34,6 @@ __all__ = [
     "write_reports",
 ]
 
-# Category ids in name order: np.flatnonzero over a mask whose last axis is
-# permuted this way yields cells in (row, col, category name) order.
-_BY_NAME = np.argsort(CATEGORIES)
 # An object array, so every cell shares the one str of its category's name.
 _NAMES = np.array(CATEGORIES, dtype=object)
 
@@ -145,10 +142,11 @@ def _select_each(mask: np.ndarray, probs: np.ndarray) -> list[CellArrays]:
     one flat-index pass over the stack, split per scene. The arrays of the
     scenes are read-only views of one index and one probability array."""
     n, size, n_o = mask.shape[0], mask[0].size, mask.shape[-1]
-    flat = np.flatnonzero(mask[..., _BY_NAME])
-    # Back from name order to the grid's own category order.
+    # With the last axis in category-name order, flat indices run in (row,
+    # col, name) order; each is then mapped back to the grid's own category.
+    flat = np.flatnonzero(mask[..., _NAME_ORDER])
     k = flat % n_o
-    flat += _BY_NAME[k] - k
+    flat += _NAME_ORDER[k] - k
     prob = probs.reshape(-1)[flat]
     index = flat % size
     index.flags.writeable = prob.flags.writeable = False

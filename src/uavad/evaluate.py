@@ -133,8 +133,12 @@ def run_benchmark(
                 f"{N_CATEGORIES} channels"
             )
 
-    val_scenes = load_scenes(os.path.join(data_dir, "val.jsonl"), world.grid)
-    test_scenes = load_scenes(os.path.join(data_dir, "test.jsonl"), world.grid)
+    val_path, test_path = os.path.join(data_dir, "val.jsonl"), os.path.join(data_dir, "test.jsonl")
+    val_scenes = load_scenes(val_path, world.grid)
+    test_scenes = load_scenes(test_path, world.grid)
+    for path, scenes in ((val_path, val_scenes), (test_path, test_scenes)):
+        if not scenes:
+            raise ValueError(f"{path} holds no scenes")
     tasks = {
         f"task{k}": read_benchmark(os.path.join(bench_dir, f"task{k}.jsonl"), world.grid)
         for k in (1, 2, 3)

@@ -99,10 +99,6 @@ class GridSpec:
         return self.image_height / self.cells_y
 
     @property
-    def n_cells(self) -> int:
-        return self.cells_x * self.cells_y
-
-    @property
     def vector_length(self) -> int:
         return self.cells_x * self.cells_y * N_CATEGORIES
 
@@ -279,7 +275,8 @@ def render_text(g: GridTensor) -> str:
 # ---------------------------------------------------------------------------
 
 
-# Category ids in the order of their names, the first key of a record's cells.
+# Category ids in the order of their names: the first key of a record's
+# cells, and of a detection report's cells after their row and col.
 _NAME_ORDER = np.argsort(CATEGORIES, kind="stable")
 
 

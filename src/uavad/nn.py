@@ -1,5 +1,6 @@
 """Deterministic numerical kernel: layers with hand-written backward passes,
-Adam, and a seedable platform-independent random generator.
+Adam, and a seedable platform-independent random generator whose whole state
+is one 64-bit integer.
 
 Layers, Adam and parameter stores work in the dtype of the arrays they are
 given, float64 or float32, and allocate what they return in it: training
@@ -65,22 +66,21 @@ _ADAM_BLOCK = 16384
 _CONV_BLOCK = 2048
 
 class Rng:
-    """SplitMix64 stream with Box-Muller gaussians.
+    """SplitMix64 stream with Box-Muller gaussians; its state is one integer.
 
     The update rule is fixed and platform independent: the state advances by
     the 64-bit golden-ratio constant per draw and each output is the standard
     SplitMix64 finalizer of the new state. Uniforms take the top 53 bits of
-    the output, mapped to [0, 1). Gaussians transform uniform pairs with
-    Box-Muller; array draws consume the same stream as repeated scalar draws.
+    the output, mapped to [0, 1); a scalar uniform is a one-value array draw.
+    Gaussians are array draws: Box-Muller on the two halves of the uniforms.
     The scene sampler and ``world.build_benchmark`` ``_peek`` at a block of
     the stream and ``_skip`` the part they used.
     """
 
-    __slots__ = ("_state", "_spare")
+    __slots__ = ("_state",)
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
-        self._spare: float | None = None
 
     @staticmethod
     def _mix(z: np.ndarray) -> np.ndarray:
@@ -118,14 +118,10 @@ class Rng:
         vals *= 2.0**-53
         return vals.reshape(shape)
 
-    def gaussian(self, shape: int | tuple[int, ...] | None = None) -> float | np.ndarray:
-        """Standard normal; scalar draws cache the second Box-Muller value."""
-        if shape is None:
-            if self._spare is not None:
-                z, self._spare = self._spare, None
-                return z
-            z, self._spare = _box_muller(*self._next(2))
-            return z
+    def gaussian(self, shape: int | tuple[int, ...]) -> np.ndarray:
+        """n standard normals by Box-Muller on the pairs (u0[i], u1[i]) of
+        the next ceil(n / 2) uniforms u0 and the ceil(n / 2) after them: every
+        r cos(theta), then every r sin(theta), cut to n."""
         n = int(np.prod(shape))
         pairs = (n + 1) // 2
         u = self.uniform((2, pairs))
@@ -163,7 +159,9 @@ class Rng:
 
 
 def _box_muller(u0: float, u1: float) -> tuple[float, float]:
-    """Box-Muller on two uniforms: a scalar draw's gaussian, then its spare."""
+    """Box-Muller on two uniforms as Python floats: r cos(theta), then
+    r sin(theta). The scene sampler's GPS jitter; NumPy's array cos and sin
+    need not give these bits."""
     r = np.sqrt(-2.0 * np.log1p(-u0))  # 1-u in (0, 1] avoids log(0)
     theta = 2.0 * np.pi * u1
     return float(r * np.cos(theta)), float(r * np.sin(theta))

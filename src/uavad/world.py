@@ -50,7 +50,6 @@ __all__ = [
     "HEAVY_VEHICLE_CATEGORIES",
     "TASK_NAMES",
     "WorldConfigError",
-    "InjectionError",
     "Waypoint",
     "PlacementRule",
     "AnomalyCase",
@@ -66,9 +65,6 @@ __all__ = [
     "build_dataset",
     "load_scenes",
     "audit_scene",
-    "inject_task1",
-    "inject_task2",
-    "inject_task3",
     "build_benchmark",
     "write_benchmark",
     "read_benchmark",
@@ -120,10 +116,6 @@ _TASK2_PAIRS = (
 
 class WorldConfigError(Exception):
     """A world definition is structurally invalid."""
-
-
-class InjectionError(Exception):
-    """No feasible anomaly injection exists for a scene."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,11 +280,6 @@ class WorldSpec:
         keys = self._table + np.arange(len(self.waypoints))[:, None, None] * self.grid.vector_length
         rules_per_cell = np.bincount(keys[listed], minlength=1)
         self._shared = ((rules_per_cell[keys] > 1) & listed).any(axis=2).tolist()
-
-    def rule_cells(self, rule_index: int, waypoint_index: int) -> list[tuple[int, int]]:
-        """Cells where ``rules[rule_index]`` may place objects at a waypoint, row-major."""
-        flat = self._placements[waypoint_index][rule_index]
-        return [divmod(i // N_CATEGORIES, self.grid.cells_x) for i in flat]
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +557,10 @@ def _sample_batch(world: WorldSpec, waypoints: Sequence[int],
     draws = {wi: [(ri, r.count_min, r.count_max - r.count_min + 1, r.weights[wi])
                   for ri, r in enumerate(world.rules)] for wi in set(waypoints)}
     gps, rows = [], []  # rows: scene, waypoint, rule, offset, cells and picks per shuffle
-    pos, spare = 0, rng._spare
+    pos = 0
     for s, wi in enumerate(waypoints):
         wp, placements, shared = world.waypoints[wi], world._placements[wi], world._shared[wi]
         z0, z1 = _box_muller(us[pos], us[pos + 1])
-        if spare is not None:
-            z0, z1, spare = spare, z0, z1
         gps.append(GpsLabel(wp.gps.latitude + wp.gps_jitter * z0,
                             wp.gps.longitude + wp.gps_jitter * z1))
         pos += 2
@@ -599,7 +584,6 @@ def _sample_batch(world: WorldSpec, waypoints: Sequence[int],
                 rows += (s, wi, ri, pos, n, count if count < n else n)
             pos += n - 1 if n else 0
     rng._skip(pos)
-    rng._spare = spare
     if rows:
         scene, wps, rule, offset, n, k = np.fromiter(rows, np.intp, len(rows)).reshape(-1, 6).T
         width = int(n.max())
@@ -611,16 +595,11 @@ def _sample_batch(world: WorldSpec, waypoints: Sequence[int],
     return [(GridTensor(spec, d.reshape(shape)), g) for d, g in zip(data, gps)]
 
 
-def split_sizes(n: int, fracs: tuple[float, float, float] = (0.6, 0.1, 0.3)) -> tuple[int, int, int]:
-    """Train/val/test sizes; val and test round down, train takes the rest."""
-    if abs(sum(fracs) - 1.0) > 1e-9:
-        raise ValueError("split fractions must sum to 1")
-    n_val = int(math.floor(fracs[1] * n + 1e-9))
-    n_test = int(math.floor(fracs[2] * n + 1e-9))
-    n_train = n - n_val - n_test
-    if n_train <= 0:
-        raise ValueError(f"split {fracs} leaves no training samples for n={n}")
-    return n_train, n_val, n_test
+def split_sizes(n: int) -> tuple[int, int, int]:
+    """Train/val/test sizes of a 60/10/30 split; val and test round down,
+    train takes the rest."""
+    n_val, n_test = n // 10, 3 * n // 10
+    return n - n_val - n_test, n_val, n_test
 
 
 def build_dataset(world: WorldSpec, n: int, out_dir: str, seed: int) -> dict:
@@ -702,16 +681,14 @@ def _inject(
     waypoint_index: int,
     draw: Callable[[], float],
     scene_index: int,
-) -> tuple[GridTensor, AnomalyCase]:
+) -> tuple[GridTensor, AnomalyCase] | None:
     """Plant one free candidate cell of ``task``, picked as ``Rng.randint``
-    picks on the uniform ``draw()``. An infeasible scene raises
-    ``InjectionError`` before ``draw`` is called."""
-    candidates = world._candidates[waypoint_index].get(task)
-    if candidates is None:
-        raise ValueError(f"unknown task {task}")
+    picks on the uniform ``draw()``. A scene with no free candidate gets
+    None, and ``draw`` is not called."""
+    candidates = world._candidates[waypoint_index][task]
     free = candidates[grid.data.reshape(-1)[candidates] == 0]
     if not free.size:
-        raise InjectionError(f"no feasible task-{task} injection at waypoint {waypoint_index}")
+        return None
     cell, cat = divmod(int(free[min(int(draw() * free.size), free.size - 1)]), N_CATEGORIES)
     row, col = divmod(cell, world.grid.cells_x)
     case = AnomalyCase(
@@ -723,29 +700,6 @@ def _inject(
         waypoint_index=waypoint_index,
     )
     return grid.with_cell(row, col, cat), case
-
-
-def inject_task1(
-    world: WorldSpec, grid: GridTensor, waypoint_index: int, rng: Rng, scene_index: int = -1
-) -> tuple[GridTensor, AnomalyCase]:
-    """Add one object into a forbidden strip (any category behind the
-    building; vehicles on its left side)."""
-    return _inject(1, world, grid, waypoint_index, rng.uniform, scene_index)
-
-
-def inject_task2(
-    world: WorldSpec, grid: GridTensor, waypoint_index: int, rng: Rng, scene_index: int = -1
-) -> tuple[GridTensor, AnomalyCase]:
-    """Add one traffic-rule violation: pedestrian on a road away from the
-    crossing, bicycle off the bike road, or heavy vehicle on the bike road."""
-    return _inject(2, world, grid, waypoint_index, rng.uniform, scene_index)
-
-
-def inject_task3(
-    world: WorldSpec, grid: GridTensor, waypoint_index: int, rng: Rng, scene_index: int = -1
-) -> tuple[GridTensor, AnomalyCase]:
-    """Add one legal-but-rare placement from the world's rare list."""
-    return _inject(3, world, grid, waypoint_index, rng.uniform, scene_index)
 
 
 # build_benchmark calls the injectors through this table; perfbench wraps
@@ -761,26 +715,21 @@ def build_benchmark(
 ) -> list[tuple[GridTensor, GpsLabel, AnomalyCase]]:
     """One injection per eligible scene; ineligible scenes are skipped.
 
-    The records and the stream ``rng`` is left at are those of calling
-    ``inject_task<task>`` on each scene in turn: one uniform per scene is
-    read ahead, each injection takes the next one, a skipped scene takes
-    none, and ``rng`` then moves past the ones taken."""
+    Each injection takes the next uniform of ``rng``, read ahead one per
+    scene; a skipped scene takes none, and ``rng`` then moves past the ones
+    taken."""
     if task not in _INJECTORS:
         raise ValueError(f"unknown task {task}")
     draw = iter(rng._peek(len(scenes)).tolist()).__next__
     records = []
-    skipped = 0
     for i, (g, gps) in enumerate(scenes):
-        wi = nearest_waypoint(world, gps)
-        try:
-            modified, case = _INJECTORS[task](world, g, wi, draw, scene_index=i)
-        except InjectionError:
-            skipped += 1
-            continue
-        records.append((modified, gps, case))
+        injected = _INJECTORS[task](world, g, nearest_waypoint(world, gps), draw, scene_index=i)
+        if injected is not None:
+            modified, case = injected
+            records.append((modified, gps, case))
     rng._skip(len(records))
-    if skipped:
-        logger.info("task %d: skipped %d ineligible scenes", task, skipped)
+    if len(records) < len(scenes):
+        logger.info("task %d: skipped %d ineligible scenes", task, len(scenes) - len(records))
     return records
 
 

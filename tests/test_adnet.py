@@ -236,7 +236,7 @@ class TestParameterWiring:
 
 
 class TestForward:
-    def test_shapes_single_and_batch(self):
+    def test_shapes_one_row_and_batch(self):
         for variant in VARIANTS:
             config = tiny_config(variant)
             params = init_params(config, 1)
@@ -244,8 +244,9 @@ class TestForward:
             x_hat, mu, log_var = forward(config, params.values, x, gps, eps)
             assert x_hat.shape == (5, config.hidden3)
             assert mu.shape == (5, config.n_h) and log_var.shape == (5, config.n_h)
-            one = forward(config, params.values, x[0], gps[0] if gps is not None else None, eps[0])
-            assert one[0].shape == (config.hidden3,)
+            g1 = gps[:1] if gps is not None else None
+            one = forward(config, params.values, x[:1], g1, eps[:1])
+            assert one[0].shape == (1, config.hidden3)
 
     def test_outputs_are_strict_probabilities(self):
         for variant in VARIANTS:
@@ -261,8 +262,8 @@ class TestForward:
         x, gps, eps = random_batch(config, 6, 6)
         batch_out = forward(config, params.values, x, gps, eps)[0]
         for i in range(6):
-            single = forward(config, params.values, x[i], gps[i], eps[i])[0]
-            assert np.allclose(batch_out[i], single, atol=1e-12), i
+            single = forward(config, params.values, x[i : i + 1], gps[i : i + 1], eps[i : i + 1])[0]
+            assert np.allclose(batch_out[i], single[0], atol=1e-12), i
 
     def test_no_noise_means_zero_noise(self):
         """eps=None is the deterministic posterior-mean mode."""
@@ -291,22 +292,33 @@ class TestForward:
             assert not np.allclose(near, far), variant
 
     def test_gps_presence_is_enforced_both_ways(self):
-        x = np.zeros(tiny_config("vae").hidden3)
+        x, gps = np.zeros((1, tiny_config("vae").hidden3)), np.zeros((1, 2))
         with pytest.raises(ValueError, match="uav_adnet"):
             forward(tiny_config("uav_adnet"), init_params(tiny_config("uav_adnet"), 0).values, x)
         with pytest.raises(ValueError, match="vae"):
-            forward(tiny_config("vae"), init_params(tiny_config("vae"), 0).values, x, np.zeros(2))
+            forward(tiny_config("vae"), init_params(tiny_config("vae"), 0).values, x, gps)
 
     def test_bad_widths_are_rejected(self):
         config = tiny_config("uav_adnet")
         params = init_params(config, 0)
-        gps = np.zeros(2)
+        x, gps = np.zeros((1, config.hidden3)), np.zeros((1, 2))
         with pytest.raises(ValueError, match="input vector"):
-            forward(config, params.values, np.zeros(config.hidden3 + 1), gps)
+            forward(config, params.values, np.zeros((1, config.hidden3 + 1)), gps)
         with pytest.raises(ValueError, match="gps input"):
-            forward(config, params.values, np.zeros(config.hidden3), np.zeros(3))
+            forward(config, params.values, x, np.zeros((1, 3)))
         with pytest.raises(ValueError, match="latent noise"):
-            forward(config, params.values, np.zeros(config.hidden3), gps, np.zeros(config.n_h + 1))
+            forward(config, params.values, x, gps, np.zeros((1, config.n_h + 1)))
+
+    def test_a_single_vector_is_not_a_batch(self):
+        config = tiny_config("uav_adnet")
+        params = init_params(config, 0)
+        x, gps, eps = np.zeros((1, config.hidden3)), np.zeros((1, 2)), np.zeros((1, config.n_h))
+        with pytest.raises(ValueError, match=r"input vector .* got shape \(\d+,\)"):
+            forward(config, params.values, x[0], gps, eps)
+        with pytest.raises(ValueError, match=r"gps input .* got shape \(2,\)"):
+            forward(config, params.values, x, gps[0], eps)
+        with pytest.raises(ValueError, match=r"latent noise .* got shape \(\d+,\)"):
+            forward(config, params.values, x, gps, eps[0])
 
     def test_batch_size_mismatches_are_rejected(self):
         config = tiny_config("uav_adnet")
@@ -877,15 +889,6 @@ class TestTraining:
         checkpoint, _ = train(config, train_set, val_set, TrainConfig(max_epochs=1, seed=0))
         assert checkpoint.gps_normalization.lat_ref == pytest.approx(train_set.gps[:, 0].mean())
         assert checkpoint.gps_normalization.lon_ref == pytest.approx(train_set.gps[:, 1].mean())
-
-    def test_explicit_gps_normalization_is_respected(self):
-        config = tiny_config("cvae")
-        gn = GpsNormalization(lat_ref=41.0, lon_ref=29.0)
-        tc = TrainConfig(max_epochs=1, seed=0, gps_normalization=gn)
-        checkpoint, _ = train(
-            config, _binary_dataset(16, config.hidden3, 4), _binary_dataset(8, config.hidden3, 5), tc
-        )
-        assert checkpoint.gps_normalization == gn
 
     def test_train_config_validation(self):
         for lr in (0.0, math.nan, math.inf, -math.inf):

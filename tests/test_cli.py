@@ -223,6 +223,22 @@ class TestTrain:
         assert str(data / "manifest.json") in caplog.text
         assert not (tmp_path / "ck.json").exists()
 
+    @pytest.mark.parametrize("name", ["train.jsonl", "val.jsonl"])
+    def test_a_split_with_no_scenes_is_a_config_error_naming_it(
+        self, pipeline, tmp_path, caplog, name
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        (data / name).write_text("")
+        with caplog.at_level(logging.ERROR):
+            code = main(
+                ["train", "--variant", "vae", "--data", str(data),
+                 "--out", str(tmp_path / "ck.json"), *FAST_TRAIN]
+            )
+        assert code == EXIT_CONFIG
+        assert f"{data / name} holds no scenes" in caplog.text
+        assert not (tmp_path / "ck.json").exists()
+
     def test_non_finite_learning_rate_is_a_config_error(
         self, pipeline, tmp_path, caplog, monkeypatch
     ):
@@ -432,6 +448,23 @@ class TestEval:
         assert "variant 'vae'" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["val.jsonl", "test.jsonl"])
+    def test_a_split_with_no_scenes_is_a_config_error_naming_it(
+        self, pipeline, tmp_path, caplog, name
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        (data / name).write_text("")
+        out = tmp_path / "r.json"
+        with caplog.at_level(logging.ERROR):
+            code = main(
+                ["eval", "--data", str(data), "--bench", str(pipeline["bench"]),
+                 "--out", str(out), "--ckpts", *pipeline["ckpts"].values()]
+            )
+        assert code == EXIT_CONFIG
+        assert f"{data / name} holds no scenes" in caplog.text
+        assert not out.exists()
+
     def test_duplicate_variants_are_a_config_error(self, pipeline, tmp_path):
         ckpts = pipeline["ckpts"]
         code = main(
@@ -472,6 +505,25 @@ class TestRender:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 16
         assert all(len(line) == 16 for line in lines)
+        assert any(ch != "." for line in lines for ch in line)
+
+    def test_the_grid_comes_from_the_manifest_beside_the_file(self, tmp_path, capsys):
+        """A dataset of the default world cut to 12x12 cells renders as
+        12 rows of 12 glyphs."""
+        path = tmp_path / "world.json"
+        save_world(default_world(), str(path))
+        doc = json.loads(path.read_text())
+        doc["grid"].update(cells_x=12, cells_y=12)
+        for wp in doc["waypoints"]:
+            for zone in wp["zones"]:
+                zone["cells"] = [[r, c] for r, c in zone["cells"] if r < 12 and c < 12]
+        path.write_text(json.dumps(doc))
+        data = tmp_path / "data"
+        assert main(["generate", "--world", str(path), "--n", "10", "--out", str(data)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["render", "--in", str(data / "test.jsonl")]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 12 and all(len(line) == 12 for line in lines)
         assert any(ch != "." for line in lines for ch in line)
 
     def test_out_of_range_index_is_a_config_error(self, pipeline):

@@ -94,7 +94,8 @@ class TestReconstructionCounts:
         counts, _ = reconstruction_metrics(
             car_suppressing_checkpoint(), Dataset.from_scenes([(x, GPS)])
         )
-        kept = (N_CATEGORIES - 1) * spec.n_cells  # every non-car cell is reconstructed
+        # Every non-car cell is reconstructed.
+        kept = (N_CATEGORIES - 1) * spec.cells_y * spec.cells_x
         assert (counts.tp, counts.fp, counts.fn) == (1, kept - 1, 1)
         assert counts.tn == spec.vector_length - kept - 1
         assert counts.total == spec.vector_length

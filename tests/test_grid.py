@@ -53,7 +53,7 @@ class TestGridSpec:
         """A 1080x1080 image over a 16x16 grid gives 67.5-pixel cells."""
         assert SPEC.cell_width == 67.5
         assert SPEC.cell_height == 67.5
-        assert SPEC.n_cells == 256
+        assert (SPEC.cells_y, SPEC.cells_x) == (16, 16)
         assert SPEC.vector_length == 2048
 
     def test_dict_round_trip(self):
