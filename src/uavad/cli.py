@@ -97,6 +97,8 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     _require_parent_dir(args.out)
     w = _load_world(args.world)
     scenes = world_mod.load_scenes(args.data, w.grid)
+    if not scenes:
+        raise ConfigError(f"{args.data} holds no scenes")
     rng = Rng(args.seed)
     records = world_mod.build_benchmark(w, scenes, args.task, rng)
     if not records:

@@ -162,6 +162,17 @@ class TestInject:
         )
         assert code == EXIT_RUNTIME
 
+    def test_a_file_with_no_scenes_is_a_config_error_naming_it(self, tmp_path, caplog):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        with caplog.at_level(logging.ERROR):
+            code = main(
+                ["inject", "--data", str(path), "--task", "1", "--out", str(tmp_path / "o.jsonl")]
+            )
+        assert code == EXIT_CONFIG
+        assert f"{path} holds no scenes" in caplog.text
+        assert not (tmp_path / "o.jsonl").exists()
+
     def test_missing_scene_file_is_a_config_error(self, tmp_path):
         code = main(
             ["inject", "--data", str(tmp_path / "absent.jsonl"), "--task", "2",

@@ -530,6 +530,14 @@ class TestSplitSizes:
         assert split_sizes(30) == (18, 3, 9)
         assert split_sizes(110) == (66, 11, 33)
 
+    def test_degenerate_split_is_rejected(self, tmp_path):
+        """Below 10 scenes the 60/10/30 split leaves val empty; the dataset
+        is refused before any file is written."""
+        assert split_sizes(9)[1] == 0
+        with pytest.raises(ValueError, match="at least 10 samples"):
+            build_dataset(WORLD, 9, str(tmp_path / "d"), seed=4)
+        assert not (tmp_path / "d").exists()
+
 
 class TestBuildDataset:
     def test_writes_split_files_and_manifest(self, tmp_path):
